@@ -1,0 +1,74 @@
+"""Byte-for-byte golden corpus of CLI runs: stdout and exit code per case.
+
+Each case runs cli.main in-process from tests/golden/inputs, so file
+arguments are relative and every run id is stable.  To regenerate after a
+deliberate output change, run ``PYTHONPATH=src python tests/test_golden.py``
+and review the diff under tests/golden/.
+"""
+import contextlib
+import io
+import json
+import os
+from pathlib import Path
+
+import pytest
+
+from nonadapt.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+INPUTS = GOLDEN / "inputs"
+
+CASES = {
+    "parity-n5": ["parity", "--n", "5"],
+    "vandam-n6-json": ["vandam", "--n", "6", "--seed", "5"],
+    "vandam-n6-csv": ["vandam", "--n", "6", "--format", "csv"],
+    "bv-b3": ["bv", "--b", "3"],
+    "verify-bound-parity4": ["verify-bound", "--in", "parity4.json", "--table", "parity4.txt"],
+    "verify-bound-random": ["verify-bound", "--in", "random-n4-k2.json", "--table", "table4.txt"],
+    "learn-bv-b3": ["learn", "--learner", "bv", "--b", "3"],
+    "learn-vandam-n4-k3": ["learn", "--learner", "vandam", "--n", "4", "--k", "3",
+                           "--eps", "0.0625"],
+    "learn-vandam-fallback": ["learn", "--learner", "vandam", "--n", "3", "--k", "2",
+                              "--eps", "0.0625", "--retry-cap", "0"],
+    "learn-state": ["learn", "--learner", "state", "--in", "random-n4-k2.json",
+                    "--concepts", "concepts.txt", "--eps", "0.25"],
+    "extract-set-json": ["extract-set", "--concepts", "concepts.txt", "--k", "6",
+                         "--trials", "4", "--seed", "1"],
+    "extract-set-csv": ["extract-set", "--concepts", "concepts.txt", "--in", "k1-n4.json",
+                        "--k", "5", "--trials", "3", "--format", "csv"],
+    "report": ["report", "--in", "runs"],
+    "exit1-infeasible-eps": ["learn", "--learner", "vandam", "--n", "4", "--k", "2",
+                             "--eps", "0"],
+    "exit2-vandam-too-large": ["vandam", "--n", "17"],
+    "exit2-profile-mismatch": ["extract-set", "--concepts", "concepts.txt", "--in",
+                               "random-n4-k2.json", "--k", "5"],
+    "exit3-missing-file": ["verify-bound", "--in", "missing.json", "--table", "parity4.txt"],
+}
+
+
+def run_case(argv):
+    out = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(INPUTS)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name):
+    code, out = run_case(CASES[name])
+    exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert code == exit_codes[name]
+    assert out == (GOLDEN / f"{name}.stdout").read_text()
+
+
+if __name__ == "__main__":
+    codes = {}
+    for name, argv in sorted(CASES.items()):
+        codes[name], out = run_case(argv)
+        (GOLDEN / f"{name}.stdout").write_text(out)
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
