@@ -24,6 +24,8 @@ from .qstate import (
     QueryState,
     apply_oracle,
     measure,
+    odd_mask,
+    parity,
 )
 
 MAX_POVM_CELLS = 1 << 24
@@ -191,11 +193,7 @@ def subset_outcome_distribution(
     psi = apply_oracle(build_subset_state(n, k), x)
     coeff = np.zeros(1 << n, dtype=complex)
     for (t, _a), amplitude in psi.amplitudes.items():
-        mask = 0
-        for i in t:
-            if i:
-                mask |= 1 << (i - 1)
-        coeff[mask] = amplitude
+        coeff[odd_mask(t)] = amplitude
     scale = 2.0 ** (-n / 2.0)
     if method == "fast":
         overlaps = _fwht(coeff) * scale
@@ -207,8 +205,7 @@ def subset_outcome_distribution(
         chunk = 1 << 9
         for start in range(0, 1 << n, chunk):
             ys = masks[start : start + chunk, None]
-            par = np.bitwise_count(np.bitwise_and(ys, support[None, :]))
-            signs = 1.0 - 2.0 * (par & 1)
+            signs = 1.0 - 2.0 * parity(ys & support[None, :])
             overlaps[start : start + chunk] = signs @ amps * scale
     else:
         raise ContractViolation(f"method must be 'fast' or 'direct', got {method!r}")
@@ -234,18 +231,12 @@ def build_subset_algorithm(n: int, k: int) -> NonadaptiveAlgorithm:
         raise ValidationError(
             f"POVM would need {(1 << n) * d * d} cells; use subset_outcome_distribution"
         )
-    index_of = {key: i for i, key in enumerate(basis)}
+    masks = np.array([odd_mask(t) for t, _a in basis], dtype=np.int64)
     scale = 2.0 ** (-n / 2.0)
     elements = []
     total = np.zeros((d, d), dtype=complex)
     for y in range(1 << n):
-        vec = np.zeros(d, dtype=complex)
-        for (t, a), i in index_of.items():
-            par = 0
-            for idx in t:
-                if idx:
-                    par ^= y >> (idx - 1) & 1
-            vec[i] = scale * (1.0 - 2.0 * par)
+        vec = scale * (1.0 - 2.0 * parity(y & masks))
         eff = np.outer(vec, vec.conj())
         total += eff
         elements.append((str(OracleString.from_int(n, y)), eff))
@@ -257,17 +248,13 @@ def build_subset_algorithm(n: int, k: int) -> NonadaptiveAlgorithm:
 # --- one-query subset-parity learner ----------------------------------------
 
 
-def _masked_parity(s: int, i: int) -> int:
-    return (s & i).bit_count() & 1
-
-
 def hadamard_concept_class(b: int) -> ConceptClass:
     """The 2^b concepts on n = 2^b - 1 bits whose bit i is the parity of s AND i."""
     if not 1 <= b <= 4:
         raise ContractViolation(f"require 1 <= b <= 4, got {b}")
     n = (1 << b) - 1
     concepts = tuple(
-        OracleString(tuple(_masked_parity(s, i) for i in range(1, n + 1)))
+        OracleString(tuple(parity(s & i) for i in range(1, n + 1)))
         for s in range(1 << b)
     )
     return ConceptClass(n, concepts)
@@ -289,7 +276,7 @@ def build_hadamard_algorithm(b: int) -> NonadaptiveAlgorithm:
     effects = []
     for s in range(1 << b):
         vec = {
-            ((i,), 0): amp * (1.0 - 2.0 * _masked_parity(s, i)) for i in range(n + 1)
+            ((i,), 0): amp * (1.0 - 2.0 * parity(s & i)) for i in range(n + 1)
         }
         effects.append((s, QueryState(n=n, k=1, amplitudes=vec)))
     meas = ProjectiveMeasurement(tuple(effects))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ContractViolation, ParseError, ValidationError
-from .qstate import OracleString
+from .qstate import OracleString, parity
 
 MAX_N = 20  # truth tables are dense; larger n is out of scope by design
 
@@ -71,7 +71,7 @@ def build_function(kind: str, n: int, table=None) -> TotalFunction:
         raise ValidationError(f"n must be >= 1, got {n}")
     size = 1 << n
     if kind == "parity":
-        values = tuple(bin(i).count("1") & 1 for i in range(size))
+        values = tuple(parity(i) for i in range(size))
     elif kind == "and":
         values = tuple(1 if i == size - 1 else 0 for i in range(size))
     elif kind == "or":
@@ -79,7 +79,7 @@ def build_function(kind: str, n: int, table=None) -> TotalFunction:
     elif kind == "majority":
         if n % 2 == 0:
             raise ValidationError("majority requires odd n")
-        values = tuple(1 if 2 * bin(i).count("1") > n else 0 for i in range(size))
+        values = tuple(1 if 2 * i.bit_count() > n else 0 for i in range(size))
     elif kind == "from_table":
         if table is None:
             raise ValidationError("from_table requires a table")

@@ -26,6 +26,8 @@ from .qstate import (
     ProjectiveMeasurement,
     QueryState,
     _state_vector,
+    odd_mask,
+    parity,
 )
 
 EXACT_ATOL = 1e-12  # slack for pure sign arithmetic
@@ -52,7 +54,7 @@ def query_weight(psi: QueryState, j: int) -> float:
         raise ContractViolation("state must be normalized")
     w = 0.0
     for (t, _a), amp in psi.amplitudes.items():
-        if t.count(j) & 1:
+        if odd_mask(t) >> (j - 1) & 1:
             w += abs(amp) ** 2
     return w
 
@@ -63,8 +65,9 @@ def weight_profile(psi: QueryState) -> WeightProfile:
     acc = [0.0] * psi.n
     for (t, _a), amp in psi.amplitudes.items():
         p = abs(amp) ** 2
+        mask = odd_mask(t)
         for j in set(t):
-            if j != 0 and t.count(j) & 1:
+            if j and mask >> (j - 1) & 1:
                 acc[j - 1] += p
     return WeightProfile(psi.n, psi.k, tuple(acc))
 
@@ -73,17 +76,10 @@ def oracle_pair_overlap(psi: QueryState, x: OracleString, y: OracleString) -> fl
     """<psi| (O_x O_y)^tensor-k |psi>; real because the operator is diagonal +/-1."""
     if psi.n != x.n or psi.n != y.n:
         raise ContractViolation("state and oracle strings must share n")
-    z = x ^ y
+    z = (x ^ y).to_int()
     total = 0.0
-    phase_cache: dict[tuple[int, ...], int] = {}
     for (t, _a), amp in psi.amplitudes.items():
-        ph = phase_cache.get(t)
-        if ph is None:
-            s = 0
-            for i in t:
-                s ^= z.bit(i)
-            ph = phase_cache[t] = -1 if s else 1
-        total += ph * abs(amp) ** 2
+        total += (1 - 2 * parity(z & odd_mask(t))) * abs(amp) ** 2
     return total
 
 
@@ -132,22 +128,6 @@ def query_lower_bound(n: int, eps: float) -> float:
     return n / 2.0 * (1.0 - 2.0 * math.sqrt(eps * (1.0 - eps)))
 
 
-def _parity_table(n: int) -> np.ndarray:
-    table = np.zeros(1 << n, dtype=np.uint8)
-    for i in range(1, 1 << n):
-        table[i] = table[i >> 1] ^ (i & 1)
-    return table
-
-
-def _odd_mask(t: tuple[int, ...]) -> int:
-    """Bitmask of variables appearing an odd number of times in the tuple."""
-    mask = 0
-    for i in set(t):
-        if i != 0 and t.count(i) & 1:
-            mask |= 1 << (i - 1)
-    return mask
-
-
 def error_profile(psi: QueryState, meas: Measurement, f: TotalFunction) -> np.ndarray:
     """Pr[output != f(x)] for every input x, swept exactly over all 2^n inputs.
 
@@ -175,10 +155,9 @@ def error_profile(psi: QueryState, meas: Measurement, f: TotalFunction) -> np.nd
         raise ContractViolation(f"measurement labels must be in {{0, 1}}, got {set(labels)}")
 
     v0 = _state_vector(psi, basis)
-    masks = np.array([_odd_mask(t) for t, _a in basis], dtype=np.int64)
+    masks = np.array([odd_mask(t) for t, _a in basis], dtype=np.int64)
     xs = np.arange(1 << f.n, dtype=np.int64)
-    parity = _parity_table(f.n)
-    signs = 1.0 - 2.0 * parity[xs[:, None] & masks[None, :]]
+    signs = 1.0 - 2.0 * parity(xs[:, None] & masks[None, :])
     amps = signs * v0[None, :]  # (2^n, d): post-oracle states for every input
 
     p1 = np.zeros(1 << f.n)

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,20 +58,6 @@ EXIT_PASS = 0
 EXIT_BOUND_FAILURE = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
-
-
-def thread_cap() -> int:
-    """Parallelism limit: NONADAPT_THREADS when set, else the CPU count."""
-    raw = os.environ.get("NONADAPT_THREADS")
-    if raw is None:
-        return max(1, os.cpu_count() or 1)
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValidationError(f"NONADAPT_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise ValidationError(f"NONADAPT_THREADS must be >= 1, got {cap}")
-    return cap
 
 
 @dataclass(frozen=True)
@@ -183,22 +167,16 @@ def cmd_vandam(cfg: RunConfig) -> int:
         raise ValidationError(f"n = {n} enumerates 2^{n} subsets; refusing beyond n = 16")
     if cfg.k is not None and not 0 <= cfg.k <= n:
         raise ContractViolation(f"--k must be in [0, {n}], got {cfg.k}")
-    ks = [cfg.k] if cfg.k is not None else list(range(n + 1))
-
-    def one_row(k: int) -> dict:
+    ks = [cfg.k] if cfg.k is not None else range(n + 1)
+    rows = []
+    for k in ks:
         rng = stream(cfg.seed, "vandam", f"k={k}")
         x = OracleString.from_int(n, int(rng.integers(0, 1 << n)))
         sim = subset_outcome_distribution(n, k, x)[str(x)]
         closed = recovery_success_probability(n, k)
-        return {
-            "k": k,
-            "success": sim,
-            "closed_form": closed,
-            "match": abs(sim - closed) <= ATOL,
-        }
-
-    with ThreadPoolExecutor(max_workers=min(thread_cap(), len(ks))) as pool:
-        rows = list(pool.map(one_row, ks))
+        rows.append(
+            {"k": k, "success": sim, "closed_form": closed, "match": abs(sim - closed) <= ATOL}
+        )
 
     suffix = f"-k{cfg.k}" if cfg.k is not None else ""
     payload = {

@@ -25,7 +25,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .qstate import IndexTuple, OracleString, QueryState
+from .qstate import IndexTuple, OracleString, QueryState, odd_mask, oracle_phase, parity
 
 MAX_TENSOR_POSITIONS = 1 << 20
 
@@ -109,14 +109,6 @@ def is_distinguishing(c: ConceptClass, indices: Iterable[int]) -> bool:
     return True
 
 
-def _separated_pairs(c: ConceptClass, index: int) -> frozenset[tuple[int, int]]:
-    pairs = set()
-    for i, j in combinations(range(c.m), 2):
-        if c.concepts[i].bit(index) != c.concepts[j].bit(index):
-            pairs.add((i, j))
-    return frozenset(pairs)
-
-
 def min_distinguishing_set(c: ConceptClass, mode: str = "exact") -> tuple[int, ...]:
     """Smallest (exact) or greedily built set of positions distinguishing the class.
 
@@ -140,22 +132,10 @@ def min_distinguishing_set(c: ConceptClass, mode: str = "exact") -> tuple[int, .
                     return subset
         raise RuntimeError("unreachable: the full index set always distinguishes")
     if mode == "greedy":
-        separated_by = {j: _separated_pairs(c, j) for j in range(1, c.n + 1)}
-        unresolved = set(combinations(range(c.m), 2))
-        chosen: list[int] = []
-        while unresolved:
-            best, best_gain = None, -1
-            for j in range(1, c.n + 1):
-                if j in chosen:
-                    continue
-                gain = len(unresolved & separated_by[j])
-                if gain > best_gain:
-                    best, best_gain = j, gain
-            if best is None or best_gain == 0:
-                raise ValidationError("no index separates the remaining pairs")
-            chosen.append(best)
-            unresolved -= separated_by[best]
-        return tuple(sorted(chosen))
+        chosen = _greedy_over_support(c, range(1, c.n + 1))
+        if chosen is None:
+            raise ValidationError("no index separates the remaining pairs")
+        return chosen
     raise ContractViolation(f"mode must be 'exact' or 'greedy', got {mode!r}")
 
 
@@ -164,10 +144,7 @@ def min_distinguishing_set(c: ConceptClass, mode: str = "exact") -> tuple[int, .
 
 def tensor_bit(x: OracleString, t: Sequence[int]) -> int:
     """XOR of the bits of x addressed by the tuple, with bit 0 always 0."""
-    b = 0
-    for i in t:
-        b ^= x.bit(i)
-    return b
+    return (1 - oracle_phase(x, t)) // 2
 
 
 def tuple_to_position(t: Sequence[int], n: int) -> int:
@@ -203,11 +180,12 @@ def tensor_power_class(c: ConceptClass, k: int) -> ConceptClass:
     size = (c.n + 1) ** k
     if size > MAX_TENSOR_POSITIONS:
         raise ValidationError(f"tensor class would have {size} positions; too large")
-    tuples = [position_to_tuple(p, c.n, k) for p in range(1, size)]
-    extended = tuple(
-        OracleString(tuple(tensor_bit(x, t) for t in tuples)) for x in c.concepts
-    )
-    return ConceptClass(size - 1, extended)
+    masks = [odd_mask(position_to_tuple(p, c.n, k)) for p in range(1, size)]
+    extended = []
+    for x in c.concepts:  # row by row: an (m, positions) array would raise peak memory
+        xi = x.to_int()
+        extended.append(OracleString(tuple(parity(xi & mask) for mask in masks)))
+    return ConceptClass(size - 1, tuple(extended))
 
 
 @dataclass
@@ -231,13 +209,8 @@ def simulate_tensor_query(t: Sequence[int], oracle: ClassicalOracle) -> int:
     XORs the values carrying odd multiplicity.
     """
     t = tuple(t)
-    distinct = sorted({i for i in t if i != 0})
-    values = {i: oracle.query(i) for i in distinct}
-    b = 0
-    for i in distinct:
-        if t.count(i) & 1:
-            b ^= values[i]
-    return b
+    queried = sum(oracle.query(i) << (i - 1) for i in sorted({i for i in t if i != 0}))
+    return parity(queried & odd_mask(t))
 
 
 # --- amplitude profiles and the probabilistic extraction -------------------
@@ -363,35 +336,36 @@ def sample_index_set(
 
 
 def _greedy_over_support(
-    c: ConceptClass, profile: AmplitudeProfile
-) -> tuple[int, ...]:
-    """Deterministic fallback: greedy cover using only positions the profile touches."""
-    candidates = [i for i in range(1, c.n + 1) if profile.values[i] > 0.0]
-    unresolved = set(combinations(range(c.m), 2))
+    c: ConceptClass, candidates: Iterable[int]
+) -> tuple[int, ...] | None:
+    """Greedy set cover of the concept pairs by candidate positions.
+
+    Repeatedly takes the candidate separating the most still-colliding pairs,
+    ties to the earliest candidate; None when the candidates cannot separate
+    every pair.  Colliding pairs are kept as groups of concepts that agree on
+    every chosen position, so a position separates ones * zeros pairs per group.
+    """
+    candidates = list(candidates)
+    groups = [list(range(c.m))] if c.m > 1 else []
     chosen: list[int] = []
-    while unresolved:
+    while groups:
         best, best_gain = None, 0
         for j in candidates:
-            if j in chosen:
-                continue
-            gain = sum(
-                1
-                for (a, b) in unresolved
-                if c.concepts[a].bit(j) != c.concepts[b].bit(j)
-            )
+            gain = 0
+            for g in groups:
+                ones = sum(c.concepts[a].bits[j - 1] for a in g)
+                gain += ones * (len(g) - ones)
             if gain > best_gain:
                 best, best_gain = j, gain
         if best is None:
-            raise BoundViolation(
-                "profile support cannot separate all concept pairs; "
-                "the claimed error rate is wrong"
-            )
+            return None
         chosen.append(best)
-        unresolved = {
-            (a, b)
-            for (a, b) in unresolved
-            if c.concepts[a].bit(best) == c.concepts[b].bit(best)
-        }
+        split = [
+            [a for a in g if c.concepts[a].bits[best - 1] == v]
+            for g in groups
+            for v in (0, 1)
+        ]
+        groups = [g for g in split if len(g) > 1]
     return tuple(sorted(chosen))
 
 
@@ -523,7 +497,13 @@ def build_classical_plan(
             retries = attempt
             break
     if selected is None:
-        selected = _greedy_over_support(tclass, profile)
+        support = [i for i in range(1, tclass.n + 1) if profile.values[i] > 0.0]
+        selected = _greedy_over_support(tclass, support)
+        if selected is None:
+            raise BoundViolation(
+                "profile support cannot separate all concept pairs; "
+                "the claimed error rate is wrong"
+            )
         retries = retry_cap
         used_fallback = True
 

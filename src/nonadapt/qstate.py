@@ -103,9 +103,38 @@ def validate_index_tuple(t: Sequence[int], n: int, k: int) -> IndexTuple:
     if len(t) != k:
         raise ContractViolation(f"index tuple {t} must have length {k}")
     for i in t:
-        if not 0 <= i <= n:
-            raise ContractViolation(f"tuple entry {i} out of range [0, {n}]")
+        # odd_mask shifts by i, so a float or bool entry must not pass as an index
+        if type(i) is not int or not 0 <= i <= n:
+            raise ContractViolation(f"tuple entry {i!r} is not an integer in [0, {n}]")
     return t
+
+
+def validate_ancilla(a, ancilla_dim: int) -> None:
+    if type(a) is not int or not 0 <= a < ancilla_dim:
+        raise ContractViolation(
+            f"ancilla label {a!r} is not an integer in [0, {ancilla_dim - 1}]"
+        )
+
+
+def odd_mask(t: Sequence[int]) -> int:
+    """Bitmask of the nonzero indices occurring an odd number of times in t.
+
+    Index i sets bit i - 1, so the phase oracle for x flips the sign of t
+    exactly when parity(x.to_int() & odd_mask(t)) is 1; index 0 never
+    contributes, which is the convention that bit 0 reads 0.
+    """
+    mask = 0
+    for i in t:
+        if i:
+            mask ^= 1 << (i - 1)
+    return mask
+
+
+def parity(v):
+    """Parity of the set bits of an int, or elementwise of an integer array."""
+    if isinstance(v, np.ndarray):
+        return np.bitwise_count(v) & 1
+    return v.bit_count() & 1
 
 
 @dataclass(frozen=True)
@@ -128,10 +157,7 @@ class QueryState:
         cleaned = {}
         for (t, a), amp in self.amplitudes.items():
             t = validate_index_tuple(t, self.n, self.k)
-            if not 0 <= a < self.ancilla_dim:
-                raise ContractViolation(
-                    f"ancilla label {a} out of range [0, {self.ancilla_dim - 1}]"
-                )
+            validate_ancilla(a, self.ancilla_dim)
             amp = complex(amp)
             if amp != 0:
                 cleaned[(t, a)] = amp
@@ -171,23 +197,18 @@ class QueryState:
 
 def oracle_phase(x: OracleString, t: Sequence[int]) -> int:
     """Sign the phase oracle for x puts on the basis tuple t: (-1)^(sum of addressed bits)."""
-    s = 0
-    for i in t:
-        s ^= x.bit(i)
-    return -1 if s else 1
+    return 1 - 2 * parity(x.to_int() & odd_mask(validate_index_tuple(t, x.n, len(t))))
 
 
 def apply_oracle(psi: QueryState, x: OracleString) -> QueryState:
     """Apply the k-fold phase oracle for x; ancilla labels are untouched."""
     if psi.n != x.n:
         raise ContractViolation(f"state has n={psi.n} but oracle string has n={x.n}")
-    phase_cache: dict[IndexTuple, int] = {}
-    new_amps = {}
-    for (t, a), amp in psi.amplitudes.items():
-        ph = phase_cache.get(t)
-        if ph is None:
-            ph = phase_cache[t] = oracle_phase(x, t)
-        new_amps[(t, a)] = amp * ph
+    xi = x.to_int()
+    new_amps = {
+        (t, a): amp * (1 - 2 * parity(xi & odd_mask(t)))
+        for (t, a), amp in psi.amplitudes.items()
+    }
     return QueryState(psi.n, psi.k, new_amps, psi.ancilla_dim)
 
 
@@ -267,8 +288,7 @@ class PovmMeasurement:
         seen = set()
         for (t, a) in self.basis:
             validate_index_tuple(t, self.n, self.k)
-            if not 0 <= a < self.ancilla_dim:
-                raise ContractViolation(f"ancilla label {a} out of range")
+            validate_ancilla(a, self.ancilla_dim)
             if (t, a) in seen:
                 raise ValidationError(f"duplicate basis label {(t, a)}")
             seen.add((t, a))

@@ -78,6 +78,17 @@ class TestVerifyBound:
         assert code == 3
         assert "error:" in err
 
+    @pytest.mark.parametrize("entry", [{"tuple": [1.5], "a": 0}, {"tuple": [1], "a": True}])
+    def test_non_integer_index_or_ancilla_rejected(self, tmp_path, capsys, entry):
+        state = tmp_path / "state.json"
+        table = tmp_path / "parity2.txt"
+        record = {"n": 2, "k": 1, "ancilla_dim": 2, "entries": [{**entry, "re": 1.0, "im": 0.0}]}
+        state.write_text(json.dumps(record))
+        save_function(build_function("parity", 2), table)
+        code, _, err = run_cli(capsys, "verify-bound", "--in", str(state), "--table", str(table))
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_missing_flag(self, capsys):
         code, _, err = run_cli(capsys, "verify-bound")
         assert code == 2
@@ -123,19 +134,6 @@ class TestVandam:
         _, first, _ = run_cli(capsys, "vandam", "--n", "6", "--seed", "11")
         _, second, _ = run_cli(capsys, "vandam", "--n", "6", "--seed", "11")
         assert first == second
-
-    def test_thread_cap_does_not_change_output(self, capsys, monkeypatch):
-        monkeypatch.delenv("NONADAPT_THREADS", raising=False)
-        _, free, _ = run_cli(capsys, "vandam", "--n", "5", "--seed", "3")
-        monkeypatch.setenv("NONADAPT_THREADS", "1")
-        _, capped, _ = run_cli(capsys, "vandam", "--n", "5", "--seed", "3")
-        assert free == capped
-
-    def test_invalid_thread_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("NONADAPT_THREADS", "zero")
-        code, _, err = run_cli(capsys, "vandam", "--n", "3")
-        assert code == 2
-        assert "NONADAPT_THREADS" in err
 
 
 class TestParityCommand:

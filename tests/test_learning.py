@@ -43,6 +43,7 @@ from nonadapt import (
     tensor_power_class,
     tuple_to_position,
 )
+from nonadapt.qstate import odd_mask, parity
 
 S = OracleString.from_string
 
@@ -416,11 +417,15 @@ def test_tensor_bit_is_parity_of_odd_multiplicity_entries(k, raw):
         t.append(v % (n + 1))
         v //= n + 1
     t = tuple(t)
-    want = 0
+    want, mask = 0, 0
     for i in set(t):
         if i != 0 and t.count(i) % 2 == 1:
             want ^= x.bit(i)
+            mask |= 1 << (i - 1)
     assert tensor_bit(x, t) == want
+    assert odd_mask(t) == mask
+    assert parity(x.to_int() & mask) == want
+    assert parity(np.array([x.to_int() & mask]))[0] == want
 
 
 @settings(max_examples=25, deadline=None)

@@ -25,6 +25,7 @@ from nonadapt import (
     state_from_dict,
     state_to_dict,
 )
+from nonadapt.qstate import odd_mask, parity
 from tests.conftest import k1_state, random_projective, uniform_k1
 
 S = OracleString.from_string
@@ -71,14 +72,18 @@ class TestOraclePhase:
 
     def test_two_phases_cancel(self):
         assert oracle_phase(S("11"), (1, 2)) == 1
+        assert odd_mask((1, 2)) == 0b11 and parity(0b11) == 0
+        assert odd_mask((2, 1, 2)) == 0b01
 
     def test_zero_index_contributes_nothing(self):
         assert oracle_phase(S("10"), (0, 1)) == -1
         assert oracle_phase(S("10"), (0, 0)) == 1
+        assert odd_mask((0, 0)) == 0 and odd_mask((0, 3)) == 0b100
 
     def test_out_of_range(self):
-        with pytest.raises(ContractViolation):
-            oracle_phase(S("01"), (3,))
+        for t in [(3,), (1.5,), (True,)]:
+            with pytest.raises(ContractViolation):
+                oracle_phase(S("01"), t)
 
 
 class TestApplyOracle:
