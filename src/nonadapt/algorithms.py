@@ -29,6 +29,7 @@ from .qstate import (
 )
 
 MAX_POVM_CELLS = 1 << 24
+MAX_PARITY_N = 20  # 2^10 effects of 2^10 entries each
 
 
 def _identity(label: Hashable) -> Hashable:
@@ -97,6 +98,12 @@ def build_parity_algorithm(n: int) -> NonadaptiveAlgorithm:
     """
     if n < 1:
         raise ContractViolation(f"n must be >= 1, got {n}")
+    if n > MAX_PARITY_N:
+        half = (n + 1) // 2
+        raise ValidationError(
+            f"parity evaluator for n = {n} needs 2^{half} effects of 2^{half} entries "
+            f"each; refusing beyond n = {MAX_PARITY_N}"
+        )
     regs = parity_registers(n)
     k = len(regs)
     amp = complex(2.0 ** (-k / 2.0))
@@ -139,8 +146,14 @@ def _subset_tuple(mask: int, length: int) -> tuple[int, ...]:
     return tuple(t) + (0,) * (length - len(t))
 
 
-def _low_weight_masks(n: int, k: int) -> list[int]:
-    return [m for m in range(1 << n) if m.bit_count() <= k]
+def _subset_masks(n: int, k: int) -> np.ndarray:
+    """The masks of [n] with at most k bits set, ascending; checks the range first."""
+    if n < 1 or not 0 <= k <= n:
+        raise ContractViolation(f"require n >= 1 and 0 <= k <= n, got n={n}, k={k}")
+    if n > 16:
+        raise ValidationError(f"subset state enumerates 2^{n} masks; n <= 16 required")
+    masks = np.arange(1 << n, dtype=np.int64)
+    return masks[np.bitwise_count(masks) <= k]
 
 
 def build_subset_state(n: int, k: int) -> QueryState:
@@ -151,12 +164,8 @@ def build_subset_state(n: int, k: int) -> QueryState:
     subset).  k = 0 is allowed and yields the single empty subset, carried
     in a length-1 register.
     """
-    if n < 1 or not 0 <= k <= n:
-        raise ContractViolation(f"require n >= 1 and 0 <= k <= n, got n={n}, k={k}")
-    if n > 16:
-        raise ValidationError(f"subset state enumerates 2^{n} masks; n <= 16 required")
+    masks = _subset_masks(n, k).tolist()
     length = max(k, 1)
-    masks = _low_weight_masks(n, k)
     amp = complex(1.0 / math.sqrt(len(masks)))
     amplitudes = {(_subset_tuple(m, length), 0): amp for m in masks}
     return QueryState(n=n, k=length, amplitudes=amplitudes)
@@ -180,39 +189,36 @@ def _fwht(v: np.ndarray) -> np.ndarray:
 
 def subset_outcome_distribution(
     n: int, k: int, x: OracleString, method: str = "fast"
-) -> dict:
+) -> np.ndarray:
     """Distribution of the subset learner's Fourier measurement on input x.
 
-    Outcomes are candidate strings (as n-character text) plus "fail" for the
-    mass outside the measured family.  The "fast" method uses a
-    Walsh-Hadamard butterfly; "direct" evaluates every overlap by explicit
-    summation as an independent cross-check.
+    Entry y is the probability of outcome y in the OracleString.to_int
+    encoding; the mass outside the measured family, 1 - sum, is failure.
+    The post-oracle state's Fourier coefficients are built straight from
+    the subset masks, with the amplitude build_subset_state uses.  The
+    "fast" method uses a Walsh-Hadamard butterfly; "direct" evaluates every
+    overlap by explicit summation as an independent cross-check.
     """
     if x.n != n:
         raise ContractViolation(f"oracle string has n={x.n}, expected {n}")
-    psi = apply_oracle(build_subset_state(n, k), x)
+    masks = _subset_masks(n, k)
     coeff = np.zeros(1 << n, dtype=complex)
-    for (t, _a), amplitude in psi.amplitudes.items():
-        coeff[odd_mask(t)] = amplitude
+    amp = complex(1.0 / math.sqrt(len(masks)))
+    coeff[masks] = amp * (1.0 - 2.0 * parity(x.to_int() & masks))
     scale = 2.0 ** (-n / 2.0)
     if method == "fast":
         overlaps = _fwht(coeff) * scale
     elif method == "direct":
-        masks = np.arange(1 << n, dtype=np.int64)
+        ys = np.arange(1 << n, dtype=np.int64)
         overlaps = np.zeros(1 << n, dtype=complex)
-        support = np.flatnonzero(coeff)
-        amps = coeff[support]
+        amps = coeff[masks]
         chunk = 1 << 9
         for start in range(0, 1 << n, chunk):
-            ys = masks[start : start + chunk, None]
-            signs = 1.0 - 2.0 * parity(ys & support[None, :])
+            signs = 1.0 - 2.0 * parity(ys[start : start + chunk, None] & masks[None, :])
             overlaps[start : start + chunk] = signs @ amps * scale
     else:
         raise ContractViolation(f"method must be 'fast' or 'direct', got {method!r}")
-    probs = np.abs(overlaps) ** 2
-    dist = {str(OracleString.from_int(n, y)): float(probs[y]) for y in range(1 << n)}
-    dist["fail"] = max(0.0, 1.0 - float(probs.sum()))
-    return dist
+    return np.abs(overlaps) ** 2
 
 
 def build_subset_algorithm(n: int, k: int) -> NonadaptiveAlgorithm:

@@ -31,6 +31,7 @@ from .qstate import (
 )
 
 EXACT_ATOL = 1e-12  # slack for pure sign arithmetic
+SWEEP_CELLS = 1 << 18  # (input, basis) cells per chunk of the error_profile sweep
 
 
 @dataclass(frozen=True)
@@ -134,6 +135,12 @@ def error_profile(psi: QueryState, meas: Measurement, f: TotalFunction) -> np.nd
     The measurement must be two-outcome with labels in {0, 1}.  The sweep is
     vectorized: the oracle only flips signs, so the post-oracle amplitude
     vectors for all inputs are one sign table away from the input state.
+    Inputs go through in chunks of at most SWEEP_CELLS (input, basis) cells,
+    so peak memory does not grow with 2^n * d.  A chunk holds a power of two
+    inputs, at least two, because a one-row product goes to gemv and an odd
+    row count to an edge kernel, both rounding unlike the whole sweep; so
+    the projective result is bit-identical for any SWEEP_CELLS, and the
+    POVM sweep's einsum agrees to rounding.
     """
     if psi.n != f.n:
         raise ContractViolation(f"state has n={psi.n}, function has n={f.n}")
@@ -144,40 +151,39 @@ def error_profile(psi: QueryState, meas: Measurement, f: TotalFunction) -> np.nd
         ref = meas.effects[0][1]
         if not psi.same_space(ref):
             raise ContractViolation("state and measurement live in different spaces")
-        basis = sorted(set().union(*(s.support() for _, s in meas.effects)))
         labels = [label for label, _ in meas.effects]
+        rows = meas.V.conj().T  # (d, R)
     else:
         if (psi.n, psi.k, psi.ancilla_dim) != (meas.n, meas.k, meas.ancilla_dim):
             raise ContractViolation("state and measurement live in different spaces")
-        basis = list(meas.basis)
         labels = [label for label, _ in meas.elements]
     if not set(labels) <= {0, 1}:
         raise ContractViolation(f"measurement labels must be in {{0, 1}}, got {set(labels)}")
 
+    basis = meas.basis
     v0 = _state_vector(psi, basis)
     masks = np.array([odd_mask(t) for t, _a in basis], dtype=np.int64)
-    xs = np.arange(1 << f.n, dtype=np.int64)
-    signs = 1.0 - 2.0 * parity(xs[:, None] & masks[None, :])
-    amps = signs * v0[None, :]  # (2^n, d): post-oracle states for every input
-
-    p1 = np.zeros(1 << f.n)
-    if isinstance(meas, ProjectiveMeasurement):
-        rows = np.array(
-            [_state_vector(s, basis).conj() for _, s in meas.effects]
-        )  # (R, d)
-        overlaps = amps @ rows.T
-        probs = np.abs(overlaps) ** 2
-        for r, label in enumerate(labels):
-            if label == 1:
-                p1 += probs[:, r]
-        total = probs.sum(axis=1)
-    else:
-        total = np.zeros(1 << f.n)
-        for label, mat in meas.elements:
-            p = np.real(np.einsum("xi,ij,xj->x", amps.conj(), mat, amps))
-            total += p
-            if label == 1:
-                p1 += p
+    inputs = 1 << f.n
+    step = 1 << max(1, (SWEEP_CELLS // len(basis)).bit_length() - 1)
+    p1 = np.zeros(inputs)
+    total = np.zeros(inputs)
+    for start in range(0, inputs, step):
+        chunk = slice(start, min(start + step, inputs))
+        xs = np.arange(chunk.start, chunk.stop, dtype=np.int64)
+        signs = 1.0 - 2.0 * parity(xs[:, None] & masks[None, :])
+        amps = signs * v0[None, :]  # post-oracle states for this chunk's inputs
+        if isinstance(meas, ProjectiveMeasurement):
+            probs = np.abs(amps @ rows) ** 2
+            for r, label in enumerate(labels):
+                if label == 1:
+                    p1[chunk] += probs[:, r]
+            total[chunk] = probs.sum(axis=1)
+        else:
+            for label, mat in meas.elements:
+                p = np.real(np.einsum("xi,ij,xj->x", amps.conj(), mat, amps))
+                total[chunk] += p
+                if label == 1:
+                    p1[chunk] += p
     if np.max(np.abs(total - 1.0)) > ATOL:
         raise ContractViolation(
             "measurement is not complete on the state's oracle orbit"

@@ -172,7 +172,7 @@ def cmd_vandam(cfg: RunConfig) -> int:
     for k in ks:
         rng = stream(cfg.seed, "vandam", f"k={k}")
         x = OracleString.from_int(n, int(rng.integers(0, 1 << n)))
-        sim = subset_outcome_distribution(n, k, x)[str(x)]
+        sim = float(subset_outcome_distribution(n, k, x)[x.to_int()])
         closed = recovery_success_probability(n, k)
         rows.append(
             {"k": k, "success": sim, "closed_form": closed, "match": abs(sim - closed) <= ATOL}

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -109,6 +109,13 @@ def validate_index_tuple(t: Sequence[int], n: int, k: int) -> IndexTuple:
     return t
 
 
+def validate_dims(n, k, ancilla_dim) -> None:
+    """n, k and ancilla_dim must be plain ints >= 1; a float or bool must not pass as one."""
+    for name, v in (("n", n), ("k", k), ("ancilla_dim", ancilla_dim)):
+        if type(v) is not int or v < 1:
+            raise ValidationError(f"{name} must be an integer >= 1, got {v!r}")
+
+
 def validate_ancilla(a, ancilla_dim: int) -> None:
     if type(a) is not int or not 0 <= a < ancilla_dim:
         raise ContractViolation(
@@ -152,8 +159,7 @@ class QueryState:
     ancilla_dim: int = 1
 
     def __post_init__(self):
-        if self.n < 1 or self.k < 1 or self.ancilla_dim < 1:
-            raise ValidationError("n, k, ancilla_dim must all be >= 1")
+        validate_dims(self.n, self.k, self.ancilla_dim)
         cleaned = {}
         for (t, a), amp in self.amplitudes.items():
             t = validate_index_tuple(t, self.n, self.k)
@@ -240,9 +246,15 @@ class ProjectiveMeasurement:
     Labels may repeat; probabilities for a repeated label are summed.  The
     family must be complete on any state it measures (probabilities must sum
     to 1), which measure() enforces.
+
+    Construction derives basis, the sorted union of the effect supports, and
+    V, the (R, d) matrix whose row r is effect r's amplitudes over basis;
+    orthonormality is the single check |conj(V) V^T - I| <= ATOL.
     """
 
     effects: tuple[tuple[Outcome, QueryState], ...]
+    basis: tuple[AmplitudeKey, ...] = field(init=False, compare=False, repr=False)
+    V: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         states = [s for _, s in self.effects]
@@ -252,14 +264,22 @@ class ProjectiveMeasurement:
         for s in states[1:]:
             if not s.same_space(first):
                 raise ValidationError("measurement states live in different spaces")
-        for i, si in enumerate(states):
-            if abs(si.squared_norm() - 1.0) > ATOL:
+        basis = tuple(sorted(set().union(*(s.amplitudes for s in states))))
+        index = {key: c for c, key in enumerate(basis)}
+        vecs = np.zeros((len(states), len(basis)), dtype=complex)
+        for r, s in enumerate(states):
+            vecs[r, [index[key] for key in s.amplitudes]] = list(s.amplitudes.values())
+        gram = vecs.conj() @ vecs.T
+        bad = np.triu(np.abs(gram - np.eye(len(states))) > ATOL)
+        if bad.any():
+            # the first offender in row-major order: state i's norm precedes its pairs (i, j > i)
+            i, j = divmod(int(np.argmax(bad)), len(states))
+            if i == j:
                 raise ValidationError(f"measurement state {i} is not normalized")
-            for j in range(i + 1, len(states)):
-                if abs(inner_product(si, states[j])) > ATOL:
-                    raise ValidationError(
-                        f"measurement states {i} and {j} are not orthogonal"
-                    )
+            raise ValidationError(f"measurement states {i} and {j} are not orthogonal")
+        vecs.setflags(write=False)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "V", vecs)
 
     @property
     def outcomes(self) -> tuple[Outcome, ...]:
@@ -285,6 +305,7 @@ class PovmMeasurement:
     ancilla_dim: int = 1
 
     def __post_init__(self):
+        validate_dims(self.n, self.k, self.ancilla_dim)
         seen = set()
         for (t, a) in self.basis:
             validate_index_tuple(t, self.n, self.k)

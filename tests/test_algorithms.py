@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nonadapt import (
     ContractViolation,
     OracleString,
+    ValidationError,
     build_function,
     build_hadamard_algorithm,
     build_hadamard_instance,
@@ -24,6 +25,7 @@ from nonadapt import (
     subset_outcome_distribution,
     worst_case_error,
 )
+from nonadapt import algorithms
 from nonadapt.algorithms import NonadaptiveAlgorithm, parity_registers
 from nonadapt.qstate import QueryState
 
@@ -70,6 +72,13 @@ class TestParityAlgorithm:
             f = build_function("parity", n)
             assert worst_case_error(alg.psi, meas, f) <= 1e-9
 
+    @pytest.mark.parametrize("n", [21, 30])
+    def test_refuses_beyond_n20_before_building(self, monkeypatch, n):
+        monkeypatch.setattr(algorithms, "parity_registers", None)  # any build attempt fails
+        half = (n + 1) // 2
+        with pytest.raises(ValidationError, match=f"2\\^{half} effects of 2\\^{half} entries"):
+            build_parity_algorithm(n)
+
     def test_state_is_uniform_product(self):
         alg = build_parity_algorithm(4)
         amps = alg.psi.amplitudes
@@ -112,23 +121,23 @@ class TestSubsetState:
 class TestSubsetDistribution:
     def test_recovery_examples(self):
         dist = subset_outcome_distribution(4, 3, S("0110"))
-        assert dist["0110"] == pytest.approx(15 / 16)
-        assert dist["fail"] == pytest.approx(0.0, abs=1e-12)
+        assert dist[S("0110").to_int()] == pytest.approx(15 / 16)
+        assert 1 - dist.sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_full_budget_is_exact(self):
         for v in range(8):
             x = OracleString.from_int(3, v)
             dist = subset_outcome_distribution(3, 3, x)
-            assert dist[str(x)] == pytest.approx(1.0)
+            assert dist[x.to_int()] == pytest.approx(1.0)
 
     def test_single_variable(self):
-        assert subset_outcome_distribution(1, 1, S("1"))["1"] == pytest.approx(1.0)
+        assert subset_outcome_distribution(1, 1, S("1"))[S("1").to_int()] == pytest.approx(1.0)
 
     def test_success_independent_of_input(self):
         for k in range(5):
             vals = {
                 subset_outcome_distribution(4, k, OracleString.from_int(4, v))[
-                    str(OracleString.from_int(4, v))
+                    OracleString.from_int(4, v).to_int()
                 ]
                 for v in range(16)
             }
@@ -142,20 +151,19 @@ class TestSubsetDistribution:
                 x = OracleString.from_int(n, v)
                 fast = subset_outcome_distribution(n, k, x, method="fast")
                 direct = subset_outcome_distribution(n, k, x, method="direct")
-                for key in fast:
-                    assert fast[key] == pytest.approx(direct[key], abs=1e-9)
+                assert fast == pytest.approx(direct, abs=1e-9)
 
     def test_distribution_normalized(self):
         dist = subset_outcome_distribution(6, 2, S("101010"))
-        assert sum(dist.values()) == pytest.approx(1.0)
-        assert all(p >= 0 for p in dist.values())
+        assert dist.sum() == pytest.approx(1.0)
+        assert all(p >= 0 for p in dist)
 
     def test_larger_instances(self):
         # closed form 2^-n * sum_{j<=k} C(n, j) holds at sizes past the POVM range
         for n, k in ((12, 3), (14, 2)):
             x = OracleString.from_int(n, 0b101)
             dist = subset_outcome_distribution(n, k, x)
-            assert dist[str(x)] == pytest.approx(recovery_success_probability(n, k), abs=1e-9)
+            assert dist[x.to_int()] == pytest.approx(recovery_success_probability(n, k), abs=1e-9)
 
     def test_unknown_method(self):
         with pytest.raises(ContractViolation):
@@ -169,8 +177,9 @@ class TestSubsetAlgorithm:
             x = OracleString.from_int(3, v)
             got = run_algorithm(alg, x)
             want = subset_outcome_distribution(3, 2, x)
-            for key, p in want.items():
-                assert got.get(key, 0.0) == pytest.approx(p, abs=1e-9)
+            for y, p in enumerate(want):
+                assert got.get(str(OracleString.from_int(3, y)), 0.0) == pytest.approx(p, abs=1e-9)
+            assert got.get("fail", 0.0) == pytest.approx(1 - want.sum(), abs=1e-9)
 
     def test_requires_positive_budget(self):
         with pytest.raises(ContractViolation):
@@ -225,7 +234,7 @@ def test_subset_success_matches_closed_form(n, data):
     v = data.draw(st.integers(0, (1 << n) - 1))
     x = OracleString.from_int(n, v)
     dist = subset_outcome_distribution(n, k, x)
-    assert dist[str(x)] == pytest.approx(recovery_success_probability(n, k), abs=1e-9)
+    assert dist[x.to_int()] == pytest.approx(recovery_success_probability(n, k), abs=1e-9)
 
 
 @settings(max_examples=30, deadline=None)

@@ -27,6 +27,8 @@ from nonadapt import (
     weight_profile,
     worst_case_error,
 )
+from nonadapt import bounds
+from nonadapt.algorithms import build_parity_algorithm, decision_measurement
 from nonadapt.qstate import QueryState
 from tests.conftest import k1_state, random_projective, random_two_outcome_povm, uniform_k1
 
@@ -179,31 +181,45 @@ class TestErrorProfile:
         assert profile[1:] == pytest.approx(np.ones(3))
         assert worst_case_error(psi, meas, f) == pytest.approx(1.0)
 
-    def test_matches_slow_sweep_projective(self):
-        rng = np.random.default_rng(17)
-        for _ in range(25):
-            n = int(rng.integers(1, 5))
-            k = int(rng.integers(1, 4))
-            psi = random_state(rng, n, k)
-            meas = random_projective(rng, psi)
-            table = tuple(int(b) for b in rng.integers(0, 2, size=1 << n))
-            f = TotalFunction(n, table)
-            fast = error_profile(psi, meas, f)
-            slow = slow_error_profile(psi, meas, f)
-            assert fast == pytest.approx(slow, abs=1e-12)
+    # Each sweep test runs at the default chunk size and at the smallest chunk.
+    # The loop sits inside the test rather than in a parametrize mark, so the
+    # test ids stay as they were.
+    def test_matches_slow_sweep_projective(self, monkeypatch):
+        for cells in (bounds.SWEEP_CELLS, 1):
+            monkeypatch.setattr(bounds, "SWEEP_CELLS", cells)
+            rng = np.random.default_rng(17)
+            for _ in range(25):
+                n = int(rng.integers(1, 5))
+                k = int(rng.integers(1, 4))
+                psi = random_state(rng, n, k)
+                meas = random_projective(rng, psi)
+                table = tuple(int(b) for b in rng.integers(0, 2, size=1 << n))
+                f = TotalFunction(n, table)
+                fast = error_profile(psi, meas, f)
+                slow = slow_error_profile(psi, meas, f)
+                assert fast == pytest.approx(slow, abs=1e-12)
 
-    def test_matches_slow_sweep_povm(self):
-        rng = np.random.default_rng(23)
-        for _ in range(15):
-            n = int(rng.integers(1, 5))
-            k = int(rng.integers(1, 3))
-            psi = random_state(rng, n, k)
-            meas = random_two_outcome_povm(rng, psi)
-            table = tuple(int(b) for b in rng.integers(0, 2, size=1 << n))
-            f = TotalFunction(n, table)
-            fast = error_profile(psi, meas, f)
-            slow = slow_error_profile(psi, meas, f)
-            assert fast == pytest.approx(slow, abs=1e-9)
+    def test_matches_slow_sweep_povm(self, monkeypatch):
+        for cells in (bounds.SWEEP_CELLS, 1):
+            monkeypatch.setattr(bounds, "SWEEP_CELLS", cells)
+            rng = np.random.default_rng(23)
+            for _ in range(15):
+                n = int(rng.integers(1, 5))
+                k = int(rng.integers(1, 3))
+                psi = random_state(rng, n, k)
+                meas = random_two_outcome_povm(rng, psi)
+                table = tuple(int(b) for b in rng.integers(0, 2, size=1 << n))
+                f = TotalFunction(n, table)
+                fast = error_profile(psi, meas, f)
+                slow = slow_error_profile(psi, meas, f)
+                assert fast == pytest.approx(slow, abs=1e-9)
+
+    def test_chunking_leaves_parity_profile_bit_identical(self, monkeypatch):
+        alg = build_parity_algorithm(10)
+        args = (alg.psi, decision_measurement(alg), build_function("parity", 10))
+        whole = error_profile(*args)  # d = 32, so the default is one chunk
+        monkeypatch.setattr(bounds, "SWEEP_CELLS", 1)  # two inputs per chunk
+        assert np.array_equal(error_profile(*args), whole)
 
     def test_label_check(self):
         psi = uniform_k1(1, [0, 1])

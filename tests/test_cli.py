@@ -13,6 +13,7 @@ from nonadapt import (
     save_function,
     save_state,
 )
+from nonadapt import algorithms
 from nonadapt.cli import main
 from nonadapt.learning import ClassicalOracle, classical_learn
 
@@ -78,11 +79,19 @@ class TestVerifyBound:
         assert code == 3
         assert "error:" in err
 
-    @pytest.mark.parametrize("entry", [{"tuple": [1.5], "a": 0}, {"tuple": [1], "a": True}])
+    @pytest.mark.parametrize("entry", [
+        {"tuple": [1.5], "a": 0},
+        {"tuple": [1], "a": True},
+        {"tuple": [1], "a": 0, "n": 2.0},  # "n" and "k" go to the record's header
+        {"tuple": [1], "a": 0, "k": True},
+    ])
     def test_non_integer_index_or_ancilla_rejected(self, tmp_path, capsys, entry):
         state = tmp_path / "state.json"
         table = tmp_path / "parity2.txt"
-        record = {"n": 2, "k": 1, "ancilla_dim": 2, "entries": [{**entry, "re": 1.0, "im": 0.0}]}
+        entry = dict(entry)
+        header = {key: entry.pop(key) for key in ("n", "k") if key in entry}
+        record = {"n": 2, "k": 1, "ancilla_dim": 2, **header,
+                  "entries": [{**entry, "re": 1.0, "im": 0.0}]}
         state.write_text(json.dumps(record))
         save_function(build_function("parity", 2), table)
         code, _, err = run_cli(capsys, "verify-bound", "--in", str(state), "--table", str(table))
@@ -150,6 +159,16 @@ class TestParityCommand:
     def test_csv_refused(self, capsys):
         code, _, _ = run_cli(capsys, "parity", "--n", "3", "--format", "csv")
         assert code == 2
+
+    @pytest.mark.parametrize("n, half", [(21, 11), (30, 15)])
+    def test_too_large_refused_before_building(self, capsys, monkeypatch, n, half):
+        monkeypatch.setattr(algorithms, "parity_registers", None)  # any build attempt fails
+        code, out, err = run_cli(capsys, "parity", "--n", str(n))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: parity evaluator for n = {n} needs 2^{half} effects of 2^{half} "
+            "entries each; refusing beyond n = 20\n"
+        )
 
     def test_out_file(self, tmp_path, capsys):
         out_path = tmp_path / "parity.json"

@@ -196,14 +196,28 @@ class TestMeasure:
 class TestMeasurementValidation:
     def test_projective_rejects_nonorthogonal(self):
         a = 1 / math.sqrt(2)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="states 0 and 1 are not orthogonal"):
             ProjectiveMeasurement(
                 (("a", k1_state(2, {1: 1.0})), ("b", k1_state(2, {1: a, 2: a})))
             )
 
     def test_projective_rejects_unnormalized(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="state 0 is not normalized"):
             ProjectiveMeasurement((("a", k1_state(2, {1: 0.5})),))
+
+    def test_projective_reports_first_failure_in_row_order(self):
+        # pair (0, 2) comes before state 1's norm in row-major order
+        a = 1 / math.sqrt(2)
+        states = (k1_state(2, {1: 1.0}), k1_state(2, {2: 0.5}), k1_state(2, {1: a, 0: a}))
+        with pytest.raises(ValidationError, match="states 0 and 2 are not orthogonal"):
+            ProjectiveMeasurement(tuple(enumerate(states)))
+
+    def test_projective_keeps_basis_and_matrix(self):
+        meas = ProjectiveMeasurement(
+            (("a", k1_state(2, {2: 1.0})), ("b", k1_state(2, {0: -1j})))
+        )
+        assert meas.basis == (((0,), 0), ((2,), 0))
+        assert np.array_equal(meas.V, [[0, 1], [-1j, 0]])
 
     def test_povm_rejects_non_psd(self):
         basis = (((0,), 0), ((1,), 0))
@@ -265,6 +279,15 @@ class TestQueryStateValidation:
     def test_bad_ancilla(self):
         with pytest.raises(ContractViolation):
             QueryState(2, 1, {((1,), 1): 1.0})
+
+    @pytest.mark.parametrize("field", ["n", "k", "ancilla_dim"])
+    @pytest.mark.parametrize("value", [2.0, True])
+    def test_dimensions_must_be_plain_ints(self, field, value):
+        dims = {"n": 2, "k": 1, "ancilla_dim": 2, field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            QueryState(dims["n"], dims["k"], {((1,), 0): 1.0}, dims["ancilla_dim"])
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            PovmMeasurement(basis=(((1,), 0),), elements=((0, np.eye(1)),), **dims)
 
     def test_normalize_zero_state(self):
         with pytest.raises(ValidationError):
