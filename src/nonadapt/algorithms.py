@@ -259,11 +259,7 @@ def hadamard_concept_class(b: int) -> ConceptClass:
     if not 1 <= b <= 4:
         raise ContractViolation(f"require 1 <= b <= 4, got {b}")
     n = (1 << b) - 1
-    concepts = tuple(
-        OracleString(tuple(parity(s & i) for i in range(1, n + 1)))
-        for s in range(1 << b)
-    )
-    return ConceptClass(n, concepts)
+    return ConceptClass(n, parity(np.arange(1 << b)[:, None] & np.arange(1, n + 1)))
 
 
 def build_hadamard_algorithm(b: int) -> NonadaptiveAlgorithm:

@@ -139,8 +139,8 @@ def error_profile(psi: QueryState, meas: Measurement, f: TotalFunction) -> np.nd
     so peak memory does not grow with 2^n * d.  A chunk holds a power of two
     inputs, at least two, because a one-row product goes to gemv and an odd
     row count to an edge kernel, both rounding unlike the whole sweep; so
-    the projective result is bit-identical for any SWEEP_CELLS, and the
-    POVM sweep's einsum agrees to rounding.
+    both the projective and the POVM result are bit-identical for any
+    SWEEP_CELLS (an einsum would pick its reduction order by chunk shape).
     """
     if psi.n != f.n:
         raise ContractViolation(f"state has n={psi.n}, function has n={f.n}")
@@ -180,7 +180,7 @@ def error_profile(psi: QueryState, meas: Measurement, f: TotalFunction) -> np.nd
             total[chunk] = probs.sum(axis=1)
         else:
             for label, mat in meas.elements:
-                p = np.real(np.einsum("xi,ij,xj->x", amps.conj(), mat, amps))
+                p = np.real(np.sum((amps.conj() @ mat) * amps, axis=1))
                 total[chunk] += p
                 if label == 1:
                     p1[chunk] += p

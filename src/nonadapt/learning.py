@@ -13,62 +13,85 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
-    BoundViolation,
-    ContractViolation,
-    InputOutsideClass,
-    ParseError,
-    ValidationError,
+    BoundViolation, ContractViolation, InputOutsideClass, ParseError, ValidationError,
 )
 from .qstate import IndexTuple, OracleString, QueryState, odd_mask, oracle_phase, parity
 
 MAX_TENSOR_POSITIONS = 1 << 20
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConceptClass:
-    """m distinct n-bit concepts; the learning task is to identify one by queries."""
+    """m distinct n-bit concepts; the learning task is to identify one by queries.
+
+    ``bits`` is a read-only (m, n) uint8 matrix: row i is concept i and
+    column j - 1 holds position j.  The constructor accepts any sequence of
+    equal-length 0/1 rows and validates it once (at least one concept, every
+    row of length n >= 1, entries 0/1, no duplicate rows).  ``concepts``
+    gives the rows as OracleStrings, built on first use.
+    """
 
     n: int
-    concepts: tuple[OracleString, ...]
+    bits: np.ndarray
 
     def __post_init__(self):
-        if not self.concepts:
-            raise ValidationError("concept class must contain at least one concept")
-        for x in self.concepts:
-            if x.n != self.n:
-                raise ValidationError(f"concept {x} has length {x.n}, expected {self.n}")
-        if len({x.bits for x in self.concepts}) != len(self.concepts):
+        if len(self.bits) == 0 or self.n < 1:
+            raise ValidationError(f"concept class needs a concept and n >= 1, got n={self.n}")
+        for row in self.bits:
+            if len(row) != self.n:
+                raise ValidationError(f"concept {_word(row)} has length {len(row)}, not {self.n}")
+        bits = np.array(self.bits)
+        if bits.min() < 0 or bits.max() > 1:
+            raise ValidationError("concept entries must be 0 or 1")
+        bits = bits.astype(np.uint8)
+        if len(set(map(bytes, np.packbits(bits, axis=1)))) != len(bits):
             raise ValidationError("concept class contains duplicate concepts")
+        bits.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
+
+    def __eq__(self, other):
+        if not isinstance(other, ConceptClass):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.bits, other.bits)
 
     @property
     def m(self) -> int:
-        return len(self.concepts)
+        return len(self.bits)
+
+    @cached_property
+    def concepts(self) -> tuple[OracleString, ...]:
+        return tuple(OracleString(tuple(row)) for row in self.bits.tolist())
 
     def index_of(self, x: OracleString) -> int:
-        for i, c in enumerate(self.concepts):
-            if c.bits == x.bits:
-                return i
+        if x.n == self.n:
+            hits = np.flatnonzero((self.bits == np.array(x.bits)).all(axis=1))
+            if hits.size:
+                return int(hits[0])
         raise InputOutsideClass(f"{x} is not a concept in this class")
+
+
+def _word(row) -> str:
+    return "".join(str(int(b)) for b in row)
 
 
 def full_concept_class(n: int) -> ConceptClass:
     """All 2^n strings, ordered by integer encoding."""
     if n > 12:
         raise ValidationError(f"full class has 2^{n} concepts; n <= 12 required")
-    return ConceptClass(n, tuple(OracleString.from_int(n, v) for v in range(1 << n)))
+    return ConceptClass(n, (np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
 
 
 def save_concept_class(c: ConceptClass, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{c.n} {c.m}\n")
-        for x in c.concepts:
-            fh.write(str(x) + "\n")
+        fh.writelines(_word(row) + "\n" for row in c.bits)
 
 
 def load_concept_class(path) -> ConceptClass:
@@ -85,28 +108,28 @@ def load_concept_class(path) -> ConceptClass:
         raise ParseError(f"{path}: line 1: expected integers, got {lines[0]!r}") from exc
     if len(lines) < m + 1:
         raise ParseError(f"{path}: expected {m} concept lines, found {len(lines) - 1}")
-    concepts = []
+    rows = []
     for ln, text in enumerate(lines[1 : m + 1], start=2):
         row = text.strip()
-        if len(row) != n or any(ch not in "01" for ch in row):
+        if not row or len(row) != n or any(ch not in "01" for ch in row):
             raise ParseError(f"{path}: line {ln}: expected {n} characters of 0/1")
-        concepts.append(OracleString.from_string(row))
-    return ConceptClass(n, tuple(concepts))
+        rows.append([int(ch) for ch in row])
+    return ConceptClass(n, rows)
+
+
+def _columns(c: ConceptClass, indices: Iterable[int]) -> np.ndarray:
+    """Columns of c.bits holding the 1-based positions, in the given order."""
+    cols = np.array(list(indices), dtype=np.intp)
+    bad = cols[(cols < 1) | (cols > c.n)]
+    if bad.size:
+        raise ContractViolation(f"index {bad.min()} out of range [1, {c.n}]")
+    return cols - 1
 
 
 def is_distinguishing(c: ConceptClass, indices: Iterable[int]) -> bool:
     """True iff every pair of concepts differs on at least one queried position."""
-    s = sorted(set(indices))
-    for i in s:
-        if not 1 <= i <= c.n:
-            raise ContractViolation(f"index {i} out of range [1, {c.n}]")
-    seen = set()
-    for x in c.concepts:
-        pattern = tuple(x.bit(i) for i in s)
-        if pattern in seen:
-            return False
-        seen.add(pattern)
-    return True
+    sub = np.packbits(c.bits[:, _columns(c, sorted(set(indices)))], axis=1)
+    return len(set(map(bytes, sub))) == c.m
 
 
 def min_distinguishing_set(c: ConceptClass, mode: str = "exact") -> tuple[int, ...]:
@@ -117,8 +140,6 @@ def min_distinguishing_set(c: ConceptClass, mode: str = "exact") -> tuple[int, .
     repeatedly adds the index separating the most still-colliding pairs,
     ties to the lowest index.
     """
-    if len({x.bits for x in c.concepts}) != c.m:
-        raise ValidationError("concept class contains duplicate concepts")
     if c.m == 1:
         return ()
     if mode == "exact":
@@ -126,10 +147,13 @@ def min_distinguishing_set(c: ConceptClass, mode: str = "exact") -> tuple[int, .
             raise ValidationError(
                 f"exact search enumerates subsets of [{c.n}]; n <= 24 required, use greedy"
             )
-        for size in range(c.n + 1):
-            for subset in combinations(range(1, c.n + 1), size):
-                if is_distinguishing(c, subset):
-                    return subset
+        codes = (c.bits.astype(np.int64) << np.arange(c.n)).sum(axis=1).tolist()
+        # s positions separate at most 2^s concepts
+        for size in range((c.m - 1).bit_length(), c.n + 1):
+            for subset in combinations(range(c.n), size):
+                mask = sum(1 << j for j in subset)
+                if len({v & mask for v in codes}) == c.m:
+                    return tuple(j + 1 for j in subset)
         raise RuntimeError("unreachable: the full index set always distinguishes")
     if mode == "greedy":
         chosen = _greedy_over_support(c, range(1, c.n + 1))
@@ -180,12 +204,13 @@ def tensor_power_class(c: ConceptClass, k: int) -> ConceptClass:
     size = (c.n + 1) ** k
     if size > MAX_TENSOR_POSITIONS:
         raise ValidationError(f"tensor class would have {size} positions; too large")
-    masks = [odd_mask(position_to_tuple(p, c.n, k)) for p in range(1, size)]
-    extended = []
-    for x in c.concepts:  # row by row: an (m, positions) array would raise peak memory
-        xi = x.to_int()
-        extended.append(OracleString(tuple(parity(xi & mask) for mask in masks)))
-    return ConceptClass(size - 1, tuple(extended))
+    padded = np.hstack([np.zeros((c.m, 1), dtype=np.uint8), c.bits])  # column 0 reads 0
+    pos = np.arange(1, size)
+    extended = np.zeros((c.m, size - 1), dtype=np.uint8)
+    for _ in range(k):  # one base-(n+1) digit of every position per pass
+        extended ^= padded[:, pos % (c.n + 1)]
+        pos //= c.n + 1
+    return ConceptClass(size - 1, extended)
 
 
 @dataclass
@@ -281,20 +306,19 @@ def check_pairwise_overlaps(
     most eps.
     """
     if profile.positions != c.n + 1:
-        raise ContractViolation(
-            f"profile has {profile.positions} positions, expected {c.n + 1}"
-        )
+        raise ContractViolation(f"profile has {profile.positions} positions, expected {c.n + 1}")
     if not 0.0 <= eps <= 0.5:
         raise ContractViolation(f"eps must be in [0, 1/2], got {eps}")
     bound = 4.0 * eps * (1.0 - eps)
     p = np.asarray(profile.values)
-    bits = np.array([x.bits for x in c.concepts], dtype=np.int8)  # (m, n)
+    signs = 1.0 - 2.0 * c.bits  # positions 1..n; position 0 never differs
     pairs = []
-    for i, j in combinations(range(c.m), 2):
-        diff = bits[i] ^ bits[j]  # positions 1..n; position 0 never differs
-        s = profile.values[0] + float(np.dot(p[1:], 1.0 - 2.0 * diff))
-        lhs = s * s
-        pairs.append(PairOverlap(i, j, lhs, lhs <= bound + 1e-12))
+    for i in range(c.m - 1):  # row i against every later row j
+        s = p[0] + np.vecdot(signs[i + 1 :], signs[i] * p[1:])
+        pairs.extend(
+            PairOverlap(i, j, lhs, lhs <= bound + 1e-12)
+            for j, lhs in enumerate((s * s).tolist(), start=i + 1)
+        )
     return OverlapReport(bound, tuple(pairs))
 
 
@@ -325,9 +349,7 @@ def sample_index_set(
     if k_draws < 1:
         raise ContractViolation(f"k_draws must be >= 1, got {k_draws}")
     if profile.positions != c.n + 1:
-        raise ContractViolation(
-            f"profile has {profile.positions} positions, expected {c.n + 1}"
-        )
+        raise ContractViolation(f"profile has {profile.positions} positions, expected {c.n + 1}")
     rng = np.random.default_rng(seed)
     drawn = rng.choice(profile.positions, size=k_draws, p=np.asarray(profile.values))
     draws = tuple(int(i) for i in drawn)
@@ -335,9 +357,7 @@ def sample_index_set(
     return SampleResult(draws, index_set, is_distinguishing(c, index_set))
 
 
-def _greedy_over_support(
-    c: ConceptClass, candidates: Iterable[int]
-) -> tuple[int, ...] | None:
+def _greedy_over_support(c: ConceptClass, candidates: Iterable[int]) -> tuple[int, ...] | None:
     """Greedy set cover of the concept pairs by candidate positions.
 
     Repeatedly takes the candidate separating the most still-colliding pairs,
@@ -346,27 +366,21 @@ def _greedy_over_support(
     every chosen position, so a position separates ones * zeros pairs per group.
     """
     candidates = list(candidates)
-    groups = [list(range(c.m))] if c.m > 1 else []
+    cols = c.bits[:, _columns(c, candidates)]
+    label = np.zeros(c.m, dtype=np.intp)  # concepts agreeing on every chosen position
     chosen: list[int] = []
-    while groups:
-        best, best_gain = None, 0
-        for j in candidates:
-            gain = 0
-            for g in groups:
-                ones = sum(c.concepts[a].bits[j - 1] for a in g)
-                gain += ones * (len(g) - ones)
-            if gain > best_gain:
-                best, best_gain = j, gain
-        if best is None:
+    while True:
+        _, label, sizes = np.unique(label, return_inverse=True, return_counts=True)
+        if sizes.max() == 1:
+            return tuple(sorted(chosen))
+        by_group = cols[np.argsort(label, kind="stable")]
+        ones = np.add.reduceat(by_group, np.cumsum(sizes) - sizes, axis=0, dtype=np.int64)
+        gain = (ones * (sizes[:, None] - ones)).sum(axis=0)
+        if not gain.any():
             return None
-        chosen.append(best)
-        split = [
-            [a for a in g if c.concepts[a].bits[best - 1] == v]
-            for g in groups
-            for v in (0, 1)
-        ]
-        groups = [g for g in split if len(g) > 1]
-    return tuple(sorted(chosen))
+        best = int(np.argmax(gain))  # first maximum: ties to the earliest candidate
+        chosen.append(candidates[best])
+        label = 2 * label + cols[:, best]
 
 
 # --- classical query plans --------------------------------------------------
@@ -383,21 +397,18 @@ class QueryPlan:
     def decode(self, pattern: tuple[int, ...]) -> int:
         idx = self.decoder.get(tuple(pattern))
         if idx is None:
-            raise InputOutsideClass(
-                f"observed pattern {pattern} matches no concept in the class"
-            )
+            raise InputOutsideClass(f"observed pattern {pattern} matches no concept in the class")
         return idx
 
 
 def make_plan(c: ConceptClass, base_queries: Iterable[int]) -> QueryPlan:
     base = tuple(sorted(set(base_queries)))
     decoder: dict[tuple[int, ...], int] = {}
-    for idx, x in enumerate(c.concepts):
-        pattern = tuple(x.bit(i) for i in base)
+    for idx, row in enumerate(c.bits[:, _columns(c, base)].tolist()):
+        pattern = tuple(row)
         if pattern in decoder:
             raise ValidationError(
-                f"positions {base} do not distinguish concepts "
-                f"{decoder[pattern]} and {idx}"
+                f"positions {base} do not distinguish concepts {decoder[pattern]} and {idx}"
             )
         decoder[pattern] = idx
     return QueryPlan(base, c, decoder)
@@ -406,9 +417,7 @@ def make_plan(c: ConceptClass, base_queries: Iterable[int]) -> QueryPlan:
 def classical_learn(plan: QueryPlan, oracle: ClassicalOracle):
     """Query exactly the plan's positions, decode, and report the query count."""
     if oracle.x.n != plan.concepts.n:
-        raise ContractViolation(
-            f"oracle string has n={oracle.x.n}, plan expects {plan.concepts.n}"
-        )
+        raise ContractViolation(f"oracle string has n={oracle.x.n}, plan expects {plan.concepts.n}")
     pattern = tuple(oracle.query(i) for i in plan.base_queries)
     idx = plan.decode(pattern)
     return LearnResult(idx, plan.concepts.concepts[idx], len(plan.base_queries))
@@ -448,28 +457,16 @@ def build_classical_plan(
     if not isinstance(psi, QueryState):
         raise ContractViolation("learner must be an algorithm or a QueryState")
     if psi.n != concepts.n:
-        raise ContractViolation(
-            f"learner state has n={psi.n}, concept class has n={concepts.n}"
-        )
-    k = psi.k
-    m = concepts.m
-    if m == 1:
-        plan = make_plan(concepts, ())
-        audit = {
-            "m": 1,
-            "k": k,
-            "eps": eps,
-            "bound": 0,
-            "draws_per_attempt": 0,
-            "tuple_count": 0,
-            "base_query_count": 0,
-            "retries": 0,
-            "used_fallback": False,
-            "seed": seed,
-        }
-        return PlanResult(plan, audit, None)
+        raise ContractViolation(f"learner state has n={psi.n}, concept class has n={concepts.n}")
     if not 0.0 <= eps < 0.5:
         raise ContractViolation(f"eps must be in [0, 1/2), got {eps}")
+    k, m = psi.k, concepts.m
+    audit = dict(  # a one-concept class needs no queries; the general path updates it
+        m=m, k=k, eps=eps, bound=0, draws_per_attempt=0, tuple_count=0,
+        base_query_count=0, retries=0, used_fallback=False, seed=seed,
+    )
+    if m == 1:
+        return PlanResult(make_plan(concepts, ()), audit, None)
 
     tclass = tensor_power_class(concepts, k)
     profile = amplitude_profile(psi)
@@ -487,16 +484,12 @@ def build_classical_plan(
     # each drawn tuple is charged k base queries, so ceil(bound/k) draws keep
     # the expanded plan within ceil(k * bound)
     draws_per_attempt = max(1, math.ceil(classical_query_bound(m, eps) / k))
-    used_fallback = False
-    selected: tuple[int, ...] | None = None
-    retries = 0
-    for attempt in range(retry_cap):
-        res = sample_index_set(profile, tclass, draws_per_attempt, seed=[seed, attempt])
+    for retries in range(retry_cap):
+        res = sample_index_set(profile, tclass, draws_per_attempt, seed=[seed, retries])
         if res.distinguishing:
-            selected = res.index_set
-            retries = attempt
+            selected, used_fallback = res.index_set, False
             break
-    if selected is None:
+    else:
         support = [i for i in range(1, tclass.n + 1) if profile.values[i] > 0.0]
         selected = _greedy_over_support(tclass, support)
         if selected is None:
@@ -504,25 +497,15 @@ def build_classical_plan(
                 "profile support cannot separate all concept pairs; "
                 "the claimed error rate is wrong"
             )
-        retries = retry_cap
-        used_fallback = True
+        retries, used_fallback = retry_cap, True
 
     tuples = [position_to_tuple(pos, concepts.n, k) for pos in selected]
     base = sorted({i for t in tuples for i in t if i != 0})
-    plan = make_plan(concepts, base)
-    audit = {
-        "m": m,
-        "k": k,
-        "eps": eps,
-        "bound": budget,
-        "draws_per_attempt": draws_per_attempt,
-        "tuple_count": len(selected),
-        "base_query_count": len(base),
-        "retries": retries,
-        "used_fallback": used_fallback,
-        "seed": seed,
-    }
-    return PlanResult(plan, audit, report)
+    audit.update(
+        bound=budget, draws_per_attempt=draws_per_attempt, tuple_count=len(selected),
+        base_query_count=len(base), retries=retries, used_fallback=used_fallback,
+    )
+    return PlanResult(make_plan(concepts, base), audit, report)
 
 
 # --- plan serialization -----------------------------------------------------
@@ -540,11 +523,12 @@ def plan_to_dict(plan: QueryPlan) -> dict:
 
 
 def plan_from_dict(data: dict) -> QueryPlan:
+    """Rebuild a plan from its record; the decoder is derived, then compared."""
     try:
         base = tuple(int(i) for i in data["base_queries"])
+        words = data["concepts"]
         concepts = ConceptClass(
-            len(data["concepts"][0]),
-            tuple(OracleString.from_string(s) for s in data["concepts"]),
+            len(words[0]), [OracleString.from_string(w).bits for w in words]
         )
         decoder = {
             tuple(int(ch) for ch in pattern): int(idx)
@@ -552,7 +536,10 @@ def plan_from_dict(data: dict) -> QueryPlan:
         }
     except (KeyError, IndexError, TypeError) as exc:
         raise ParseError(f"malformed plan record: {exc}") from exc
-    return QueryPlan(base, concepts, decoder)
+    plan = make_plan(concepts, base)
+    if decoder != plan.decoder:
+        raise ValidationError("decoder_table differs from the one its base_queries induce")
+    return plan
 
 
 def save_plan(plan: QueryPlan, path) -> None:

@@ -281,10 +281,6 @@ class ProjectiveMeasurement:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "V", vecs)
 
-    @property
-    def outcomes(self) -> tuple[Outcome, ...]:
-        return tuple(dict.fromkeys(label for label, _ in self.effects))
-
     def relabel(self, fn: Callable[[Outcome], Outcome]) -> "ProjectiveMeasurement":
         return ProjectiveMeasurement(tuple((fn(o), s) for o, s in self.effects))
 
@@ -332,10 +328,6 @@ class PovmMeasurement:
         if np.max(np.abs(total - np.eye(d))) > ATOL:
             raise ValidationError("POVM elements do not sum to the identity")
         object.__setattr__(self, "elements", tuple(frozen))
-
-    @property
-    def outcomes(self) -> tuple[Outcome, ...]:
-        return tuple(dict.fromkeys(label for label, _ in self.elements))
 
     def relabel(self, fn: Callable[[Outcome], Outcome]) -> "PovmMeasurement":
         return PovmMeasurement(

@@ -200,6 +200,7 @@ class TestErrorProfile:
                 assert fast == pytest.approx(slow, abs=1e-12)
 
     def test_matches_slow_sweep_povm(self, monkeypatch):
+        profiles = []
         for cells in (bounds.SWEEP_CELLS, 1):
             monkeypatch.setattr(bounds, "SWEEP_CELLS", cells)
             rng = np.random.default_rng(23)
@@ -213,6 +214,24 @@ class TestErrorProfile:
                 fast = error_profile(psi, meas, f)
                 slow = slow_error_profile(psi, meas, f)
                 assert fast == pytest.approx(slow, abs=1e-9)
+                profiles.append(fast)
+        # the chunk size must not change a single bit of the POVM sweep
+        for whole, chunked in zip(profiles[:15], profiles[15:]):
+            assert np.array_equal(whole, chunked)
+
+    def test_povm_sweep_bit_identical_across_chunk_sizes(self, monkeypatch):
+        # small supports: an einsum here changed entries by ~1e-17 with the chunk size
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            n, k = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            psi = random_state(rng, n, k, support_size=int(rng.integers(1, 6)))
+            meas = random_two_outcome_povm(rng, psi)
+            f = TotalFunction(n, tuple(int(b) for b in rng.integers(0, 2, size=1 << n)))
+            monkeypatch.setattr(bounds, "SWEEP_CELLS", 1 << 18)
+            whole = error_profile(psi, meas, f)
+            for rows in (2, 4, 8, 16, 32):
+                monkeypatch.setattr(bounds, "SWEEP_CELLS", rows * len(meas.basis))
+                assert np.array_equal(error_profile(psi, meas, f), whole)
 
     def test_chunking_leaves_parity_profile_bit_identical(self, monkeypatch):
         alg = build_parity_algorithm(10)

@@ -243,6 +243,20 @@ class TestLearnCommand:
         assert audit["plan"]["base_queries"] == []
         assert audit["overlap_margins"] is None
 
+    @pytest.mark.parametrize("words", [["01"], ["01", "10"]])
+    @pytest.mark.parametrize("eps", ["7", "-1"])
+    def test_eps_checked_for_any_class_size(self, tmp_path, capsys, words, eps):
+        state = tmp_path / "state.json"
+        save_state(build_parity_algorithm(2).psi, state)
+        concepts = write_concepts(tmp_path, 2, words)
+        code, out, err = run_cli(
+            capsys, "learn", "--learner", "state", "--in", str(state),
+            "--concepts", concepts, "--eps", eps,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "eps" in err and err.count("\n") == 1
+
     def test_state_learner_requires_concepts(self, tmp_path, capsys):
         state = tmp_path / "state.json"
         save_state(build_parity_algorithm(2).psi, state)

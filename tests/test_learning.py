@@ -49,7 +49,7 @@ S = OracleString.from_string
 
 
 def concept_class(n, words):
-    return ConceptClass(n, tuple(S(w) for w in words))
+    return ConceptClass(n, tuple(S(w).bits for w in words))
 
 
 THREE = concept_class(3, ("000", "011", "101"))
@@ -70,7 +70,22 @@ class TestConceptClass:
 
     def test_word_length_checked(self):
         with pytest.raises(ValidationError):
-            ConceptClass(2, (S("00"), S("010")))
+            ConceptClass(2, (S("00").bits, S("010").bits))
+        with pytest.raises(ValidationError):
+            ConceptClass(0, ((),))
+
+    def test_entries_must_be_bits(self):
+        with pytest.raises(ValidationError):
+            ConceptClass(2, ((0, 2), (1, 1)))
+
+    def test_bits_matrix(self):
+        assert THREE.bits.dtype == np.uint8
+        assert THREE.bits.tolist() == [[0, 0, 0], [0, 1, 1], [1, 0, 1]]
+        with pytest.raises(ValueError):
+            THREE.bits[0, 0] = 1
+        assert THREE == ConceptClass(3, THREE.bits.copy())
+        assert THREE != ConceptClass(3, THREE.bits[::-1])
+        assert THREE.concepts == (S("000"), S("011"), S("101"))
 
     def test_full_class(self):
         c = full_concept_class(3)
@@ -105,6 +120,12 @@ class TestDistinguishingSets:
     def test_index_range_checked(self):
         with pytest.raises(ContractViolation):
             is_distinguishing(THREE, (0,))
+        # unchecked, position 0 would read the last column of the bit matrix
+        for index in (0, 4):
+            with pytest.raises(ContractViolation):
+                is_distinguishing(THREE, (1, index))
+            with pytest.raises(ContractViolation):
+                make_plan(THREE, (1, 2, index))
 
     def test_exact_minimum(self):
         assert min_distinguishing_set(THREE, mode="exact") == (1, 2)
@@ -179,6 +200,18 @@ class TestTensorEncoding:
 
     def test_tensor_power_identity_at_k_one(self):
         assert tensor_power_class(THREE, 1).concepts == THREE.concepts
+
+    def test_tensor_power_class_matches_tensor_bit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            n, k = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+            words = rng.choice(1 << n, size=int(rng.integers(1, (1 << n) + 1)), replace=False)
+            c = ConceptClass(n, [OracleString.from_int(n, int(v)).bits for v in words])
+            tc = tensor_power_class(c, k)
+            assert tc.bits.shape == (c.m, (n + 1) ** k - 1)
+            for x, row in zip(c.concepts, tc.bits.tolist()):
+                for pos in range(1, (n + 1) ** k):
+                    assert row[pos - 1] == tensor_bit(x, position_to_tuple(pos, n, k))
 
     def test_simulate_matches_definition(self):
         rng = np.random.default_rng(9)
@@ -338,6 +371,23 @@ class TestQueryPlan:
         with pytest.raises(ParseError):
             plan_from_dict({"base_queries": [1]})
 
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda d: d["decoder_table"].update({"0": 7}), ValidationError),
+            (lambda d: d.update(decoder_table={"0": 1, "1": 0}), ValidationError),
+            (lambda d: d.update(base_queries=[5]), ContractViolation),
+            (lambda d: d.update(base_queries=[0]), ContractViolation),
+        ],
+        ids=["decoder-index-outside-class", "decoder-swapped", "base-beyond-n", "base-zero"],
+    )
+    def test_record_must_match_its_derived_plan(self, edit, error):
+        data = plan_to_dict(make_plan(concept_class(2, ("00", "11")), (1,)))
+        assert data["decoder_table"] == {"0": 0, "1": 1}
+        edit(data)
+        with pytest.raises(error):
+            plan_from_dict(data)
+
 
 class TestBuildClassicalPlan:
     def test_hadamard_pipeline(self):
@@ -371,6 +421,9 @@ class TestBuildClassicalPlan:
         res = classical_learn(result.plan, ClassicalOracle(S("01")))
         assert res.concept == S("01")
         assert res.queries_used == 0
+        for eps in (7.0, -1.0, 0.5):  # checked even though one concept needs no queries
+            with pytest.raises(ContractViolation):
+                build_classical_plan(build_subset_state(2, 1), concepts, eps=eps, seed=0)
 
     def test_two_concepts_need_one_index(self):
         a = 1 / math.sqrt(2)
@@ -429,8 +482,8 @@ def test_tensor_bit_is_parity_of_odd_multiplicity_entries(k, raw):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_sampled_plans_within_budget(seed):
+@given(st.integers(0, 2**32 - 1), st.sampled_from((64, 0)))
+def test_sampled_plans_within_budget(seed, retry_cap):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 5))
     k = int(rng.integers(1, min(3, n) + 1))
@@ -441,7 +494,10 @@ def test_sampled_plans_within_budget(seed):
     report = check_pairwise_overlaps(amplitude_profile(psi), tclass, eps=0.49)
     worst = max(p.overlap_sq for p in report.pairs)
     eps = min(0.45, helstrom_error(math.sqrt(worst)) + 1e-6 + float(rng.uniform(0, 0.02)))
-    result = build_classical_plan(psi, concepts, eps=eps, seed=int(rng.integers(0, 2**31)))
+    result = build_classical_plan(
+        psi, concepts, eps=eps, seed=int(rng.integers(0, 2**31)), retry_cap=retry_cap
+    )
+    assert result.audit["used_fallback"] == (retry_cap == 0)
     budget = math.ceil(psi.k * classical_query_bound(concepts.m, eps))
     assert len(result.plan.base_queries) <= budget
     for idx, x in enumerate(concepts.concepts):
