@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Callable, Hashable
+from typing import Callable, Hashable, Iterable
 
 import numpy as np
 
@@ -34,6 +34,27 @@ MAX_PARITY_N = 20  # 2^10 effects of 2^10 entries each
 
 def _identity(label: Hashable) -> Hashable:
     return label
+
+
+def _hadamard_basis(
+    n: int, k: int, keys: list, labels: Iterable[Hashable]
+) -> tuple[QueryState, ProjectiveMeasurement]:
+    """Uniform state over 2^r support keys and the Hadamard basis over them.
+
+    Key c and effect s (both in list order) meet with sign
+    (-1)^(parity of c AND s); returns the query state and the projective
+    measurement whose effect s carries the s'th label.
+    """
+    r = len(keys).bit_length() - 1
+    amp = complex(2.0 ** (-r / 2.0))
+    codes = np.arange(len(keys))
+    rows = amp * (1.0 - 2.0 * parity(codes[:, None] & codes))
+    psi = QueryState(n, k, dict.fromkeys(keys, amp))
+    effects = tuple(
+        (label, QueryState(n, k, dict(zip(keys, row))))
+        for label, row in zip(labels, rows.tolist())
+    )
+    return psi, ProjectiveMeasurement(effects)
 
 
 @dataclass(frozen=True)
@@ -106,19 +127,8 @@ def build_parity_algorithm(n: int) -> NonadaptiveAlgorithm:
         )
     regs = parity_registers(n)
     k = len(regs)
-    amp = complex(2.0 ** (-k / 2.0))
-    amplitudes = {(t, 0): amp for t in product(*regs)}
-    psi = QueryState(n=n, k=k, amplitudes=amplitudes)
-
-    effects = []
-    for signs in product((0, 1), repeat=k):
-        vec = {}
-        for choices in product((0, 1), repeat=k):
-            t = tuple(regs[r][choices[r]] for r in range(k))
-            phase = (-1) ** sum(s & c for s, c in zip(signs, choices))
-            vec[(t, 0)] = phase * amp
-        effects.append((signs, QueryState(n=n, k=k, amplitudes=vec)))
-    meas = ProjectiveMeasurement(tuple(effects))
+    keys = [(t, 0) for t in product(*regs)]
+    psi, meas = _hadamard_basis(n, k, keys, product((0, 1), repeat=k))
 
     def total_parity(signs) -> int:
         return sum(signs) & 1
@@ -273,15 +283,7 @@ def build_hadamard_algorithm(b: int) -> NonadaptiveAlgorithm:
     if not 1 <= b <= 4:
         raise ContractViolation(f"require 1 <= b <= 4, got {b}")
     n = (1 << b) - 1
-    amp = complex(2.0 ** (-b / 2.0))
-    psi = QueryState(n=n, k=1, amplitudes={((i,), 0): amp for i in range(n + 1)})
-    effects = []
-    for s in range(1 << b):
-        vec = {
-            ((i,), 0): amp * (1.0 - 2.0 * parity(s & i)) for i in range(n + 1)
-        }
-        effects.append((s, QueryState(n=n, k=1, amplitudes=vec)))
-    meas = ProjectiveMeasurement(tuple(effects))
+    psi, meas = _hadamard_basis(n, 1, [((i,), 0) for i in range(n + 1)], range(1 << b))
     return NonadaptiveAlgorithm(f"subset-parity-{b}", psi, meas)
 
 

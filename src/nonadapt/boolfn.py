@@ -104,6 +104,8 @@ def load_function(path) -> TotalFunction:
         n = int(lines[0].strip())
     except ValueError as exc:
         raise ParseError(f"{path}: line 1: expected an integer, got {lines[0]!r}") from exc
+    if not 1 <= n <= MAX_N:
+        raise ValidationError(f"{path}: line 1: n must be in [1, {MAX_N}], got {n}")
     row = lines[1].strip()
     if len(row) != 1 << n:
         raise ParseError(

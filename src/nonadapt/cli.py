@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .algorithms import (
@@ -60,45 +59,6 @@ EXIT_VALIDATION = 2
 EXIT_IO = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation; identical configs produce identical bytes."""
-
-    command: str
-    n: int | None = None
-    k: int | None = None
-    b: int | None = None
-    eps: float = 0.0
-    seed: int = 0
-    in_path: str | None = None
-    table_path: str | None = None
-    concepts_path: str | None = None
-    out_path: str | None = None
-    fmt: str = "json"
-    learner: str = "state"
-    trials: int = 1
-    retry_cap: int = 64
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(
-            command=args.command,
-            n=args.n,
-            k=args.k,
-            b=getattr(args, "b", None),
-            eps=args.eps,
-            seed=check_seed(args.seed),
-            in_path=args.in_path,
-            table_path=getattr(args, "table", None),
-            concepts_path=getattr(args, "concepts", None),
-            out_path=args.out_path,
-            fmt=args.fmt,
-            learner=getattr(args, "learner", "state"),
-            trials=getattr(args, "trials", 1),
-            retry_cap=getattr(args, "retry_cap", 64),
-        )
-
-
 def render_json(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -118,9 +78,9 @@ def render_csv(header: list[str], rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(cfg: RunConfig, text: str) -> None:
-    if cfg.out_path:
-        with open(cfg.out_path, "w", encoding="utf-8") as fh:
+def emit(args: argparse.Namespace, text: str) -> None:
+    if args.out_path:
+        with open(args.out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -132,45 +92,45 @@ def _require(value, flag: str):
     return value
 
 
-def _json_only(cfg: RunConfig) -> None:
-    if cfg.fmt != "json":
-        raise ValidationError(f"{cfg.command} emits json only; drop --format csv")
+def _json_only(args: argparse.Namespace) -> None:
+    if args.fmt != "json":
+        raise ValidationError(f"{args.command} emits json only; drop --format csv")
 
 
 # --- subcommands -------------------------------------------------------------
 
 
-def cmd_verify_bound(cfg: RunConfig) -> int:
+def cmd_verify_bound(args: argparse.Namespace) -> int:
     """Check the query lower bound for a serialized state against a truth table."""
-    _json_only(cfg)
-    state_path = _require(cfg.in_path, "--in (state file)")
-    table_path = _require(cfg.table_path, "--table (truth-table file)")
+    _json_only(args)
+    state_path = _require(args.in_path, "--in (state file)")
+    table_path = _require(args.table, "--table (truth-table file)")
     psi = load_state(state_path)
     f = load_function(table_path)
     report = bound_report(psi, f)
     payload = {
         "command": "verify-bound",
-        "run_id": f"verify-bound-{Path(state_path).stem}-{Path(table_path).stem}-seed{cfg.seed}",
-        "seed": cfg.seed,
+        "run_id": f"verify-bound-{Path(state_path).stem}-{Path(table_path).stem}-seed{args.seed}",
+        "seed": args.seed,
         **report,
     }
-    emit(cfg, render_json(payload))
+    emit(args, render_json(payload))
     return EXIT_PASS if report["pass"] else EXIT_BOUND_FAILURE
 
 
-def cmd_vandam(cfg: RunConfig) -> int:
+def cmd_vandam(args: argparse.Namespace) -> int:
     """Sweep the uniform-subset learner and compare against the closed form."""
-    n = _require(cfg.n, "--n")
+    n = _require(args.n, "--n")
     if n < 1:
         raise ContractViolation(f"--n must be >= 1, got {n}")
     if n > 16:
         raise ValidationError(f"n = {n} enumerates 2^{n} subsets; refusing beyond n = 16")
-    if cfg.k is not None and not 0 <= cfg.k <= n:
-        raise ContractViolation(f"--k must be in [0, {n}], got {cfg.k}")
-    ks = [cfg.k] if cfg.k is not None else range(n + 1)
+    if args.k is not None and not 0 <= args.k <= n:
+        raise ContractViolation(f"--k must be in [0, {n}], got {args.k}")
+    ks = [args.k] if args.k is not None else range(n + 1)
     rows = []
     for k in ks:
-        rng = stream(cfg.seed, "vandam", f"k={k}")
+        rng = stream(args.seed, "vandam", f"k={k}")
         x = OracleString.from_int(n, int(rng.integers(0, 1 << n)))
         sim = float(subset_outcome_distribution(n, k, x)[x.to_int()])
         closed = recovery_success_probability(n, k)
@@ -178,25 +138,25 @@ def cmd_vandam(cfg: RunConfig) -> int:
             {"k": k, "success": sim, "closed_form": closed, "match": abs(sim - closed) <= ATOL}
         )
 
-    suffix = f"-k{cfg.k}" if cfg.k is not None else ""
+    suffix = f"-k{args.k}" if args.k is not None else ""
     payload = {
         "command": "vandam",
-        "run_id": f"vandam-n{n}{suffix}-seed{cfg.seed}",
+        "run_id": f"vandam-n{n}{suffix}-seed{args.seed}",
         "n": n,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "rows": rows,
     }
-    if cfg.fmt == "csv":
-        emit(cfg, render_csv(["k", "success", "closed_form", "match"], rows))
+    if args.fmt == "csv":
+        emit(args, render_csv(["k", "success", "closed_form", "match"], rows))
     else:
-        emit(cfg, render_json(payload))
+        emit(args, render_json(payload))
     return EXIT_PASS if all(r["match"] for r in rows) else EXIT_BOUND_FAILURE
 
 
-def cmd_parity(cfg: RunConfig) -> int:
+def cmd_parity(args: argparse.Namespace) -> int:
     """Run the pairwise-parity evaluator and verify exactness and tightness."""
-    _json_only(cfg)
-    n = _require(cfg.n, "--n")
+    _json_only(args)
+    n = _require(args.n, "--n")
     alg = build_parity_algorithm(n)
     f = build_function("parity", n)
     errors = error_profile(alg.psi, decision_measurement(alg), f)
@@ -206,8 +166,8 @@ def cmd_parity(cfg: RunConfig) -> int:
     ok = wce <= ATOL and alg.k + ATOL >= rhs
     payload = {
         "command": "parity",
-        "run_id": f"parity-n{n}-seed{cfg.seed}",
-        "seed": cfg.seed,
+        "run_id": f"parity-n{n}-seed{args.seed}",
+        "seed": args.seed,
         "name": alg.name,
         "n": n,
         "k": alg.k,
@@ -218,14 +178,14 @@ def cmd_parity(cfg: RunConfig) -> int:
         "theorem1_rhs": rhs,
         "pass": ok,
     }
-    emit(cfg, render_json(payload))
+    emit(args, render_json(payload))
     return EXIT_PASS if ok else EXIT_BOUND_FAILURE
 
 
-def cmd_bv(cfg: RunConfig) -> int:
+def cmd_bv(args: argparse.Namespace) -> int:
     """Run the one-query subset-parity learner over its whole concept class."""
-    _json_only(cfg)
-    b = _require(cfg.b, "--b")
+    _json_only(args)
+    b = _require(args.b, "--b")
     concepts, alg = build_hadamard_instance(b)
     success = [
         run_algorithm(alg, x).get(s, 0.0) for s, x in enumerate(concepts.concepts)
@@ -239,8 +199,8 @@ def cmd_bv(cfg: RunConfig) -> int:
     ok = min(success) >= 1.0 - ATOL
     payload = {
         "command": "bv",
-        "run_id": f"bv-b{b}-seed{cfg.seed}",
-        "seed": cfg.seed,
+        "run_id": f"bv-b{b}-seed{args.seed}",
+        "seed": args.seed,
         "name": alg.name,
         "b": b,
         "n": alg.n,
@@ -252,39 +212,39 @@ def cmd_bv(cfg: RunConfig) -> int:
         "min_distinguishing_size": min_size,
         "pass": ok,
     }
-    emit(cfg, render_json(payload))
+    emit(args, render_json(payload))
     return EXIT_PASS if ok else EXIT_BOUND_FAILURE
 
 
-def _resolve_learner(cfg: RunConfig):
+def _resolve_learner(args: argparse.Namespace):
     """Pick the query state and default concept class for the learn command."""
-    if cfg.learner == "bv":
-        b = _require(cfg.b, "--b")
+    if args.learner == "bv":
+        b = _require(args.b, "--b")
         concepts, alg = build_hadamard_instance(b)
         return alg.psi, concepts, f"bv-b{b}"
-    if cfg.learner == "vandam":
-        n = _require(cfg.n, "--n")
-        k = _require(cfg.k, "--k")
+    if args.learner == "vandam":
+        n = _require(args.n, "--n")
+        k = _require(args.k, "--k")
         return build_subset_state(n, k), full_concept_class(n), f"vandam-n{n}-k{k}"
-    if cfg.learner == "state":
-        path = _require(cfg.in_path, "--in (state file)")
+    if args.learner == "state":
+        path = _require(args.in_path, "--in (state file)")
         return load_state(path), None, f"state-{Path(path).stem}"
-    raise ContractViolation(f"unknown learner {cfg.learner!r}")
+    raise ContractViolation(f"unknown learner {args.learner!r}")
 
 
-def cmd_learn(cfg: RunConfig) -> int:
+def cmd_learn(args: argparse.Namespace) -> int:
     """Derandomize a quantum learner into a classical query plan, then verify it."""
-    _json_only(cfg)
-    psi, default_class, tag = _resolve_learner(cfg)
-    if cfg.concepts_path is not None:
-        concepts = load_concept_class(cfg.concepts_path)
+    _json_only(args)
+    psi, default_class, tag = _resolve_learner(args)
+    if args.concepts is not None:
+        concepts = load_concept_class(args.concepts)
     elif default_class is not None:
         concepts = default_class
     else:
         raise ContractViolation("--concepts is required when learning from a state file")
 
     result = build_classical_plan(
-        psi, concepts, cfg.eps, cfg.seed, retry_cap=cfg.retry_cap
+        psi, concepts, args.eps, args.seed, retry_cap=args.retry_cap
     )
     plan = result.plan
 
@@ -311,7 +271,7 @@ def cmd_learn(cfg: RunConfig) -> int:
 
     payload = {
         "command": "learn",
-        "run_id": f"learn-{tag}-seed{cfg.seed}",
+        "run_id": f"learn-{tag}-seed{args.seed}",
         "base_queries": list(plan.base_queries),
         "exact_min": exact_min,
         "overlap_bound": None if result.overlap_report is None else result.overlap_report.bound,
@@ -319,30 +279,30 @@ def cmd_learn(cfg: RunConfig) -> int:
         "verified_all_concepts": verified,
         **result.audit,
     }
-    if cfg.out_path:
-        save_plan(plan, cfg.out_path)
-        payload["plan_path"] = cfg.out_path
+    if args.out_path:
+        save_plan(plan, args.out_path)
+        payload["plan_path"] = args.out_path
     else:
         payload["plan"] = plan_to_dict(plan)
     sys.stdout.write(render_json(payload))
     return EXIT_PASS if verified else EXIT_BOUND_FAILURE
 
 
-def cmd_extract_set(cfg: RunConfig) -> int:
+def cmd_extract_set(args: argparse.Namespace) -> int:
     """Sample distinguishing sets from an amplitude profile over repeated trials."""
-    concepts_path = _require(cfg.concepts_path, "--concepts")
-    k_draws = _require(cfg.k, "--k (number of draws)")
+    concepts_path = _require(args.concepts, "--concepts")
+    k_draws = _require(args.k, "--k (number of draws)")
     concepts = load_concept_class(concepts_path)
-    if cfg.in_path is not None:
-        profile = amplitude_profile(load_state(cfg.in_path))
+    if args.in_path is not None:
+        profile = amplitude_profile(load_state(args.in_path))
     else:
         profile = AmplitudeProfile.uniform(concepts.n + 1)
-    if cfg.trials < 1:
-        raise ContractViolation(f"--trials must be >= 1, got {cfg.trials}")
+    if args.trials < 1:
+        raise ContractViolation(f"--trials must be >= 1, got {args.trials}")
 
     results = [
-        sample_index_set(profile, concepts, k_draws, seed=[cfg.seed, t])
-        for t in range(cfg.trials)
+        sample_index_set(profile, concepts, k_draws, seed=[args.seed, t])
+        for t in range(args.trials)
     ]
     failures = sum(1 for r in results if not r.distinguishing)
     rows = [
@@ -356,16 +316,16 @@ def cmd_extract_set(cfg: RunConfig) -> int:
     ]
     payload = {
         "command": "extract-set",
-        "run_id": f"extract-set-{Path(concepts_path).stem}-k{k_draws}-seed{cfg.seed}",
-        "seed": cfg.seed,
+        "run_id": f"extract-set-{Path(concepts_path).stem}-k{k_draws}-seed{args.seed}",
+        "seed": args.seed,
         "n": concepts.n,
         "m": concepts.m,
         "k_draws": k_draws,
-        "trials": cfg.trials,
+        "trials": args.trials,
         "failures": failures,
-        "failure_rate": failures / cfg.trials,
+        "failure_rate": failures / args.trials,
     }
-    if cfg.trials <= 16:
+    if args.trials <= 16:
         payload["results"] = [
             {
                 "draws": list(r.draws),
@@ -374,17 +334,17 @@ def cmd_extract_set(cfg: RunConfig) -> int:
             }
             for r in results
         ]
-    if cfg.fmt == "csv":
-        emit(cfg, render_csv(["trial", "distinguishing", "set_size", "index_set"], rows))
+    if args.fmt == "csv":
+        emit(args, render_csv(["trial", "distinguishing", "set_size", "index_set"], rows))
     else:
-        emit(cfg, render_json(payload))
+        emit(args, render_json(payload))
     return EXIT_PASS
 
 
-def cmd_report(cfg: RunConfig) -> int:
+def cmd_report(args: argparse.Namespace) -> int:
     """Merge prior JSON run records from a directory into one document."""
-    _json_only(cfg)
-    in_dir = _require(cfg.in_path, "--in (directory of run outputs)")
+    _json_only(args)
+    in_dir = _require(args.in_path, "--in (directory of run outputs)")
     root = Path(in_dir)
     if not root.is_dir():
         raise ParseError(f"{in_dir}: not a directory")
@@ -409,12 +369,12 @@ def cmd_report(cfg: RunConfig) -> int:
         print(f"warning: {w}", file=sys.stderr)
     payload = {
         "command": "report",
-        "seed": cfg.seed,
+        "seed": args.seed,
         "count": len(runs),
         "runs": runs,
         "warnings": warnings,
     }
-    emit(cfg, render_json(payload))
+    emit(args, render_json(payload))
     return EXIT_PASS
 
 
@@ -482,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        return COMMANDS[cfg.command](cfg)
+        check_seed(args.seed)
+        return COMMANDS[args.command](args)
     except BoundViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND_FAILURE

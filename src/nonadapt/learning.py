@@ -25,6 +25,10 @@ from .errors import (
 from .qstate import IndexTuple, OracleString, QueryState, odd_mask, oracle_phase, parity
 
 MAX_TENSOR_POSITIONS = 1 << 20
+# build_classical_plan's refusal limits: tensor-class entries (the overlap check
+# holds 8 bytes of float64 sign per entry) and concept pairs checked and printed
+MAX_TENSOR_BITS = 1 << 24
+MAX_OVERLAP_PAIRS = 1 << 17
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,6 +83,11 @@ class ConceptClass:
 
 def _word(row) -> str:
     return "".join(str(int(b)) for b in row)
+
+
+def _count(v: int) -> str:
+    """v in decimal, or bounded by a power of two where decimal would be too long to print."""
+    return str(v) if v < 1 << 64 else f"at least 2^{v.bit_length() - 1}"
 
 
 def full_concept_class(n: int) -> ConceptClass:
@@ -203,7 +212,7 @@ def tensor_power_class(c: ConceptClass, k: int) -> ConceptClass:
         raise ContractViolation(f"k must be >= 1, got {k}")
     size = (c.n + 1) ** k
     if size > MAX_TENSOR_POSITIONS:
-        raise ValidationError(f"tensor class would have {size} positions; too large")
+        raise ValidationError(f"tensor class would have {_count(size)} positions; too large")
     padded = np.hstack([np.zeros((c.m, 1), dtype=np.uint8), c.bits])  # column 0 reads 0
     pos = np.arange(1, size)
     extended = np.zeros((c.m, size - 1), dtype=np.uint8)
@@ -268,7 +277,7 @@ def amplitude_profile(psi: QueryState) -> AmplitudeProfile:
         raise ContractViolation("state must be normalized")
     size = (psi.n + 1) ** psi.k
     if size > MAX_TENSOR_POSITIONS:
-        raise ValidationError(f"profile would have {size} positions; too large")
+        raise ValidationError(f"profile would have {_count(size)} positions; too large")
     p = [0.0] * size
     for (t, _a), amp in psi.amplitudes.items():
         p[tuple_to_position(t, psi.n)] += abs(amp) ** 2
@@ -460,6 +469,8 @@ def build_classical_plan(
         raise ContractViolation(f"learner state has n={psi.n}, concept class has n={concepts.n}")
     if not 0.0 <= eps < 0.5:
         raise ContractViolation(f"eps must be in [0, 1/2), got {eps}")
+    if not psi.is_normalized():
+        raise ContractViolation("state must be normalized")
     k, m = psi.k, concepts.m
     audit = dict(  # a one-concept class needs no queries; the general path updates it
         m=m, k=k, eps=eps, bound=0, draws_per_attempt=0, tuple_count=0,
@@ -467,6 +478,13 @@ def build_classical_plan(
     )
     if m == 1:
         return PlanResult(make_plan(concepts, ()), audit, None)
+    tensor_bits, pairs = m * ((concepts.n + 1) ** k - 1), m * (m - 1) // 2
+    if tensor_bits > MAX_TENSOR_BITS or pairs > MAX_OVERLAP_PAIRS:
+        raise ValidationError(
+            f"plan for m = {m} concepts and k = {k} queries needs a tensor class of "
+            f"{_count(tensor_bits)} bits and {pairs} pair checks; refusing beyond "
+            f"{MAX_TENSOR_BITS} bits or {MAX_OVERLAP_PAIRS} pairs"
+        )
 
     tclass = tensor_power_class(concepts, k)
     profile = amplitude_profile(psi)

@@ -364,10 +364,7 @@ def measure(psi: QueryState, meas: Measurement) -> dict[Outcome, float]:
         ref = meas.effects[0][1]
         if not psi.same_space(ref):
             raise ContractViolation("state and measurement live in different spaces")
-        covered: set[AmplitudeKey] = set()
-        for _, s in meas.effects:
-            covered |= s.support()
-        if not psi.support() <= covered:
+        if not psi.support() <= set(meas.basis):
             raise ContractViolation(
                 "state support is not contained in the measurement basis support"
             )
@@ -438,7 +435,11 @@ def state_from_dict(data: dict) -> QueryState:
             key = (tuple(entry["tuple"]), entry["a"])
             if key in amps:
                 raise ValidationError(f"duplicate state entry {key}")
-            amps[key] = complex(entry["re"], entry["im"])
+            amp = complex(entry["re"], entry["im"])
+            # every command needs a normalized state; hypot, unlike abs, does not overflow
+            if not math.hypot(amp.real, amp.imag) <= 1.0 + ATOL:
+                raise ValidationError(f"state entry {key}: amplitude {amp!r} has magnitude > 1")
+            amps[key] = amp
     except (KeyError, TypeError) as exc:
         raise ParseError(f"malformed state record: {exc}") from exc
     return QueryState(n, k, amps, ancilla_dim)

@@ -140,6 +140,13 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="position 3"):
             load_function(p)
 
+    @pytest.mark.parametrize("n", ["-1", "0", "21", "1000000000"])
+    def test_n_out_of_range_before_any_shift(self, tmp_path, n):
+        p = tmp_path / "f.txt"
+        p.write_text(f"{n}\n01\n")
+        with pytest.raises(ValidationError, match=f"line 1: n must be in \\[1, 20\\], got {n}"):
+            load_function(p)
+
     def test_truncated_file(self, tmp_path):
         p = tmp_path / "f.txt"
         p.write_text("2\n")

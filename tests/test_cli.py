@@ -13,7 +13,7 @@ from nonadapt import (
     save_function,
     save_state,
 )
-from nonadapt import algorithms
+from nonadapt import algorithms, learning
 from nonadapt.cli import main
 from nonadapt.learning import ClassicalOracle, classical_learn
 
@@ -97,6 +97,16 @@ class TestVerifyBound:
         code, _, err = run_cli(capsys, "verify-bound", "--in", str(state), "--table", str(table))
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", ["-1", "1000000000"])
+    def test_table_n_out_of_range(self, tmp_path, capsys, n):
+        state = tmp_path / "state.json"
+        table = tmp_path / "table.txt"
+        save_state(build_parity_algorithm(2).psi, state)
+        table.write_text(f"{n}\n0110\n")
+        code, out, err = run_cli(capsys, "verify-bound", "--in", str(state), "--table", str(table))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "n must be in [1, 20]" in err and err.count("\n") == 1
 
     def test_missing_flag(self, capsys):
         code, _, err = run_cli(capsys, "verify-bound")
@@ -257,6 +267,31 @@ class TestLearnCommand:
         assert out == ""
         assert err.startswith("error:") and "eps" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("words", [["01"], ["01", "10"]])
+    def test_state_normalization_checked_for_any_class_size(self, tmp_path, capsys, words):
+        state = tmp_path / "state.json"
+        save_state(QueryState(2, 1, {((1,), 0): 0.5}), state)
+        concepts = write_concepts(tmp_path, 2, words)
+        code, out, err = run_cli(
+            capsys, "learn", "--learner", "state", "--in", str(state), "--concepts", concepts,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: state must be normalized\n"
+
+    @pytest.mark.parametrize("n, k, bits, pairs", [(10, 5, 164915200, 523776),
+                                                   (12, 2, 688128, 8386560)])
+    def test_too_large_refused_before_building(self, capsys, monkeypatch, n, k, bits, pairs):
+        monkeypatch.setattr(learning, "tensor_power_class", None)  # any build attempt fails
+        code, out, err = run_cli(
+            capsys, "learn", "--learner", "vandam", "--n", str(n), "--k", str(k)
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: plan for m = {1 << n} concepts and k = {k} queries needs a tensor class "
+            f"of {bits} bits and {pairs} pair checks; refusing beyond 16777216 bits or "
+            "131072 pairs\n"
+        )
+
     def test_state_learner_requires_concepts(self, tmp_path, capsys):
         state = tmp_path / "state.json"
         save_state(build_parity_algorithm(2).psi, state)
@@ -402,6 +437,37 @@ class TestEntrypointPlumbing:
     def test_unknown_command_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    @pytest.mark.parametrize("command", [
+        ["verify-bound", "--table", "parity2.txt"],
+        ["extract-set", "--concepts", "concepts.txt", "--k", "2"],
+    ])
+    @pytest.mark.parametrize("re_im", [(1e308, 1e308), (1.5e308, 1.5e308)])
+    def test_overflowing_amplitude_rejected(self, tmp_path, capsys, monkeypatch, command, re_im):
+        monkeypatch.chdir(tmp_path)
+        save_function(build_function("parity", 2), "parity2.txt")
+        write_concepts(tmp_path, 2, ["01", "10"])
+        record = {"n": 2, "k": 1, "entries": [{"tuple": [1], "a": 0, "re": re_im[0],
+                                               "im": re_im[1]}]}
+        (tmp_path / "state.json").write_text(json.dumps(record))
+        code, out, err = run_cli(capsys, *command, "--in", "state.json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "magnitude > 1" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [
+        ["learn", "--learner", "state", "--concepts", "concepts.txt"],
+        ["extract-set", "--concepts", "concepts.txt", "--k", "2"],
+    ])
+    def test_state_with_huge_k_refused(self, tmp_path, capsys, monkeypatch, command):
+        # (n+1)^k has over 4,300 decimal digits, more than Python prints by default
+        monkeypatch.chdir(tmp_path)
+        k = 15000
+        record = {"n": 1, "k": k, "entries": [{"tuple": [1] * k, "a": 0, "re": 1.0, "im": 0.0}]}
+        (tmp_path / "state.json").write_text(json.dumps(record))
+        write_concepts(tmp_path, 1, ["0", "1"])
+        code, out, err = run_cli(capsys, *command, "--in", "state.json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "at least 2^15000" in err and err.count("\n") == 1
 
     def test_oracle_string_round_trip_through_files(self, tmp_path, capsys):
         # states written by one command are readable by another

@@ -43,6 +43,7 @@ from nonadapt import (
     tensor_power_class,
     tuple_to_position,
 )
+from nonadapt import learning
 from nonadapt.qstate import odd_mask, parity
 
 S = OracleString.from_string
@@ -424,6 +425,9 @@ class TestBuildClassicalPlan:
         for eps in (7.0, -1.0, 0.5):  # checked even though one concept needs no queries
             with pytest.raises(ContractViolation):
                 build_classical_plan(build_subset_state(2, 1), concepts, eps=eps, seed=0)
+        unnormalized = QueryState(2, 1, {((1,), 0): 0.5})
+        with pytest.raises(ContractViolation, match="normalized"):
+            build_classical_plan(unnormalized, concepts, eps=0.0, seed=0)
 
     def test_two_concepts_need_one_index(self):
         a = 1 / math.sqrt(2)
@@ -453,6 +457,15 @@ class TestBuildClassicalPlan:
         result = build_classical_plan(alg, concepts, eps=0.0, seed=7)
         bound = classical_query_bound(8, 0.0)
         assert result.audit["draws_per_attempt"] == math.ceil(bound / 1)
+
+    @pytest.mark.parametrize("n, k, bits, pairs", [
+        (10, 5, 164_915_200, 523_776),  # the tensor class alone is 165 MB
+        (12, 2, 688_128, 8_386_560),
+    ])
+    def test_refuses_oversized_plan_before_building(self, monkeypatch, n, k, bits, pairs):
+        monkeypatch.setattr(learning, "tensor_power_class", None)  # any build attempt fails
+        with pytest.raises(ValidationError, match=f"{bits} bits and {pairs} pair checks"):
+            build_classical_plan(build_subset_state(n, k), full_concept_class(n), 0.0, seed=0)
 
     def test_rejects_non_state_learner(self):
         with pytest.raises(ContractViolation):
