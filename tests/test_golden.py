@@ -43,6 +43,12 @@ CASES = {
     "exit2-profile-mismatch": ["extract-set", "--concepts", "concepts.txt", "--in",
                                "random-n4-k2.json", "--k", "5"],
     "exit3-missing-file": ["verify-bound", "--in", "missing.json", "--table", "parity4.txt"],
+    "verify-bound-n5-k3-anc2": ["verify-bound", "--in", "n5-k3-anc2.json", "--table",
+                                "table5.txt"],
+    "extract-set-n100": ["extract-set", "--concepts", "concepts100.txt", "--in", "n100-k1.json",
+                         "--k", "40", "--trials", "3", "--seed", "2"],
+    "learn-state-n100": ["learn", "--learner", "state", "--in", "n100-k2.json",
+                         "--concepts", "concepts100.txt", "--eps", "0.25", "--seed", "3"],
 }
 
 
