@@ -23,8 +23,10 @@ from .qstate import (
     ProjectiveMeasurement,
     QueryState,
     apply_oracle,
+    group_keys,
+    key_tuples,
     measure,
-    odd_mask,
+    odd_masks,
     parity,
 )
 
@@ -37,22 +39,23 @@ def _identity(label: Hashable) -> Hashable:
 
 
 def _hadamard_basis(
-    n: int, k: int, keys: list, labels: Iterable[Hashable]
+    n: int, index: np.ndarray, labels: Iterable[Hashable]
 ) -> tuple[QueryState, ProjectiveMeasurement]:
-    """Uniform state over 2^r support keys and the Hadamard basis over them.
+    """Uniform state over the 2^r rows of an index matrix and the Hadamard basis over them.
 
-    Key c and effect s (both in list order) meet with sign
+    Row c and effect s (both in order, ancilla 0) meet with sign
     (-1)^(parity of c AND s); returns the query state and the projective
     measurement whose effect s carries the s'th label.
     """
-    r = len(keys).bit_length() - 1
+    d = len(index)
+    r = d.bit_length() - 1
     amp = complex(2.0 ** (-r / 2.0))
-    codes = np.arange(len(keys))
+    codes = np.arange(d)
     rows = amp * (1.0 - 2.0 * parity(codes[:, None] & codes))
-    psi = QueryState(n, k, dict.fromkeys(keys, amp))
+    psi = QueryState.from_arrays(n, index.shape[1], index, np.zeros(d, np.int64), np.full(d, amp))
     effects = tuple(
-        (label, QueryState(n, k, dict(zip(keys, row))))
-        for label, row in zip(labels, rows.tolist())
+        (label, QueryState.from_arrays(n, psi.k, psi.index, psi.ancilla, row))
+        for label, row in zip(labels, rows)
     )
     return psi, ProjectiveMeasurement(effects)
 
@@ -126,9 +129,8 @@ def build_parity_algorithm(n: int) -> NonadaptiveAlgorithm:
             f"each; refusing beyond n = {MAX_PARITY_N}"
         )
     regs = parity_registers(n)
-    k = len(regs)
-    keys = [(t, 0) for t in product(*regs)]
-    psi, meas = _hadamard_basis(n, k, keys, product((0, 1), repeat=k))
+    index = np.array(list(product(*regs)), dtype=np.int64)
+    psi, meas = _hadamard_basis(n, index, product((0, 1), repeat=len(regs)))
 
     def total_parity(signs) -> int:
         return sum(signs) & 1
@@ -151,11 +153,6 @@ def recovery_success_probability(n: int, k: int) -> float:
     return subset_count(n, k) / float(1 << n)
 
 
-def _subset_tuple(mask: int, length: int) -> tuple[int, ...]:
-    t = [i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1]
-    return tuple(t) + (0,) * (length - len(t))
-
-
 def _subset_masks(n: int, k: int) -> np.ndarray:
     """The masks of [n] with at most k bits set, ascending; checks the range first."""
     if n < 1 or not 0 <= k <= n:
@@ -174,11 +171,14 @@ def build_subset_state(n: int, k: int) -> QueryState:
     subset).  k = 0 is allowed and yields the single empty subset, carried
     in a length-1 register.
     """
-    masks = _subset_masks(n, k).tolist()
-    length = max(k, 1)
+    masks = _subset_masks(n, k)
+    bits = (masks[:, None] >> np.arange(n)) & 1
+    cols = np.argsort(-bits, axis=1, kind="stable")[:, : max(k, 1)]  # set bits first, ascending
+    index = np.where(np.take_along_axis(bits, cols, axis=1) == 1, cols + 1, 0)
     amp = complex(1.0 / math.sqrt(len(masks)))
-    amplitudes = {(_subset_tuple(m, length), 0): amp for m in masks}
-    return QueryState(n=n, k=length, amplitudes=amplitudes)
+    return QueryState.from_arrays(
+        n, max(k, 1), index, np.zeros(len(masks), np.int64), np.full(len(masks), amp)
+    )
 
 
 def _fwht(v: np.ndarray) -> np.ndarray:
@@ -241,13 +241,14 @@ def build_subset_algorithm(n: int, k: int) -> NonadaptiveAlgorithm:
     if k < 1:
         raise ContractViolation(f"POVM form requires k >= 1, got {k}")
     psi = build_subset_state(n, k)
-    basis = tuple(sorted(psi.support()))
-    d = len(basis)
+    d = len(psi.amps)
     if (1 << n) * d * d > MAX_POVM_CELLS:
         raise ValidationError(
             f"POVM would need {(1 << n) * d * d} cells; use subset_outcome_distribution"
         )
-    masks = np.array([odd_mask(t) for t, _a in basis], dtype=np.int64)
+    keys = psi.keys[group_keys(psi.keys)[0]]  # the support in canonical order
+    basis = tuple(key_tuples(keys))
+    masks = odd_masks(keys[:, :-1])
     scale = 2.0 ** (-n / 2.0)
     elements = []
     total = np.zeros((d, d), dtype=complex)
@@ -283,7 +284,7 @@ def build_hadamard_algorithm(b: int) -> NonadaptiveAlgorithm:
     if not 1 <= b <= 4:
         raise ContractViolation(f"require 1 <= b <= 4, got {b}")
     n = (1 << b) - 1
-    psi, meas = _hadamard_basis(n, 1, [((i,), 0) for i in range(n + 1)], range(1 << b))
+    psi, meas = _hadamard_basis(n, np.arange(n + 1)[:, None], range(1 << b))
     return NonadaptiveAlgorithm(f"subset-parity-{b}", psi, meas)
 
 

@@ -26,7 +26,9 @@ from .qstate import (
     ProjectiveMeasurement,
     QueryState,
     _state_vector,
-    odd_mask,
+    odd_masks,
+    oracle_signs,
+    ordered_sum,
     parity,
 )
 
@@ -51,37 +53,23 @@ def query_weight(psi: QueryState, j: int) -> float:
     """W_j: squared-amplitude mass where variable j appears an odd number of times."""
     if not 1 <= j <= psi.n:
         raise ContractViolation(f"variable index {j} out of range [1, {psi.n}]")
-    if not psi.is_normalized():
-        raise ContractViolation("state must be normalized")
-    w = 0.0
-    for (t, _a), amp in psi.amplitudes.items():
-        if odd_mask(t) >> (j - 1) & 1:
-            w += abs(amp) ** 2
-    return w
+    return weight_profile(psi).weights[j - 1]
 
 
 def weight_profile(psi: QueryState) -> WeightProfile:
+    """Every W_j, each summed over the entries in stored order."""
     if not psi.is_normalized():
         raise ContractViolation("state must be normalized")
-    acc = [0.0] * psi.n
-    for (t, _a), amp in psi.amplitudes.items():
-        p = abs(amp) ** 2
-        mask = odd_mask(t)
-        for j in set(t):
-            if j and mask >> (j - 1) & 1:
-                acc[j - 1] += p
-    return WeightProfile(psi.n, psi.k, tuple(acc))
+    entry, var = psi.odd_incidence
+    acc = np.bincount(var - 1, weights=psi.probs[entry], minlength=psi.n)
+    return WeightProfile(psi.n, psi.k, tuple(acc.tolist()))
 
 
 def oracle_pair_overlap(psi: QueryState, x: OracleString, y: OracleString) -> float:
     """<psi| (O_x O_y)^tensor-k |psi>; real because the operator is diagonal +/-1."""
     if psi.n != x.n or psi.n != y.n:
         raise ContractViolation("state and oracle strings must share n")
-    z = (x ^ y).to_int()
-    total = 0.0
-    for (t, _a), amp in psi.amplitudes.items():
-        total += (1 - 2 * parity(z & odd_mask(t))) * abs(amp) ** 2
-    return total
+    return ordered_sum(oracle_signs(psi, x ^ y) * psi.probs)
 
 
 def discrimination_feasible(overlap_sq: float, eps: float) -> bool:
@@ -160,11 +148,10 @@ def error_profile(psi: QueryState, meas: Measurement, f: TotalFunction) -> np.nd
     if not set(labels) <= {0, 1}:
         raise ContractViolation(f"measurement labels must be in {{0, 1}}, got {set(labels)}")
 
-    basis = meas.basis
-    v0 = _state_vector(psi, basis)
-    masks = np.array([odd_mask(t) for t, _a in basis], dtype=np.int64)
+    v0 = _state_vector(psi, meas.basis_keys)
+    masks = odd_masks(meas.basis_keys[:, :-1])
     inputs = 1 << f.n
-    step = 1 << max(1, (SWEEP_CELLS // len(basis)).bit_length() - 1)
+    step = 1 << max(1, (SWEEP_CELLS // len(v0)).bit_length() - 1)
     p1 = np.zeros(inputs)
     total = np.zeros(inputs)
     for start in range(0, inputs, step):

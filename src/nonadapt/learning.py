@@ -278,10 +278,9 @@ def amplitude_profile(psi: QueryState) -> AmplitudeProfile:
     size = (psi.n + 1) ** psi.k
     if size > MAX_TENSOR_POSITIONS:
         raise ValidationError(f"profile would have {_count(size)} positions; too large")
-    p = [0.0] * size
-    for (t, _a), amp in psi.amplitudes.items():
-        p[tuple_to_position(t, psi.n)] += abs(amp) ** 2
-    return AmplitudeProfile(tuple(p))
+    positions = psi.index @ (psi.n + 1) ** np.arange(psi.k)  # tuple_to_position of each entry
+    p = np.bincount(positions, weights=psi.probs, minlength=size)
+    return AmplitudeProfile(tuple(p.tolist()))
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,20 @@ x flips the sign of every basis tuple according to the parity of the
 addressed bits, with index 0 pinned to bit 0 so the all-ones string stays
 distinguishable from the all-zeros string.
 
-States and measurements are immutable after construction; build the
-amplitude dict first, then freeze it into a QueryState.
+A state is three read-only arrays, validated once: a (d, k) index matrix,
+the d ancilla labels and the d nonzero complex amplitudes.  It is built
+from an {(index tuple, ancilla): amplitude} dict, or from arrays through
+QueryState.from_arrays; the dict form is rebuilt only on request.  States
+and measurements are immutable after construction.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from typing import Callable, Hashable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -116,13 +122,6 @@ def validate_dims(n, k, ancilla_dim) -> None:
             raise ValidationError(f"{name} must be an integer >= 1, got {v!r}")
 
 
-def validate_ancilla(a, ancilla_dim: int) -> None:
-    if type(a) is not int or not 0 <= a < ancilla_dim:
-        raise ContractViolation(
-            f"ancilla label {a!r} is not an integer in [0, {ancilla_dim - 1}]"
-        )
-
-
 def odd_mask(t: Sequence[int]) -> int:
     """Bitmask of the nonzero indices occurring an odd number of times in t.
 
@@ -144,37 +143,159 @@ def parity(v):
     return v.bit_count() & 1
 
 
-@dataclass(frozen=True)
+def odd_incidence(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(entry, var) pairs, entry-major, where var >= 1 occurs an odd number of times in a row."""
+    s = np.sort(index, axis=1)
+    change, edge = s[:, 1:] != s[:, :-1], np.ones((len(s), 1), dtype=bool)
+    start = np.flatnonzero(np.hstack([edge, change]))  # runs of equal indices, row-major
+    end = np.flatnonzero(np.hstack([change, edge]))
+    odd = end[((end - start) % 2 == 0) & (s.flat[end] > 0)]  # odd-length runs of a variable
+    return odd // s.shape[1], s.flat[odd]
+
+
+def odd_masks(index: np.ndarray) -> np.ndarray:
+    """odd_mask of every row of an index matrix, as int64; only for n <= 62."""
+    entry, var = odd_incidence(index)
+    masks = np.zeros(len(index), dtype=np.int64)
+    np.bitwise_or.at(masks, entry, np.left_shift(1, var - 1))
+    return masks
+
+
+def ordered_sum(values: np.ndarray) -> float:
+    """0.0 + values[0] + values[1] + ... in order, as a Python loop rounds; ndarray.sum does not."""
+    return float(np.bincount(np.zeros(len(values), dtype=np.intp), weights=values, minlength=1)[0])
+
+
+def group_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort (D, k + 1) key rows, each a tuple then its ancilla label, lexicographically.
+
+    Returns the first row of each distinct key, in sorted order, and each row's key rank.
+    """
+    order = np.lexsort(keys.T[::-1])
+    new = (np.diff(keys[order], axis=0, prepend=-1) != 0).any(axis=1)
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[order] = np.cumsum(new) - 1
+    return order[new], rank
+
+
+def key_tuples(keys: np.ndarray) -> list[AmplitudeKey]:
+    return [(tuple(row[:-1]), row[-1]) for row in keys.tolist()]
+
+
+def _key_arrays(keys, n: int, k: int, ancilla_dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index matrix and ancilla vector of (tuple, ancilla) labels, each checked as a plain int."""
+    validate_dims(n, k, ancilla_dim)
+    tuples, labels = [tuple(t) for t, _a in keys], [a for _t, a in keys]
+    flat = list(chain.from_iterable(tuples))
+    if set(map(len, tuples)) <= {k} and set(map(type, flat + labels)) <= {int}:
+        with contextlib.suppress(OverflowError):  # then reported as out of range below
+            return np.array(flat, dtype=np.int64).reshape(-1, k), np.array(labels, dtype=np.int64)
+    for t, a in keys:  # the first offender, reported as the range checks below report it
+        validate_index_tuple(t, n, k)
+        if type(a) is not int or not 0 <= a < ancilla_dim:
+            raise ContractViolation(
+                f"ancilla label {a!r} is not an integer in [0, {ancilla_dim - 1}]"
+            )
+    raise ValidationError(f"indices and ancilla labels must fit in 64 bits, got n = {n}")
+
+
+def _checked_keys(n, k, ancilla_dim, index, ancilla, what="state entry"):
+    """The key validator: ranges over the whole matrix and no repeated (tuple, ancilla) key."""
+    validate_dims(n, k, ancilla_dim)
+    index, ancilla = np.asarray(index, dtype=np.int64), np.asarray(ancilla, dtype=np.int64)
+    if ancilla.ndim != 1 or index.shape != (len(ancilla), k):
+        raise ContractViolation(f"index matrix {index.shape} does not fit {ancilla.shape} labels")
+    checks = ((index, n, "tuple entry"), (ancilla, ancilla_dim - 1, "ancilla label"))
+    for values, top, name in checks:
+        bad = values[(values < 0) | (values > top)]
+        if bad.size:
+            raise ContractViolation(f"{name} {int(bad[0])!r} is not an integer in [0, {top}]")
+    keys = np.column_stack([index, ancilla])
+    first, rank = group_keys(keys)
+    if len(first) < len(keys):
+        r = np.flatnonzero(first[rank] != np.arange(len(keys)))[0]  # the first repeat
+        raise ValidationError(f"duplicate {what} {key_tuples(keys[r : r + 1])[0]}")
+    return index, ancilla
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class QueryState:
     """Sparse amplitude vector over (index tuple, ancilla) basis labels.
 
-    Absent keys are exactly zero.  Iteration order is canonical
+    Three read-only arrays in the order given, zero amplitudes dropped (so
+    absent keys are exactly zero): ``index`` (d, k) and ``ancilla`` (d,)
+    int64, ``amps`` (d,) complex128.  ``probs``, ``squared_norm()`` and
+    ``odd_incidence`` are computed once; ``amplitudes``, the dict in stored
+    order, only on request.  ``entries()`` iterates in canonical order
     (lexicographic in the tuple, then the ancilla label) so reports and
-    serialized files are reproducible.
+    serialized files are reproducible; equality ignores the order.
     """
 
     n: int
     k: int
-    amplitudes: Mapping[AmplitudeKey, complex]
+    index: np.ndarray = field(repr=False)
+    ancilla: np.ndarray = field(repr=False)
+    amps: np.ndarray = field(repr=False)
     ancilla_dim: int = 1
 
-    def __post_init__(self):
-        validate_dims(self.n, self.k, self.ancilla_dim)
-        cleaned = {}
-        for (t, a), amp in self.amplitudes.items():
-            t = validate_index_tuple(t, self.n, self.k)
-            validate_ancilla(a, self.ancilla_dim)
-            amp = complex(amp)
-            if amp != 0:
-                cleaned[(t, a)] = amp
-        object.__setattr__(self, "amplitudes", cleaned)
+    def __init__(self, n: int, k: int, amplitudes: Mapping[AmplitudeKey, complex], ancilla_dim=1):
+        index, ancilla = _key_arrays(amplitudes, n, k, ancilla_dim)
+        amps = np.fromiter(amplitudes.values(), dtype=np.complex128, count=len(amplitudes))
+        self._freeze(n, k, index, ancilla, amps, ancilla_dim)
+
+    @classmethod
+    def from_arrays(cls, n: int, k: int, index, ancilla, amps, ancilla_dim=1) -> "QueryState":
+        """The state of (d, k) index, (d,) ancilla and (d,) amplitude arrays, kept read-only."""
+        psi = cls.__new__(cls)
+        psi._freeze(n, k, index, ancilla, amps, ancilla_dim)
+        return psi
+
+    def _freeze(self, n, k, index, ancilla, amps, ancilla_dim) -> None:
+        index, ancilla = _checked_keys(n, k, ancilla_dim, index, ancilla)
+        amps = np.asarray(amps, dtype=np.complex128)
+        if amps.shape != ancilla.shape:
+            raise ContractViolation(f"{amps.shape} amplitudes for {ancilla.shape} keys")
+        if not (nonzero := amps != 0).all():
+            index, ancilla, amps = index[nonzero], ancilla[nonzero], amps[nonzero]
+        for a in (index, ancilla, amps):
+            a.flags.writeable = False
+        vars(self).update(
+            n=n, k=k, index=index, ancilla=ancilla, amps=amps, ancilla_dim=ancilla_dim
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, QueryState):
+            return NotImplemented
+        return self.same_space(other) and self.amplitudes == other.amplitudes
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """(d, k + 1) key matrix: each row the index tuple, then the ancilla label."""
+        return np.column_stack([self.index, self.ancilla])
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        # Python's abs(amp) ** 2: np.abs and x * x round differently
+        return np.array([abs(amp) ** 2 for amp in self.amps.tolist()], dtype=np.float64)
+
+    @cached_property
+    def odd_incidence(self) -> tuple[np.ndarray, np.ndarray]:
+        return odd_incidence(self.index)
+
+    @cached_property
+    def amplitudes(self) -> dict[AmplitudeKey, complex]:
+        return dict(zip(key_tuples(self.keys), self.amps.tolist()))
 
     def entries(self) -> Iterator[tuple[IndexTuple, int, complex]]:
         for (t, a) in sorted(self.amplitudes):
             yield t, a, self.amplitudes[(t, a)]
 
+    @cached_property
+    def _squared_norm(self) -> float:
+        return ordered_sum(self.probs)
+
     def squared_norm(self) -> float:
-        return sum(abs(amp) ** 2 for amp in self.amplitudes.values())
+        return self._squared_norm
 
     def is_normalized(self, tol: float = ATOL) -> bool:
         return abs(self.squared_norm() - 1.0) <= tol
@@ -183,11 +304,9 @@ class QueryState:
         norm = math.sqrt(self.squared_norm())
         if norm == 0:
             raise ValidationError("cannot normalize the zero state")
-        return QueryState(
-            self.n,
-            self.k,
-            {key: amp / norm for key, amp in self.amplitudes.items()},
-            self.ancilla_dim,
+        amps = (self.amps.view(np.float64) / norm).view(np.complex128)  # rounds as amp / norm
+        return QueryState.from_arrays(
+            self.n, self.k, self.index, self.ancilla, amps, self.ancilla_dim
         )
 
     def support(self) -> frozenset[AmplitudeKey]:
@@ -206,16 +325,21 @@ def oracle_phase(x: OracleString, t: Sequence[int]) -> int:
     return 1 - 2 * parity(x.to_int() & odd_mask(validate_index_tuple(t, x.n, len(t))))
 
 
+def oracle_signs(psi: QueryState, x: OracleString) -> np.ndarray:
+    """The sign, 1.0 or -1.0, that the phase oracle for x puts on each entry of psi."""
+    entry, var = psi.odd_incidence
+    bits = np.array(x.bits, dtype=np.float64)[var - 1]
+    hits = np.bincount(entry, weights=bits, minlength=len(psi.amps))
+    return 1.0 - 2.0 * (hits % 2)
+
+
 def apply_oracle(psi: QueryState, x: OracleString) -> QueryState:
     """Apply the k-fold phase oracle for x; ancilla labels are untouched."""
     if psi.n != x.n:
         raise ContractViolation(f"state has n={psi.n} but oracle string has n={x.n}")
-    xi = x.to_int()
-    new_amps = {
-        (t, a): amp * (1 - 2 * parity(xi & odd_mask(t)))
-        for (t, a), amp in psi.amplitudes.items()
-    }
-    return QueryState(psi.n, psi.k, new_amps, psi.ancilla_dim)
+    return QueryState.from_arrays(
+        psi.n, psi.k, psi.index, psi.ancilla, psi.amps * oracle_signs(psi, x), psi.ancilla_dim
+    )
 
 
 def inner_product(a: QueryState, b: QueryState) -> complex:
@@ -247,13 +371,15 @@ class ProjectiveMeasurement:
     family must be complete on any state it measures (probabilities must sum
     to 1), which measure() enforces.
 
-    Construction derives basis, the sorted union of the effect supports, and
-    V, the (R, d) matrix whose row r is effect r's amplitudes over basis;
-    orthonormality is the single check |conj(V) V^T - I| <= ATOL.
+    Construction derives basis, the sorted union of the effect supports,
+    basis_keys, its (d, k + 1) key matrix, and V, the (R, d) matrix whose
+    row r is effect r's amplitudes over basis; orthonormality is the single
+    check |conj(V) V^T - I| <= ATOL.
     """
 
     effects: tuple[tuple[Outcome, QueryState], ...]
     basis: tuple[AmplitudeKey, ...] = field(init=False, compare=False, repr=False)
+    basis_keys: np.ndarray = field(init=False, compare=False, repr=False)
     V: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -264,11 +390,11 @@ class ProjectiveMeasurement:
         for s in states[1:]:
             if not s.same_space(first):
                 raise ValidationError("measurement states live in different spaces")
-        basis = tuple(sorted(set().union(*(s.amplitudes for s in states))))
-        index = {key: c for c, key in enumerate(basis)}
-        vecs = np.zeros((len(states), len(basis)), dtype=complex)
-        for r, s in enumerate(states):
-            vecs[r, [index[key] for key in s.amplitudes]] = list(s.amplitudes.values())
+        keys = np.vstack([s.keys for s in states])
+        first, rank = group_keys(keys)
+        vecs = np.zeros((len(states), len(first)), dtype=complex)
+        effect = np.repeat(np.arange(len(states)), [len(s.amps) for s in states])
+        vecs[effect, rank] = np.concatenate([s.amps for s in states])
         gram = vecs.conj() @ vecs.T
         bad = np.triu(np.abs(gram - np.eye(len(states))) > ATOL)
         if bad.any():
@@ -278,7 +404,8 @@ class ProjectiveMeasurement:
                 raise ValidationError(f"measurement state {i} is not normalized")
             raise ValidationError(f"measurement states {i} and {j} are not orthogonal")
         vecs.setflags(write=False)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", tuple(key_tuples(keys[first])))
+        object.__setattr__(self, "basis_keys", keys[first])
         object.__setattr__(self, "V", vecs)
 
     def relabel(self, fn: Callable[[Outcome], Outcome]) -> "ProjectiveMeasurement":
@@ -289,9 +416,10 @@ class ProjectiveMeasurement:
 class PovmMeasurement:
     """Positive operators over an explicitly declared ordered basis.
 
-    The basis is a sequence of (index tuple, ancilla) labels; matrices are
-    indexed against it.  Elements must be PSD within tolerance and sum to the
-    identity on the declared basis.
+    The basis is a sequence of (index tuple, ancilla) labels, checked by the
+    state key validator and kept as basis_keys, its (d, k + 1) key matrix;
+    matrices are indexed against it.  Elements must be PSD within tolerance
+    and sum to the identity on the declared basis.
     """
 
     n: int
@@ -299,16 +427,12 @@ class PovmMeasurement:
     basis: tuple[AmplitudeKey, ...]
     elements: tuple[tuple[Outcome, np.ndarray], ...]
     ancilla_dim: int = 1
+    basis_keys: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        validate_dims(self.n, self.k, self.ancilla_dim)
-        seen = set()
-        for (t, a) in self.basis:
-            validate_index_tuple(t, self.n, self.k)
-            validate_ancilla(a, self.ancilla_dim)
-            if (t, a) in seen:
-                raise ValidationError(f"duplicate basis label {(t, a)}")
-            seen.add((t, a))
+        keys = _key_arrays(self.basis, self.n, self.k, self.ancilla_dim)
+        keys = _checked_keys(self.n, self.k, self.ancilla_dim, *keys, what="basis label")
+        object.__setattr__(self, "basis_keys", np.column_stack(keys))
         d = len(self.basis)
         total = np.zeros((d, d), dtype=complex)
         frozen = []
@@ -342,16 +466,19 @@ class PovmMeasurement:
 Measurement = Union[ProjectiveMeasurement, PovmMeasurement]
 
 
-def _state_vector(psi: QueryState, basis: Sequence[AmplitudeKey]) -> np.ndarray:
-    index = {key: i for i, key in enumerate(basis)}
-    v = np.zeros(len(basis), dtype=complex)
-    for key, amp in psi.amplitudes.items():
-        pos = index.get(key)
-        if pos is None:
-            raise ContractViolation(
-                f"state support entry {key} is outside the declared measurement basis"
-            )
-        v[pos] = amp
+def _state_vector(psi: QueryState, basis_keys: np.ndarray) -> np.ndarray:
+    """psi's amplitudes over a measurement basis given by its (d, k + 1) key matrix."""
+    d = len(basis_keys)
+    first, rank = group_keys(np.vstack([basis_keys, psi.keys]))
+    pos = first[rank[d:]]  # a stable sort puts a basis row first among equal keys
+    outside = pos >= d
+    if outside.any():
+        key = key_tuples(psi.keys[outside])[0]
+        raise ContractViolation(
+            f"state support entry {key} is outside the declared measurement basis"
+        )
+    v = np.zeros(d, dtype=complex)
+    v[pos] = psi.amps
     return v
 
 
@@ -374,7 +501,7 @@ def measure(psi: QueryState, meas: Measurement) -> dict[Outcome, float]:
     elif isinstance(meas, PovmMeasurement):
         if (psi.n, psi.k, psi.ancilla_dim) != (meas.n, meas.k, meas.ancilla_dim):
             raise ContractViolation("state and measurement live in different spaces")
-        v = _state_vector(psi, meas.basis)
+        v = _state_vector(psi, meas.basis_keys)
         for outcome, mat in meas.elements:
             p = float(np.real(np.vdot(v, mat @ v)))
             probs[outcome] = probs.get(outcome, 0.0) + max(p, 0.0)
@@ -403,16 +530,9 @@ def random_state(
     support_size = min(support_size, total)
     flat = rng.choice(total, size=support_size, replace=False)
     amps = rng.normal(size=support_size) + 1j * rng.normal(size=support_size)
-    entries = {}
-    for f, amp in zip(flat, amps):
-        f = int(f)
-        a, rest = f % ancilla_dim, f // ancilla_dim
-        t = []
-        for _ in range(k):
-            t.append(rest % (n + 1))
-            rest //= n + 1
-        entries[(tuple(t), a)] = complex(amp)
-    return QueryState(n, k, entries, ancilla_dim).normalized()
+    # flat = ancilla + ancilla_dim * (base-(n+1) digits of the tuple, little-endian)
+    index = flat[:, None] // ancilla_dim // (n + 1) ** np.arange(k) % (n + 1)
+    return QueryState.from_arrays(n, k, index, flat % ancilla_dim, amps, ancilla_dim).normalized()
 
 
 def state_to_dict(psi: QueryState) -> dict:
