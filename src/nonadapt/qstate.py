@@ -304,9 +304,11 @@ class QueryState:
         norm = math.sqrt(self.squared_norm())
         if norm == 0:
             raise ValidationError("cannot normalize the zero state")
-        amps = (self.amps.view(np.float64) / norm).view(np.complex128)  # rounds as amp / norm
+        re, im = self.amps.real, self.amps.imag
+        # the parts of Python's amp / norm, which divides by complex(norm, 0.0)
+        amps = (np.stack([re + im * 0.0, im - re * 0.0], axis=1) / norm).view(np.complex128)
         return QueryState.from_arrays(
-            self.n, self.k, self.index, self.ancilla, amps, self.ancilla_dim
+            self.n, self.k, self.index, self.ancilla, amps[:, 0], self.ancilla_dim
         )
 
     def support(self) -> frozenset[AmplitudeKey]:
