@@ -253,9 +253,10 @@ def cmd_learn(args: argparse.Namespace) -> int:
         res = classical_learn(plan, ClassicalOracle(concept))
         if res.concept_index != idx:
             verified = False
-    exact_min = (
-        len(min_distinguishing_set(concepts, "exact")) if concepts.n <= 24 else None
-    )
+    try:
+        exact_min = len(min_distinguishing_set(concepts, "exact"))
+    except ValidationError:  # beyond n = 24 or the search budget
+        exact_min = None
     margins = None
     if result.overlap_report is not None:
         margins = [

@@ -29,6 +29,9 @@ MAX_TENSOR_POSITIONS = 1 << 20
 # holds 8 bytes of float64 sign per entry) and concept pairs checked and printed
 MAX_TENSOR_BITS = 1 << 24
 MAX_OVERLAP_PAIRS = 1 << 17
+# min_distinguishing_set's exact-search limit, in subset tests times concepts
+# (about 0.1 us each on a 2-CPU Xeon, so under 2 s)
+MAX_EXACT_CELLS = 1 << 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,10 +131,14 @@ def load_concept_class(path) -> ConceptClass:
 
 def _columns(c: ConceptClass, indices: Iterable[int]) -> np.ndarray:
     """Columns of c.bits holding the 1-based positions, in the given order."""
-    cols = np.array(list(indices), dtype=np.intp)
-    bad = cols[(cols < 1) | (cols > c.n)]
-    if bad.size:
-        raise ContractViolation(f"index {bad.min()} out of range [1, {c.n}]")
+    indices = list(indices)
+    try:
+        cols = np.array(indices, dtype=np.intp)
+    except OverflowError:  # an index beyond 64 bits is out of range too
+        cols = None
+    if cols is None or ((cols < 1) | (cols > c.n)).any():
+        bad = min(i for i in indices if not 1 <= i <= c.n)
+        raise ContractViolation(f"index {bad} out of range [1, {c.n}]")
     return cols - 1
 
 
@@ -145,9 +152,10 @@ def min_distinguishing_set(c: ConceptClass, mode: str = "exact") -> tuple[int, .
     """Smallest (exact) or greedily built set of positions distinguishing the class.
 
     Exact mode enumerates subsets by increasing size, ties broken by the
-    lexicographically smallest set; it refuses beyond n = 24.  Greedy mode
-    repeatedly adds the index separating the most still-colliding pairs,
-    ties to the lowest index.
+    lexicographically smallest set; it refuses beyond n = 24, and stops with
+    a ValidationError once its subset tests times m pass MAX_EXACT_CELLS.
+    Greedy mode repeatedly adds the index separating the most still-colliding
+    pairs, ties to the lowest index.
     """
     if c.m == 1:
         return ()
@@ -157,9 +165,15 @@ def min_distinguishing_set(c: ConceptClass, mode: str = "exact") -> tuple[int, .
                 f"exact search enumerates subsets of [{c.n}]; n <= 24 required, use greedy"
             )
         codes = (c.bits.astype(np.int64) << np.arange(c.n)).sum(axis=1).tolist()
+        cells = 0
         # s positions separate at most 2^s concepts
         for size in range((c.m - 1).bit_length(), c.n + 1):
             for subset in combinations(range(c.n), size):
+                cells += c.m
+                if cells > MAX_EXACT_CELLS:
+                    raise ValidationError(
+                        f"exact search passed {MAX_EXACT_CELLS} subset-test cells; use greedy"
+                    )
                 mask = sum(1 << j for j in subset)
                 if len({v & mask for v in codes}) == c.m:
                     return tuple(j + 1 for j in subset)
@@ -518,6 +532,8 @@ def build_classical_plan(
 
     tuples = [position_to_tuple(pos, concepts.n, k) for pos in selected]
     base = sorted({i for t in tuples for i in t if i != 0})
+    if len(base) > budget:
+        raise BoundViolation(f"plan needs {len(base)} base queries, beyond its budget {budget}")
     audit.update(
         bound=budget, draws_per_attempt=draws_per_attempt, tuple_count=len(selected),
         base_query_count=len(base), retries=retries, used_fallback=used_fallback,
@@ -540,17 +556,25 @@ def plan_to_dict(plan: QueryPlan) -> dict:
 
 
 def plan_from_dict(data: dict) -> QueryPlan:
-    """Rebuild a plan from its record; the decoder is derived, then compared."""
+    """Rebuild a plan from its record; the decoder is derived, then compared.
+
+    base_queries must be a list of plain ints and decoder_table a mapping of
+    0/1 pattern strings to plain ints; nothing is coerced.
+    """
     try:
-        base = tuple(int(i) for i in data["base_queries"])
-        words = data["concepts"]
+        base, words, table = data["base_queries"], data["concepts"], data["decoder_table"]
+        if not (isinstance(base, list) and isinstance(words, list) and isinstance(table, dict)):
+            raise TypeError("base_queries and concepts must be lists, decoder_table an object")
+        for v in [*base, *table.values()]:
+            if type(v) is not int:
+                raise TypeError(f"{v!r} is not an integer")
+        for pattern in table:
+            if not isinstance(pattern, str) or set(pattern) - {"0", "1"}:
+                raise TypeError(f"decoder pattern {pattern!r} is not a 0/1 string")
         concepts = ConceptClass(
             len(words[0]), [OracleString.from_string(w).bits for w in words]
         )
-        decoder = {
-            tuple(int(ch) for ch in pattern): int(idx)
-            for pattern, idx in data["decoder_table"].items()
-        }
+        decoder = {tuple(map(int, pattern)): idx for pattern, idx in table.items()}
     except (KeyError, IndexError, TypeError) as exc:
         raise ParseError(f"malformed plan record: {exc}") from exc
     plan = make_plan(concepts, base)

@@ -85,7 +85,7 @@ class OracleString:
 
     @classmethod
     def from_string(cls, text: str) -> "OracleString":
-        if not text or any(c not in "01" for c in text):
+        if not isinstance(text, str) or not text or any(c not in "01" for c in text):
             raise ParseError(f"expected a nonempty 0/1 string, got {text!r}")
         return cls(tuple(int(c) for c in text))
 

@@ -239,6 +239,17 @@ class TestLearnCommand:
         assert audit["exact_min"] == 4
         assert sorted(audit["plan"]["base_queries"]) == [1, 2, 3, 4]
 
+    def test_exact_min_null_past_search_budget(self, capsys, monkeypatch):
+        # the exact search of the 16-concept class on n = 4 tests one 4-subset: 16 cells
+        monkeypatch.setattr(learning, "MAX_EXACT_CELLS", 15)
+        code, out, _ = run_cli(
+            capsys, "learn", "--learner", "vandam", "--n", "4", "--k", "3",
+            "--eps", "0.0625", "--seed", "3",
+        )
+        assert code == 0
+        audit = json.loads(out)
+        assert audit["exact_min"] is None and audit["verified_all_concepts"] is True
+
     def test_state_learner_single_concept(self, tmp_path, capsys):
         state = tmp_path / "state.json"
         save_state(build_parity_algorithm(2).psi, state)

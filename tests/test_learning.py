@@ -1,9 +1,10 @@
 """Concept classes, tensor-power reductions, and the classical query plan."""
+import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nonadapt import (
@@ -158,6 +159,15 @@ class TestDistinguishingSets:
             exact = min_distinguishing_set(c, mode="exact")
             assert is_distinguishing(c, greedy)
             assert len(greedy) >= len(exact)
+
+    def test_exact_search_stops_past_its_budget(self, monkeypatch):
+        c = full_concept_class(4)  # one subset test of 16 concepts finds [1, 2, 3, 4]
+        monkeypatch.setattr(learning, "MAX_EXACT_CELLS", 16)
+        assert min_distinguishing_set(c, "exact") == (1, 2, 3, 4)
+        monkeypatch.setattr(learning, "MAX_EXACT_CELLS", 15)
+        with pytest.raises(ValidationError, match="exact search passed 15"):
+            min_distinguishing_set(c, "exact")
+        assert min_distinguishing_set(c, "greedy") == (1, 2, 3, 4)
 
     def test_single_concept_needs_nothing(self):
         assert min_distinguishing_set(concept_class(2, ("10",)), mode="exact") == ()
@@ -390,6 +400,67 @@ class TestQueryPlan:
             plan_from_dict(data)
 
 
+RECORD = {"base_queries": [1, 2], "concepts": ["00", "01", "11"],
+          "decoder_table": {"00": 0, "01": 1, "11": 2}}
+SMALL = st.integers(-2, 6)
+JUNK = st.one_of(
+    st.none(), st.booleans(), st.floats(), st.text("01x", max_size=3), SMALL,
+    st.just(10**30), st.lists(st.integers(-1, 4), max_size=3),
+    st.dictionaries(st.text("01", max_size=2), st.integers(-1, 3), max_size=2),
+)
+
+
+@st.composite
+def plan_records(draw):
+    """A well-formed plan record on n <= 4, or one with a single field or entry corrupted."""
+    n = draw(st.integers(1, 4))
+    words = draw(st.lists(st.text("01", min_size=n, max_size=n), min_size=1, max_size=5,
+                          unique=True))
+    c = concept_class(n, words)
+    base = draw(st.sets(st.integers(1, n)))
+    record = plan_to_dict(make_plan(c, base if is_distinguishing(c, base) else range(1, n + 1)))
+    where = draw(st.sampled_from([None, "field", "drop", "base", "pattern", "index", "word"]))
+    if where == "field":
+        record[draw(st.sampled_from(sorted(record)))] = draw(JUNK)
+    elif where == "drop":
+        del record[draw(st.sampled_from(sorted(record)))]
+    elif where == "base" and record["base_queries"]:
+        record["base_queries"][draw(st.integers(0, len(record["base_queries"]) - 1))] = draw(JUNK)
+    elif where in ("pattern", "index"):
+        pattern = draw(st.sampled_from(sorted(record["decoder_table"])))
+        idx = record["decoder_table"].pop(pattern)
+        if where == "pattern":
+            # JSON keys are strings: an int key comes back as its decimal digits
+            record["decoder_table"][draw(st.one_of(st.text("01x", max_size=5), SMALL))] = idx
+        else:
+            record["decoder_table"][pattern] = draw(JUNK)
+    elif where == "word":
+        record["concepts"][draw(st.integers(0, len(words) - 1))] = draw(JUNK)
+    return record
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(plan_records())
+@example({**RECORD, "base_queries": "ab"})
+@example({**RECORD, "base_queries": [10**30]})
+@example({**RECORD, "decoder_table": [1]})
+@example({**RECORD, "decoder_table": {"00": 0, "01": 1, "0x": 2}})
+@example({**RECORD, "base_queries": [1.5, 2]})
+@example({**RECORD, "base_queries": [True, 2]})
+@example({**RECORD, "decoder_table": {"00": 0.7, "01": 1, "11": 2}})
+@example({"base_queries": [], "concepts": [{"": 0}], "decoder_table": {"": 0}})
+def test_plan_record_fuzz(record):
+    """A plan record loads as written or raises a package error: never coerced, never escaping."""
+    try:
+        plan = plan_from_dict(json.loads(json.dumps(record)))
+    except (ParseError, ValidationError, ContractViolation):
+        return
+    # json.dumps tells 1 from True and 1.0, so an accepted record is exactly the plan's own
+    record = json.loads(json.dumps(record))
+    record["base_queries"] = sorted(set(record["base_queries"]))
+    assert json.dumps(plan_to_dict(plan), sort_keys=True) == json.dumps(record, sort_keys=True)
+
+
 class TestBuildClassicalPlan:
     def test_hadamard_pipeline(self):
         concepts, alg = build_hadamard_instance(3)
@@ -466,6 +537,16 @@ class TestBuildClassicalPlan:
         monkeypatch.setattr(learning, "tensor_power_class", None)  # any build attempt fails
         with pytest.raises(ValidationError, match=f"{bits} bits and {pairs} pair checks"):
             build_classical_plan(build_subset_state(n, k), full_concept_class(n), 0.0, seed=0)
+
+    def test_budget_asserted_at_runtime(self, monkeypatch):
+        # half the mass on the positions where the two concepts differ: overlap 0, so eps 0
+        psi = QueryState(8, 1, {((i,), 0): 8 ** -0.5 for i in range(1, 9)})
+        concepts = concept_class(8, ("00000000", "11110000"))
+        result = build_classical_plan(psi, concepts, eps=0.0, seed=0, retry_cap=0)
+        assert result.audit["bound"] == 4 and result.audit["base_query_count"] <= 4
+        monkeypatch.setattr(learning, "_greedy_over_support", lambda c, cands: tuple(range(1, 9)))
+        with pytest.raises(BoundViolation, match="8 base queries, beyond its budget 4"):
+            build_classical_plan(psi, concepts, eps=0.0, seed=0, retry_cap=0)
 
     def test_rejects_non_state_learner(self):
         with pytest.raises(ContractViolation):

@@ -25,6 +25,8 @@ from nonadapt import (
     state_from_dict,
     state_to_dict,
 )
+from nonadapt.bounds import oracle_pair_overlap, query_weight, weight_profile
+from nonadapt.learning import amplitude_profile, tuple_to_position
 from nonadapt.qstate import odd_mask, parity
 from tests.conftest import k1_state, random_projective, uniform_k1
 
@@ -293,6 +295,21 @@ class TestQueryStateValidation:
         with pytest.raises(ValidationError):
             QueryState(2, 1, {}).normalized()
 
+    def test_duplicate_key_on_the_array_path(self):
+        with pytest.raises(ValidationError, match=r"duplicate state entry \(\(1, 2\), 0\)"):
+            QueryState.from_arrays(2, 2, [[1, 2], [2, 1], [1, 2]], [0, 0, 0], [0.5, 0.5, 0.5])
+        # the same tuple under another ancilla label is another key
+        psi = QueryState.from_arrays(2, 2, [[1, 2], [1, 2]], [0, 1], [0.6, 0.8], ancilla_dim=2)
+        assert psi.amplitudes == {((1, 2), 0): 0.6, ((1, 2), 1): 0.8}
+
+    def test_arrays_are_read_only(self):
+        psi = QueryState(2, 2, {((2, 1), 0): 0.6, ((1, 1), 0): 0.8j})
+        assert psi.index.tolist() == [[2, 1], [1, 1]] and psi.ancilla.tolist() == [0, 0]
+        assert psi.amps.tolist() == [0.6, 0.8j]
+        for a in (psi.index, psi.ancilla, psi.amps):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
     def test_canonical_entry_order(self):
         psi = QueryState(2, 2, {((2, 1), 0): 0.5, ((0, 0), 0): 0.5, ((1, 2), 0): 0.5, ((1, 0), 0): 0.5})
         assert [t for t, _, _ in psi.entries()] == [(0, 0), (1, 0), (1, 2), (2, 1)]
@@ -391,3 +408,99 @@ def test_serialization_round_trip_property(case):
     psi, _, _ = case
     data = json.loads(json.dumps(state_to_dict(psi)))
     assert state_from_dict(data).amplitudes == psi.amplitudes
+
+
+# --- array kernels against the per-tuple loops they replaced -----------------
+
+
+def ref_weights(psi):
+    acc = [0.0] * psi.n
+    for (t, _a), amp in psi.amplitudes.items():
+        p = abs(amp) ** 2
+        mask = odd_mask(t)
+        for j in set(t):
+            if j and mask >> (j - 1) & 1:
+                acc[j - 1] += p
+    return acc
+
+
+def ref_query_weight(psi, j):
+    w = 0.0
+    for (t, _a), amp in psi.amplitudes.items():
+        if odd_mask(t) >> (j - 1) & 1:
+            w += abs(amp) ** 2
+    return w
+
+
+def ref_overlap(psi, x, y):
+    z = (x ^ y).to_int()
+    total = 0.0
+    for (t, _a), amp in psi.amplitudes.items():
+        total += (1 - 2 * parity(z & odd_mask(t))) * abs(amp) ** 2
+    return total
+
+
+def ref_profile(psi):
+    p = [0.0] * (psi.n + 1) ** psi.k
+    for (t, _a), amp in psi.amplitudes.items():
+        p[tuple_to_position(t, psi.n)] += abs(amp) ** 2
+    return p
+
+
+def ref_oracle(psi, x):
+    xi = x.to_int()
+    return {
+        (t, a): amp * (1 - 2 * parity(xi & odd_mask(t))) for (t, a), amp in psi.amplitudes.items()
+    }
+
+
+def same_bits(got, want) -> bool:
+    """Equal as float or complex arrays down to the sign of zero."""
+    return np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def same_dict(got: QueryState, want: dict) -> bool:
+    return list(got.amplitudes) == list(want) and same_bits(
+        list(got.amplitudes.values()), list(want.values())
+    )
+
+
+def kernel_states():
+    """Seeded states up to n = 120, with repeated indices and two ancilla labels."""
+    states = []
+    for i, (n, k, anc) in enumerate([(3, 3, 2), (4, 4, 1), (5, 2, 2), (100, 2, 2), (120, 4, 1),
+                                     (100, 1, 1), (2, 4, 2), (7, 3, 1)]):
+        states.append(random_state(np.random.default_rng([31, i]), n, k, anc, support_size=24))
+    # out of canonical order, repeated indices, odd multiplicities cancelling
+    amps = {((2, 2, 3), 1): 0.3 - 0.1j, ((5, 1, 0), 0): -0.2j, ((1, 1, 1), 0): 0.4,
+            ((0, 4, 4), 1): -0.5 + 0.2j, ((3, 2, 2), 0): 0.1 + 0.3j, ((2, 2, 3), 0): -0.35}
+    norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+    states.append(QueryState(5, 3, {key: a / norm for key, a in amps.items()}, 2))
+    return states
+
+
+@pytest.mark.parametrize("psi", kernel_states(), ids=lambda psi: f"n{psi.n}-k{psi.k}")
+def test_kernels_bit_identical_to_tuple_loops(psi):
+    rng = np.random.default_rng(psi.n * 10 + psi.k)
+    assert same_bits(weight_profile(psi).weights, ref_weights(psi))
+    for j in range(1, psi.n + 1):
+        assert same_bits(query_weight(psi, j), ref_query_weight(psi, j))
+    if (psi.n + 1) ** psi.k <= 1 << 20:
+        assert same_bits(amplitude_profile(psi).values, ref_profile(psi))
+    for _ in range(5):
+        x, y = (OracleString(tuple(int(b) for b in rng.integers(0, 2, psi.n))) for _ in "xy")
+        assert same_bits(oracle_pair_overlap(psi, x, y), ref_overlap(psi, x, y))
+        assert same_dict(apply_oracle(psi, x), ref_oracle(psi, x))
+
+
+def test_normalized_bit_identical_to_python_division():
+    edge = {((1, 2), 0): complex(-0.5, -0.0), ((2, 2), 0): complex(-0.0, 0.5),
+            ((0, 1), 0): complex(0.3, -0.0), ((2, 0), 0): -3.5}
+    for raw in [edge] + [s.amplitudes for s in kernel_states()]:
+        scaled = {key: 3.0 * a for key, a in raw.items()}
+        n = max(max(t) for t, _a in scaled) + 1
+        k = len(next(iter(scaled))[0])
+        psi = QueryState(n, k, scaled, 2)
+        norm = math.sqrt(sum(abs(a) ** 2 for a in scaled.values()))
+        assert same_bits(psi.squared_norm(), sum(abs(a) ** 2 for a in scaled.values()))
+        assert same_dict(psi.normalized(), {key: a / norm for key, a in scaled.items()})
