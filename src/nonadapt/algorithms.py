@@ -52,10 +52,10 @@ def _hadamard_basis(
     amp = complex(2.0 ** (-r / 2.0))
     codes = np.arange(d)
     rows = amp * (1.0 - 2.0 * parity(codes[:, None] & codes))
-    psi = QueryState.from_arrays(n, index.shape[1], index, np.zeros(d, np.int64), np.full(d, amp))
+    keys = np.column_stack([index, np.zeros(d, np.int64)])
+    psi = QueryState.from_arrays(n, index.shape[1], keys, np.full(d, amp))
     effects = tuple(
-        (label, QueryState.from_arrays(n, psi.k, psi.index, psi.ancilla, row))
-        for label, row in zip(labels, rows)
+        (label, QueryState.from_arrays(n, psi.k, psi.keys, row)) for label, row in zip(labels, rows)
     )
     return psi, ProjectiveMeasurement(effects)
 
@@ -176,9 +176,8 @@ def build_subset_state(n: int, k: int) -> QueryState:
     cols = np.argsort(-bits, axis=1, kind="stable")[:, : max(k, 1)]  # set bits first, ascending
     index = np.where(np.take_along_axis(bits, cols, axis=1) == 1, cols + 1, 0)
     amp = complex(1.0 / math.sqrt(len(masks)))
-    return QueryState.from_arrays(
-        n, max(k, 1), index, np.zeros(len(masks), np.int64), np.full(len(masks), amp)
-    )
+    keys = np.column_stack([index, np.zeros(len(masks), np.int64)])
+    return QueryState.from_arrays(n, max(k, 1), keys, np.full(len(masks), amp))
 
 
 def _fwht(v: np.ndarray) -> np.ndarray:

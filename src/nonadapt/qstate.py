@@ -172,24 +172,25 @@ def group_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the first row of each distinct key, in sorted order, and each row's key rank.
     """
     order = np.lexsort(keys.T[::-1])
-    new = (np.diff(keys[order], axis=0, prepend=-1) != 0).any(axis=1)
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
     rank = np.empty(len(keys), dtype=np.intp)
     rank[order] = np.cumsum(new) - 1
     return order[new], rank
 
 
 def key_tuples(keys: np.ndarray) -> list[AmplitudeKey]:
-    return [(tuple(row[:-1]), row[-1]) for row in keys.tolist()]
+    return list(zip(map(tuple, keys[:, :-1].tolist()), keys[:, -1].tolist()))
 
 
-def _key_arrays(keys, n: int, k: int, ancilla_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index matrix and ancilla vector of (tuple, ancilla) labels, each checked as a plain int."""
+def _key_arrays(keys, n: int, k: int, ancilla_dim: int) -> np.ndarray:
+    """(d, k + 1) key matrix of (tuple, ancilla) labels, each entry checked as a plain int."""
     validate_dims(n, k, ancilla_dim)
-    tuples, labels = [tuple(t) for t, _a in keys], [a for _t, a in keys]
-    flat = list(chain.from_iterable(tuples))
-    if set(map(len, tuples)) <= {k} and set(map(type, flat + labels)) <= {int}:
+    rows = [(*t, a) for t, a in keys]
+    flat = list(chain.from_iterable(rows))
+    if set(map(len, rows)) <= {k + 1} and set(map(type, flat)) <= {int}:
         with contextlib.suppress(OverflowError):  # then reported as out of range below
-            return np.array(flat, dtype=np.int64).reshape(-1, k), np.array(labels, dtype=np.int64)
+            return np.array(flat, dtype=np.int64).reshape(-1, k + 1)
     for t, a in keys:  # the first offender, reported as the range checks below report it
         validate_index_tuple(t, n, k)
         if type(a) is not int or not 0 <= a < ancilla_dim:
@@ -199,79 +200,80 @@ def _key_arrays(keys, n: int, k: int, ancilla_dim: int) -> tuple[np.ndarray, np.
     raise ValidationError(f"indices and ancilla labels must fit in 64 bits, got n = {n}")
 
 
-def _checked_keys(n, k, ancilla_dim, index, ancilla, what="state entry"):
+def _checked_keys(n, k, ancilla_dim, keys, what="state entry") -> np.ndarray:
     """The key validator: ranges over the whole matrix and no repeated (tuple, ancilla) key."""
     validate_dims(n, k, ancilla_dim)
-    index, ancilla = np.asarray(index, dtype=np.int64), np.asarray(ancilla, dtype=np.int64)
-    if ancilla.ndim != 1 or index.shape != (len(ancilla), k):
-        raise ContractViolation(f"index matrix {index.shape} does not fit {ancilla.shape} labels")
-    checks = ((index, n, "tuple entry"), (ancilla, ancilla_dim - 1, "ancilla label"))
+    keys = np.asarray(keys, dtype=np.int64)
+    if keys.ndim != 2 or keys.shape[1] != k + 1:
+        raise ContractViolation(f"key matrix of shape {keys.shape} needs k + 1 = {k + 1} columns")
+    checks = ((keys[:, :-1], n, "tuple entry"), (keys[:, -1], ancilla_dim - 1, "ancilla label"))
     for values, top, name in checks:
         bad = values[(values < 0) | (values > top)]
         if bad.size:
             raise ContractViolation(f"{name} {int(bad[0])!r} is not an integer in [0, {top}]")
-    keys = np.column_stack([index, ancilla])
-    first, rank = group_keys(keys)
-    if len(first) < len(keys):
-        r = np.flatnonzero(first[rank] != np.arange(len(keys)))[0]  # the first repeat
+    order = np.lexsort(keys.T[::-1])  # not group_keys: ranking every row doubles the cost
+    repeats = order[1:][(keys[order[1:]] == keys[order[:-1]]).all(axis=1)]
+    if repeats.size:
+        r = repeats.min()  # the first repeat in stored order
         raise ValidationError(f"duplicate {what} {key_tuples(keys[r : r + 1])[0]}")
-    return index, ancilla
+    return keys
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class QueryState:
     """Sparse amplitude vector over (index tuple, ancilla) basis labels.
 
-    Three read-only arrays in the order given, zero amplitudes dropped (so
-    absent keys are exactly zero): ``index`` (d, k) and ``ancilla`` (d,)
-    int64, ``amps`` (d,) complex128.  ``probs``, ``squared_norm()`` and
-    ``odd_incidence`` are computed once; ``amplitudes``, the dict in stored
-    order, only on request.  ``entries()`` iterates in canonical order
-    (lexicographic in the tuple, then the ancilla label) so reports and
-    serialized files are reproducible; equality ignores the order.
+    Read-only arrays in the order given, zero amplitudes dropped (so absent
+    keys are exactly zero): ``keys`` (d, k + 1) int64, each row an index
+    tuple and then its ancilla label, whose column views are ``index``
+    (d, k) and ``ancilla`` (d,), and ``amps`` (d,) complex128.  ``probs``,
+    ``squared_norm()`` and ``odd_incidence`` are computed once;
+    ``amplitudes``, the dict in stored order, only on request.
+    ``entries()`` iterates in canonical order (lexicographic in the tuple,
+    then the ancilla label) so reports and serialized files are
+    reproducible; equality ignores the order.
     """
 
     n: int
     k: int
-    index: np.ndarray = field(repr=False)
-    ancilla: np.ndarray = field(repr=False)
+    keys: np.ndarray = field(repr=False)
     amps: np.ndarray = field(repr=False)
     ancilla_dim: int = 1
 
     def __init__(self, n: int, k: int, amplitudes: Mapping[AmplitudeKey, complex], ancilla_dim=1):
-        index, ancilla = _key_arrays(amplitudes, n, k, ancilla_dim)
+        keys = _key_arrays(amplitudes, n, k, ancilla_dim)
         amps = np.fromiter(amplitudes.values(), dtype=np.complex128, count=len(amplitudes))
-        self._freeze(n, k, index, ancilla, amps, ancilla_dim)
+        self._freeze(n, k, keys, amps, ancilla_dim)
 
     @classmethod
-    def from_arrays(cls, n: int, k: int, index, ancilla, amps, ancilla_dim=1) -> "QueryState":
-        """The state of (d, k) index, (d,) ancilla and (d,) amplitude arrays, kept read-only."""
+    def from_arrays(cls, n: int, k: int, keys, amps, ancilla_dim=1) -> "QueryState":
+        """The state of a (d, k + 1) key matrix and d amplitudes, both kept read-only."""
         psi = cls.__new__(cls)
-        psi._freeze(n, k, index, ancilla, amps, ancilla_dim)
+        psi._freeze(n, k, keys, amps, ancilla_dim)
         return psi
 
-    def _freeze(self, n, k, index, ancilla, amps, ancilla_dim) -> None:
-        index, ancilla = _checked_keys(n, k, ancilla_dim, index, ancilla)
+    def _freeze(self, n, k, keys, amps, ancilla_dim) -> None:
+        keys = _checked_keys(n, k, ancilla_dim, keys)
         amps = np.asarray(amps, dtype=np.complex128)
-        if amps.shape != ancilla.shape:
-            raise ContractViolation(f"{amps.shape} amplitudes for {ancilla.shape} keys")
+        if amps.shape != (len(keys),):
+            raise ContractViolation(f"{amps.shape} amplitudes for {len(keys)} keys")
         if not (nonzero := amps != 0).all():
-            index, ancilla, amps = index[nonzero], ancilla[nonzero], amps[nonzero]
-        for a in (index, ancilla, amps):
-            a.flags.writeable = False
-        vars(self).update(
-            n=n, k=k, index=index, ancilla=ancilla, amps=amps, ancilla_dim=ancilla_dim
-        )
+            keys, amps = keys[nonzero], amps[nonzero]
+        keys.flags.writeable = amps.flags.writeable = False
+        vars(self).update(n=n, k=k, keys=keys, amps=amps, ancilla_dim=ancilla_dim)
 
     def __eq__(self, other):
         if not isinstance(other, QueryState):
             return NotImplemented
         return self.same_space(other) and self.amplitudes == other.amplitudes
 
-    @cached_property
-    def keys(self) -> np.ndarray:
-        """(d, k + 1) key matrix: each row the index tuple, then the ancilla label."""
-        return np.column_stack([self.index, self.ancilla])
+    @property
+    def index(self) -> np.ndarray:
+        return self.keys[:, :-1]
+
+    @property
+    def ancilla(self) -> np.ndarray:
+        return self.keys[:, -1]
 
     @cached_property
     def probs(self) -> np.ndarray:
@@ -307,9 +309,7 @@ class QueryState:
         re, im = self.amps.real, self.amps.imag
         # the parts of Python's amp / norm, which divides by complex(norm, 0.0)
         amps = (np.stack([re + im * 0.0, im - re * 0.0], axis=1) / norm).view(np.complex128)
-        return QueryState.from_arrays(
-            self.n, self.k, self.index, self.ancilla, amps[:, 0], self.ancilla_dim
-        )
+        return QueryState.from_arrays(self.n, self.k, self.keys, amps[:, 0], self.ancilla_dim)
 
     def support(self) -> frozenset[AmplitudeKey]:
         return frozenset(self.amplitudes)
@@ -340,7 +340,7 @@ def apply_oracle(psi: QueryState, x: OracleString) -> QueryState:
     if psi.n != x.n:
         raise ContractViolation(f"state has n={psi.n} but oracle string has n={x.n}")
     return QueryState.from_arrays(
-        psi.n, psi.k, psi.index, psi.ancilla, psi.amps * oracle_signs(psi, x), psi.ancilla_dim
+        psi.n, psi.k, psi.keys, psi.amps * oracle_signs(psi, x), psi.ancilla_dim
     )
 
 
@@ -433,8 +433,8 @@ class PovmMeasurement:
 
     def __post_init__(self):
         keys = _key_arrays(self.basis, self.n, self.k, self.ancilla_dim)
-        keys = _checked_keys(self.n, self.k, self.ancilla_dim, *keys, what="basis label")
-        object.__setattr__(self, "basis_keys", np.column_stack(keys))
+        keys = _checked_keys(self.n, self.k, self.ancilla_dim, keys, what="basis label")
+        object.__setattr__(self, "basis_keys", keys)
         d = len(self.basis)
         total = np.zeros((d, d), dtype=complex)
         frozen = []
@@ -534,7 +534,8 @@ def random_state(
     amps = rng.normal(size=support_size) + 1j * rng.normal(size=support_size)
     # flat = ancilla + ancilla_dim * (base-(n+1) digits of the tuple, little-endian)
     index = flat[:, None] // ancilla_dim // (n + 1) ** np.arange(k) % (n + 1)
-    return QueryState.from_arrays(n, k, index, flat % ancilla_dim, amps, ancilla_dim).normalized()
+    keys = np.column_stack([index, flat % ancilla_dim])
+    return QueryState.from_arrays(n, k, keys, amps, ancilla_dim).normalized()
 
 
 def state_to_dict(psi: QueryState) -> dict:

@@ -297,16 +297,16 @@ class TestQueryStateValidation:
 
     def test_duplicate_key_on_the_array_path(self):
         with pytest.raises(ValidationError, match=r"duplicate state entry \(\(1, 2\), 0\)"):
-            QueryState.from_arrays(2, 2, [[1, 2], [2, 1], [1, 2]], [0, 0, 0], [0.5, 0.5, 0.5])
+            QueryState.from_arrays(2, 2, [[1, 2, 0], [2, 1, 0], [1, 2, 0]], [0.5, 0.5, 0.5])
         # the same tuple under another ancilla label is another key
-        psi = QueryState.from_arrays(2, 2, [[1, 2], [1, 2]], [0, 1], [0.6, 0.8], ancilla_dim=2)
+        psi = QueryState.from_arrays(2, 2, [[1, 2, 0], [1, 2, 1]], [0.6, 0.8], ancilla_dim=2)
         assert psi.amplitudes == {((1, 2), 0): 0.6, ((1, 2), 1): 0.8}
 
     def test_arrays_are_read_only(self):
         psi = QueryState(2, 2, {((2, 1), 0): 0.6, ((1, 1), 0): 0.8j})
         assert psi.index.tolist() == [[2, 1], [1, 1]] and psi.ancilla.tolist() == [0, 0]
         assert psi.amps.tolist() == [0.6, 0.8j]
-        for a in (psi.index, psi.ancilla, psi.amps):
+        for a in (psi.keys, psi.index, psi.ancilla, psi.amps):
             with pytest.raises(ValueError):
                 a[0] = 0
 
