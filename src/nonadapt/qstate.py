@@ -7,11 +7,11 @@ x flips the sign of every basis tuple according to the parity of the
 addressed bits, with index 0 pinned to bit 0 so the all-ones string stays
 distinguishable from the all-zeros string.
 
-A state is three read-only arrays, validated once: a (d, k) index matrix,
-the d ancilla labels and the d nonzero complex amplitudes.  It is built
-from an {(index tuple, ancilla): amplitude} dict, or from arrays through
-QueryState.from_arrays; the dict form is rebuilt only on request.  States
-and measurements are immutable after construction.
+A state is read-only arrays, validated once: a (d, k + 1) key matrix, each
+row an index tuple and then its ancilla label, and the d nonzero complex
+amplitudes.  It is built from an {(index tuple, ancilla): amplitude} dict,
+or from arrays through QueryState.from_arrays; the dict form is rebuilt
+only on request.  States and measurements are immutable after construction.
 """
 from __future__ import annotations
 
