@@ -206,11 +206,11 @@ def _checked_keys(n, k, ancilla_dim, keys, what="state entry") -> np.ndarray:
     keys = np.asarray(keys, dtype=np.int64)
     if keys.ndim != 2 or keys.shape[1] != k + 1:
         raise ContractViolation(f"key matrix of shape {keys.shape} needs k + 1 = {k + 1} columns")
-    checks = ((keys[:, :-1], n, "tuple entry"), (keys[:, -1], ancilla_dim - 1, "ancilla label"))
-    for values, top, name in checks:
-        bad = values[(values < 0) | (values > top)]
-        if bad.size:
-            raise ContractViolation(f"{name} {int(bad[0])!r} is not an integer in [0, {top}]")
+    bad = (keys < 0) | np.hstack([keys[:, :-1] > n, keys[:, -1:] >= ancilla_dim])
+    if bad.any():
+        r, c = divmod(int(np.argmax(bad)), k + 1)  # the first offender in entry order
+        name, top = ("tuple entry", n) if c < k else ("ancilla label", ancilla_dim - 1)
+        raise ContractViolation(f"{name} {int(keys[r, c])!r} is not an integer in [0, {top}]")
     order = np.lexsort(keys.T[::-1])  # not group_keys: ranking every row doubles the cost
     repeats = order[1:][(keys[order[1:]] == keys[order[:-1]]).all(axis=1)]
     if repeats.size:
