@@ -147,8 +147,8 @@ def odd_incidence(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(entry, var) pairs, entry-major, where var >= 1 occurs an odd number of times in a row."""
     s = np.sort(index, axis=1)
     change, edge = s[:, 1:] != s[:, :-1], np.ones((len(s), 1), dtype=bool)
-    start = np.flatnonzero(np.hstack([edge, change]))  # runs of equal indices, row-major
-    end = np.flatnonzero(np.hstack([change, edge]))
+    start = np.flatnonzero(np.concatenate([edge, change], axis=1))  # runs of equal indices
+    end = np.flatnonzero(np.concatenate([change, edge], axis=1))
     odd = end[((end - start) % 2 == 0) & (s.flat[end] > 0)]  # odd-length runs of a variable
     return odd // s.shape[1], s.flat[odd]
 
@@ -206,7 +206,8 @@ def _checked_keys(n, k, ancilla_dim, keys, what="state entry") -> np.ndarray:
     keys = np.asarray(keys, dtype=np.int64)
     if keys.ndim != 2 or keys.shape[1] != k + 1:
         raise ContractViolation(f"key matrix of shape {keys.shape} needs k + 1 = {k + 1} columns")
-    bad = (keys < 0) | np.hstack([keys[:, :-1] > n, keys[:, -1:] >= ancilla_dim])
+    bad = (keys < 0) | (keys > n)
+    bad[:, -1] = (keys[:, -1] < 0) | (keys[:, -1] >= ancilla_dim)
     if bad.any():
         r, c = divmod(int(np.argmax(bad)), k + 1)  # the first offender in entry order
         name, top = ("tuple entry", n) if c < k else ("ancilla label", ancilla_dim - 1)
