@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import ContractViolation, ParseError, ValidationError
 from .qstate import OracleString, parity
 
@@ -71,7 +73,7 @@ def build_function(kind: str, n: int, table=None) -> TotalFunction:
         raise ValidationError(f"n must be >= 1, got {n}")
     size = 1 << n
     if kind == "parity":
-        values = tuple(parity(i) for i in range(size))
+        values = tuple(parity(np.arange(size)).tolist())
     elif kind == "and":
         values = tuple(1 if i == size - 1 else 0 for i in range(size))
     elif kind == "or":

@@ -257,17 +257,15 @@ def cmd_learn(args: argparse.Namespace) -> int:
         exact_min = len(min_distinguishing_set(concepts, "exact"))
     except ValidationError:  # beyond n = 24 or the search budget
         exact_min = None
-    margins = None
-    if result.overlap_report is not None:
+    margins, report = None, result.overlap_report
+    if report is not None:
         margins = [
-            {
-                "i": p.i,
-                "j": p.j,
-                "overlap_sq": p.overlap_sq,
-                "margin": result.overlap_report.bound - p.overlap_sq,
-                "ok": p.ok,
-            }
-            for p in result.overlap_report.pairs
+            {"i": i, "j": j, "overlap_sq": s, "margin": d, "ok": ok}
+            for i, j, s, d, ok in zip(
+                report.pairs[:, 0].tolist(), report.pairs[:, 1].tolist(),
+                report.overlap_sq.tolist(), (report.bound - report.overlap_sq).tolist(),
+                report.ok.tolist(),
+            )
         ]
 
     payload = {
@@ -275,7 +273,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         "run_id": f"learn-{tag}-seed{args.seed}",
         "base_queries": list(plan.base_queries),
         "exact_min": exact_min,
-        "overlap_bound": None if result.overlap_report is None else result.overlap_report.bound,
+        "overlap_bound": None if report is None else report.bound,
         "overlap_margins": margins,
         "verified_all_concepts": verified,
         **result.audit,

@@ -25,8 +25,8 @@ from .errors import (
 from .qstate import IndexTuple, OracleString, QueryState, odd_mask, oracle_phase, parity
 
 MAX_TENSOR_POSITIONS = 1 << 20
-# build_classical_plan's refusal limits: tensor-class entries (the overlap check
-# holds 8 bytes of float64 sign per entry) and concept pairs checked and printed
+# build_classical_plan's refusal limits: tensor-class entries, 1 byte each (the overlap
+# check's 8-byte signs are per concept and support position), and pairs checked and printed
 MAX_TENSOR_BITS = 1 << 24
 MAX_OVERLAP_PAIRS = 1 << 17
 # min_distinguishing_set's exact-search limit, in subset tests times concepts
@@ -57,7 +57,7 @@ class ConceptClass:
         bits = np.array(self.bits)
         if bits.min() < 0 or bits.max() > 1:
             raise ValidationError("concept entries must be 0 or 1")
-        bits = bits.astype(np.uint8)
+        bits = bits.astype(np.uint8, copy=False)
         if len(set(map(bytes, np.packbits(bits, axis=1)))) != len(bits):
             raise ValidationError("concept class contains duplicate concepts")
         bits.flags.writeable = False
@@ -227,13 +227,10 @@ def tensor_power_class(c: ConceptClass, k: int) -> ConceptClass:
     size = (c.n + 1) ** k
     if size > MAX_TENSOR_POSITIONS:
         raise ValidationError(f"tensor class would have {_count(size)} positions; too large")
-    padded = np.hstack([np.zeros((c.m, 1), dtype=np.uint8), c.bits])  # column 0 reads 0
-    pos = np.arange(1, size)
-    extended = np.zeros((c.m, size - 1), dtype=np.uint8)
-    for _ in range(k):  # one base-(n+1) digit of every position per pass
-        extended ^= padded[:, pos % (c.n + 1)]
-        pos //= c.n + 1
-    return ConceptClass(size - 1, extended)
+    padded = extended = np.pad(c.bits, ((0, 0), (1, 0)))  # column 0 reads 0
+    for _ in range(k - 1):  # prepend one more significant base-(n+1) digit per pass
+        extended = (padded[:, :, None] ^ extended[:, None, :]).reshape(c.m, -1)
+    return ConceptClass(size - 1, extended[:, 1:])
 
 
 @dataclass
@@ -305,17 +302,25 @@ class PairOverlap:
     ok: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OverlapReport:
+    """Checked pairs as rows (i, j), i < j, in pair order; ok = overlap_sq <= bound + 1e-12."""
+
     bound: float
-    pairs: tuple[PairOverlap, ...]
+    pairs: np.ndarray
+    overlap_sq: np.ndarray
+    ok: np.ndarray
 
     @property
     def passed(self) -> bool:
-        return all(p.ok for p in self.pairs)
+        return bool(self.ok.all())
 
     def violations(self) -> tuple[PairOverlap, ...]:
-        return tuple(p for p in self.pairs if not p.ok)
+        bad = np.flatnonzero(~self.ok)
+        return tuple(
+            PairOverlap(i, j, s, False)
+            for (i, j), s in zip(self.pairs[bad].tolist(), self.overlap_sq[bad].tolist())
+        )
 
 
 def check_pairwise_overlaps(
@@ -325,23 +330,20 @@ def check_pairwise_overlaps(
 
     This is the feasibility constraint a one-query learner's squared
     amplitudes must satisfy when it identifies every concept with error at
-    most eps.
+    most eps.  One Gram product over the profile's support gives every pair,
+    the same for any BLAS thread count.
     """
     if profile.positions != c.n + 1:
         raise ContractViolation(f"profile has {profile.positions} positions, expected {c.n + 1}")
     if not 0.0 <= eps <= 0.5:
         raise ContractViolation(f"eps must be in [0, 1/2], got {eps}")
-    bound = 4.0 * eps * (1.0 - eps)
     p = np.asarray(profile.values)
-    signs = 1.0 - 2.0 * c.bits  # positions 1..n; position 0 never differs
-    pairs = []
-    for i in range(c.m - 1):  # row i against every later row j
-        s = p[0] + np.vecdot(signs[i + 1 :], signs[i] * p[1:])
-        pairs.extend(
-            PairOverlap(i, j, lhs, lhs <= bound + 1e-12)
-            for j, lhs in enumerate((s * s).tolist(), start=i + 1)
-        )
-    return OverlapReport(bound, tuple(pairs))
+    supp = np.flatnonzero(p[1:] > 0.0)  # columns of c.bits; position 0 never differs
+    signs = 1.0 - 2.0 * c.bits[:, supp]
+    gram = p[0] + (signs * p[1:][supp]) @ signs.T
+    i, j = np.triu_indices(c.m, 1)
+    bound, sq = 4.0 * eps * (1.0 - eps), np.square(gram[i, j])
+    return OverlapReport(bound, np.stack([i, j], axis=1), sq, sq <= bound + 1e-12)
 
 
 def classical_query_bound(m: int, eps: float) -> float:
@@ -521,8 +523,8 @@ def build_classical_plan(
             selected, used_fallback = res.index_set, False
             break
     else:
-        support = [i for i in range(1, tclass.n + 1) if profile.values[i] > 0.0]
-        selected = _greedy_over_support(tclass, support)
+        support = np.flatnonzero(np.asarray(profile.values[1:]) > 0.0) + 1
+        selected = _greedy_over_support(tclass, support.tolist())
         if selected is None:
             raise BoundViolation(
                 "profile support cannot separate all concept pairs; "

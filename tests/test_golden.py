@@ -9,6 +9,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,7 @@ from nonadapt.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 INPUTS = GOLDEN / "inputs"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 CASES = {
     "parity-n5": ["parity", "--n", "5"],
@@ -70,6 +73,38 @@ def test_golden(name):
     exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     assert code == exit_codes[name]
     assert out == (GOLDEN / f"{name}.stdout").read_text()
+
+
+# Runs the cases given as JSON in a fresh interpreter; prints their exit codes
+# and stdout, and whether numpy.ma got imported along the way.
+FRESH_RUN = """
+import contextlib, io, json, sys
+from nonadapt.cli import main
+runs = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        runs[name] = [main(argv), out.getvalue()]
+print(json.dumps({"runs": runs, "numpy_ma": "numpy.ma" in sys.modules}))
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_learn_golden_under_blas_threads(threads):
+    """learn output must not depend on how many threads BLAS splits a product across."""
+    cases = {name: argv for name, argv in CASES.items() if name.startswith("learn")}
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN, json.dumps(cases)],
+        cwd=INPUTS, env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout)
+    exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert len(result["runs"]) == 5
+    for name, (code, out) in result["runs"].items():
+        assert code == exit_codes[name], name
+        assert out == (GOLDEN / f"{name}.stdout").read_text(), name
+    assert not result["numpy_ma"]
 
 
 if __name__ == "__main__":

@@ -214,8 +214,8 @@ class TestTensorEncoding:
 
     def test_tensor_power_class_matches_tensor_bit(self):
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            n, k = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        for fixed in [None] * 20 + [(3, 4)]:  # 20 random (n, k <= 3), then k = 4
+            n, k = fixed or (int(rng.integers(1, 5)), int(rng.integers(1, 4)))
             words = rng.choice(1 << n, size=int(rng.integers(1, (1 << n) + 1)), replace=False)
             c = ConceptClass(n, [OracleString.from_int(n, int(v)).bits for v in words])
             tc = tensor_power_class(c, k)
@@ -284,7 +284,7 @@ class TestPairwiseOverlaps:
         concepts, alg = build_hadamard_instance(2)
         report = check_pairwise_overlaps(amplitude_profile(alg.psi), concepts, eps=0.0)
         assert report.passed
-        assert all(p.overlap_sq <= 1e-12 for p in report.pairs)
+        assert (report.overlap_sq <= 1e-12).all()
 
     def test_point_mass_on_reference_fails(self):
         prof = AmplitudeProfile((1.0, 0.0, 0.0))
@@ -297,7 +297,7 @@ class TestPairwiseOverlaps:
         report = check_pairwise_overlaps(prof, concept_class(4, ("0000", "1111")), eps=0.3)
         # the signed sum is -1, so its square saturates 1 > 4 * 0.3 * 0.7
         assert not report.passed
-        assert report.pairs[0].overlap_sq == pytest.approx(1.0)
+        assert report.overlap_sq[0] == pytest.approx(1.0)
 
     def test_pair_count(self):
         concepts, alg = build_hadamard_instance(2)
@@ -307,6 +307,40 @@ class TestPairwiseOverlaps:
     def test_profile_length_checked(self):
         with pytest.raises(ContractViolation):
             check_pairwise_overlaps(AmplitudeProfile.uniform(3), THREE, eps=0.1)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_position_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        m = 64 if seed == 0 else int(rng.integers(2, 65))
+        n = int(rng.integers(6, 25))
+        words = rng.choice(1 << n, size=m, replace=False)
+        c = ConceptClass(n, [OracleString.from_int(n, int(v)).bits for v in words])
+        p = rng.uniform(size=n + 1) * (rng.uniform(size=n + 1) < 0.6)  # zero-mass positions
+        p[0] = 0.0 if seed % 2 else p[0] + 0.1
+        profile = AmplitudeProfile(tuple((p / p.sum()).tolist()))
+        want = reference_overlap_sq(profile, c)
+        eps = (1.0 - math.sqrt(1.0 - float(np.median(want)))) / 2.0  # about half the pairs fail
+        report = check_pairwise_overlaps(profile, c, eps)
+        assert report.pairs.tolist() == [[i, j] for i in range(m) for j in range(i + 1, m)]
+        np.testing.assert_allclose(report.overlap_sq, want, rtol=0, atol=1e-12)
+        assert report.ok.tolist() == (want <= report.bound + 1e-12).tolist()
+        assert report.passed == bool((want <= report.bound + 1e-12).all())
+        assert [(v.i, v.j) for v in report.violations()] == [
+            tuple(ij) for ij in report.pairs[want > report.bound + 1e-12].tolist()
+        ]
+
+
+def reference_overlap_sq(profile, c):
+    """(sum_t p_t (-1)^(x_t + y_t))^2 per pair (i, j), i < j, one position at a time."""
+    p, rows = profile.values, c.bits.tolist()
+    out = []
+    for i in range(c.m):
+        for j in range(i + 1, c.m):
+            s = p[0]
+            for t in range(1, c.n + 1):
+                s += -p[t] if rows[i][t - 1] != rows[j][t - 1] else p[t]
+            out.append(s * s)
+    return np.array(out)
 
 
 class TestClassicalQueryBound:
@@ -586,7 +620,7 @@ def test_sampled_plans_within_budget(seed, retry_cap):
     # smallest error rate the state can promise, from its worst concept pair
     tclass = tensor_power_class(concepts, k)
     report = check_pairwise_overlaps(amplitude_profile(psi), tclass, eps=0.49)
-    worst = max(p.overlap_sq for p in report.pairs)
+    worst = float(report.overlap_sq.max())
     eps = min(0.45, helstrom_error(math.sqrt(worst)) + 1e-6 + float(rng.uniform(0, 0.02)))
     result = build_classical_plan(
         psi, concepts, eps=eps, seed=int(rng.integers(0, 2**31)), retry_cap=retry_cap
