@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 from .algorithms import (
@@ -60,7 +61,56 @@ EXIT_IO = 3
 
 
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """Exactly `json.dumps(payload, indent=2, sort_keys=True) + "\\n"`.
+
+    The stdlib's indented encoder is pure Python, and `learn` prints one record
+    per concept pair; so lists of flat records are written from one %-template.
+    """
+    return _encode(payload, "\n") + "\n"
+
+
+def _bracket(pair: str, texts, indent: str) -> str:
+    """Item texts, written at `indent` + 2 spaces, inside the brackets `pair`."""
+    body = ("," + indent + "  ").join(texts)
+    return f"{pair[0]}{indent}  {body}{indent}{pair[1]}" if body else pair
+
+
+def _key(key) -> str:
+    """A key as the stdlib writes it: a str, else the JSON text of a number, bool or None."""
+    return json.dumps(key if isinstance(key, str) else json.dumps(key))
+
+
+def _encode(value, indent: str) -> str:
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = sorted(value.items())
+        return _bracket("{}", [f"{_key(k)}: {_encode(v, inner)}" for k, v in items], indent)
+    if isinstance(value, (list, tuple)):
+        return _bracket("[]", _records(value, inner) or [_encode(v, inner) for v in value], indent)
+    return json.dumps(value)
+
+
+def _records(items, indent: str):
+    """Texts of flat plain dicts sharing one key tuple, from one template; else None."""
+    shapes = set(map(tuple, items)) if set(map(type, items)) == {dict} else ()
+    if len(shapes) != 1 or not (keys := sorted(shapes.pop())):
+        return None
+    columns = []
+    for key in keys:
+        column = list(map(itemgetter(key), items))
+        types = set(map(type, column))
+        if types == {int}:
+            columns.append(map(int.__repr__, column))
+        elif types <= {bool, type(None)}:
+            columns.append(map({True: "true", False: "false", None: "null"}.get, column))
+        elif types == {float} and 0.0 not in (texts := {v: json.dumps(v) for v in set(column)}):
+            columns.append(map(texts.__getitem__, column))  # 0.0 == -0.0 would share a text
+        elif types <= {str, int, float, bool, type(None)}:
+            columns.append(map(json.dumps, column))
+        else:
+            return None
+    template = _bracket("{}", [f"{_key(k).replace('%', '%%')}: %s" for k in keys], indent)
+    return map(template.__mod__, zip(*columns))
 
 
 def _cell(value) -> str:

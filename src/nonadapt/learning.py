@@ -484,6 +484,8 @@ def build_classical_plan(
         raise ContractViolation(f"learner state has n={psi.n}, concept class has n={concepts.n}")
     if not 0.0 <= eps < 0.5:
         raise ContractViolation(f"eps must be in [0, 1/2), got {eps}")
+    if type(retry_cap) is not int or retry_cap < 0:
+        raise ContractViolation(f"retry_cap must be an int >= 0, got {retry_cap!r}")
     if not psi.is_normalized():
         raise ContractViolation("state must be normalized")
     k, m = psi.k, concepts.m

@@ -1,9 +1,12 @@
 """Byte-for-byte golden corpus of CLI runs: stdout and exit code per case.
 
 Each case runs cli.main in-process from tests/golden/inputs, so file
-arguments are relative and every run id is stable.  To regenerate after a
-deliberate output change, run ``PYTHONPATH=src python tests/test_golden.py``
-and review the diff under tests/golden/.
+arguments are relative and every run id is stable.  Every JSON stdout must
+also be what json.dumps(indent=2, sort_keys=True) writes for its own
+content, so a corpus regenerated through a drifted renderer fails.  To
+regenerate after a deliberate output change, run
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff under
+tests/golden/.
 """
 import contextlib
 import io
@@ -73,6 +76,30 @@ def test_golden(name):
     exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     assert code == exit_codes[name]
     assert out == (GOLDEN / f"{name}.stdout").read_text()
+
+
+def canonical(text):
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+JSON_CASES = [name for name in sorted(CASES)
+              if not name.endswith("-csv") and (GOLDEN / f"{name}.stdout").read_text()]
+
+
+@pytest.mark.parametrize("name", JSON_CASES)
+def test_golden_json_is_stdlib_indented(name):
+    """A golden regenerated through a renderer that drifted from the stdlib's format fails."""
+    text = (GOLDEN / f"{name}.stdout").read_text()
+    assert text == canonical(text)
+
+
+def test_large_learn_output_is_stdlib_indented():
+    # 2,016 overlap records: the per-record template at a scale no golden case reaches
+    code, out = run_case(["learn", "--learner", "vandam", "--n", "6", "--k", "3",
+                          "--eps", "0.0625"])
+    assert code == 0
+    assert len(json.loads(out)["overlap_margins"]) == 64 * 63 // 2
+    assert out == canonical(out)
 
 
 # Runs the cases given as JSON in a fresh interpreter; prints their exit codes

@@ -557,6 +557,15 @@ class TestBuildClassicalPlan:
             res = classical_learn(result.plan, ClassicalOracle(x))
             assert res.concept_index == idx
 
+    @pytest.mark.parametrize("cap", [-5, -1, 2.0, True, None])
+    def test_retry_cap_must_be_non_negative_int(self, cap):
+        concepts, alg = build_hadamard_instance(2)
+        with pytest.raises(ContractViolation, match="retry_cap must be an int >= 0"):
+            build_classical_plan(alg, concepts, eps=0.0, seed=5, retry_cap=cap)
+        # checked even though one concept needs no retries
+        with pytest.raises(ContractViolation, match="retry_cap"):
+            build_classical_plan(alg, concept_class(3, ("011",)), eps=0.0, seed=5, retry_cap=cap)
+
     def test_draw_budget_formula(self):
         concepts, alg = build_hadamard_instance(3)
         result = build_classical_plan(alg, concepts, eps=0.0, seed=7)
