@@ -23,6 +23,7 @@ from .qstate import (
     ProjectiveMeasurement,
     QueryState,
     apply_oracle,
+    fwht,
     group_keys,
     key_tuples,
     measure,
@@ -31,7 +32,7 @@ from .qstate import (
 )
 
 MAX_POVM_CELLS = 1 << 24
-MAX_PARITY_N = 20  # 2^10 effects of 2^10 entries each
+MAX_PARITY_N = 20  # 2^10 effects of 2^10 entries; building them, not the sweep, then dominates
 
 
 def _identity(label: Hashable) -> Hashable:
@@ -180,22 +181,6 @@ def build_subset_state(n: int, k: int) -> QueryState:
     return QueryState.from_arrays(n, max(k, 1), keys, np.full(len(masks), amp))
 
 
-def _fwht(v: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform, natural ordering."""
-    v = np.array(v, dtype=complex)
-    size = v.size
-    h = 1
-    while h < size:
-        v = v.reshape(size // (2 * h), 2, h)
-        top = v[:, 0, :].copy()
-        bot = v[:, 1, :].copy()
-        v[:, 0, :] = top + bot
-        v[:, 1, :] = top - bot
-        v = v.reshape(size)
-        h *= 2
-    return v
-
-
 def subset_outcome_distribution(
     n: int, k: int, x: OracleString, method: str = "fast"
 ) -> np.ndarray:
@@ -216,7 +201,7 @@ def subset_outcome_distribution(
     coeff[masks] = amp * (1.0 - 2.0 * parity(x.to_int() & masks))
     scale = 2.0 ** (-n / 2.0)
     if method == "fast":
-        overlaps = _fwht(coeff) * scale
+        overlaps = fwht(coeff) * scale
     elif method == "direct":
         ys = np.arange(1 << n, dtype=np.int64)
         overlaps = np.zeros(1 << n, dtype=complex)

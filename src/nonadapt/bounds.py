@@ -26,14 +26,14 @@ from .qstate import (
     ProjectiveMeasurement,
     QueryState,
     _state_vector,
+    fwht,
     odd_masks,
     oracle_signs,
     ordered_sum,
-    parity,
 )
 
 EXACT_ATOL = 1e-12  # slack for pure sign arithmetic
-SWEEP_CELLS = 1 << 18  # (input, basis) cells per chunk of the error_profile sweep
+SWEEP_CELLS = 1 << 18  # Gram cells per row block of the error_profile sweep
 
 
 @dataclass(frozen=True)
@@ -117,18 +117,54 @@ def query_lower_bound(n: int, eps: float) -> float:
     return n / 2.0 * (1.0 - 2.0 * math.sqrt(eps * (1.0 - eps)))
 
 
+def _exact_slices(z: np.ndarray) -> list[np.ndarray]:
+    """Split a (K, u) real matrix into fixed-point slices whose pairwise Gram products are exact.
+
+    Slice j holds integers of magnitude at most 2^beta times 2^(e - j*beta),
+    where |z| < 2^e and K * 2^(2*beta) <= 2^53, so every partial sum of a slice
+    product is an integer of at most 2^53 in its unit: BLAS computes it exactly,
+    whatever its summation order, blocking or thread count.  Enough slices are
+    kept that the dropped tail is of the order of one rounding, 2^(2e - 53),
+    per Gram entry.
+    """
+    bits = (len(z) - 1).bit_length()  # K <= 2^bits
+    beta = (53 - bits) // 2
+    e = int(np.frexp(np.max(np.abs(z), initial=0.0))[1])
+    parts = []
+    for j in range(1, -(-(53 + bits) // beta) + 1):
+        scale = math.ldexp(1.0, j * beta - e)
+        parts.append(np.rint(z * scale) / scale)
+        z = z - parts[-1]  # exact: the remainder has fewer significant bits than z
+    return parts
+
+
+def _gram_rows(parts: list[np.ndarray], rows: slice) -> np.ndarray:
+    """Rows of z^T z from z's exact slices: the products above the tail, in a fixed order."""
+    gram = 0.0
+    for i, left in enumerate(parts):
+        for right in parts[: len(parts) - i]:
+            gram = gram + left[:, rows].T @ right
+    return gram
+
+
 def error_profile(psi: QueryState, meas: Measurement, f: TotalFunction) -> np.ndarray:
     """Pr[output != f(x)] for every input x, swept exactly over all 2^n inputs.
 
-    The measurement must be two-outcome with labels in {0, 1}.  The sweep is
-    vectorized: the oracle only flips signs, so the post-oracle amplitude
-    vectors for all inputs are one sign table away from the input state.
-    Inputs go through in chunks of at most SWEEP_CELLS (input, basis) cells,
-    so peak memory does not grow with 2^n * d.  A chunk holds a power of two
-    inputs, at least two, because a one-row product goes to gemv and an odd
-    row count to an edge kernel, both rounding unlike the whole sweep; so
-    both the projective and the POVM result are bit-identical for any
-    SWEEP_CELLS (an einsum would pick its reduction order by chunk shape).
+    The measurement must be two-outcome with labels in {0, 1}.  The oracle
+    only flips signs, and basis entries with the same odd mask flip
+    together, so the measurement is first folded onto the u <= d distinct
+    masks mu_a.  Then Pr[label 1 | x] = sum_{a,b} (-1)^parity(x & (mu_a ^
+    mu_b)) G1[a, b] for a real u x u Gram matrix G1 (the label-1 effects'
+    folded overlaps with the state, or the POVM's label-1 elements weighted
+    by the state), and likewise for the total over all outcomes.
+    Scattering each Gram entry to mu_a ^ mu_b, in row-major order, and one
+    Walsh-Hadamard transform of length 2^n give every input at once, at a
+    cost of u^2 * R + n * 2^n instead of 2^n * d * R.  The Gram goes through
+    in blocks of at most SWEEP_CELLS cells (at least one row), so peak
+    memory does not grow with u^2.  Projective Grams are sums of exact
+    slice products, and the folds, the scatter and the transform do not use
+    BLAS, so the result is bit-identical for any SWEEP_CELLS and any BLAS
+    thread count.
     """
     if psi.n != f.n:
         raise ContractViolation(f"state has n={psi.n}, function has n={f.n}")
@@ -140,7 +176,6 @@ def error_profile(psi: QueryState, meas: Measurement, f: TotalFunction) -> np.nd
         if not psi.same_space(ref):
             raise ContractViolation("state and measurement live in different spaces")
         labels = [label for label, _ in meas.effects]
-        rows = meas.V.conj().T  # (d, R)
     else:
         if (psi.n, psi.k, psi.ancilla_dim) != (meas.n, meas.k, meas.ancilla_dim):
             raise ContractViolation("state and measurement live in different spaces")
@@ -149,28 +184,39 @@ def error_profile(psi: QueryState, meas: Measurement, f: TotalFunction) -> np.nd
         raise ContractViolation(f"measurement labels must be in {{0, 1}}, got {set(labels)}")
 
     v0 = _state_vector(psi, meas.basis_keys)
-    masks = odd_masks(meas.basis_keys[:, :-1])
-    inputs = 1 << f.n
-    step = 1 << max(1, (SWEEP_CELLS // len(v0)).bit_length() - 1)
-    p1 = np.zeros(inputs)
-    total = np.zeros(inputs)
-    for start in range(0, inputs, step):
-        chunk = slice(start, min(start + step, inputs))
-        xs = np.arange(chunk.start, chunk.stop, dtype=np.int64)
-        signs = 1.0 - 2.0 * parity(xs[:, None] & masks[None, :])
-        amps = signs * v0[None, :]  # post-oracle states for this chunk's inputs
-        if isinstance(meas, ProjectiveMeasurement):
-            probs = np.abs(amps @ rows) ** 2
-            for r, label in enumerate(labels):
-                if label == 1:
-                    p1[chunk] += probs[:, r]
-            total[chunk] = probs.sum(axis=1)
-        else:
-            for label, mat in meas.elements:
-                p = np.real(np.sum((amps.conj() @ mat) * amps, axis=1))
-                total[chunk] += p
-                if label == 1:
-                    p1[chunk] += p
+    raw = odd_masks(meas.basis_keys[:, :-1])
+    order = np.argsort(raw, kind="stable")
+    starts = np.flatnonzero(np.diff(raw[order], prepend=-1))
+    masks = raw[order[starts]]
+
+    def fold(a: np.ndarray, axis: int) -> np.ndarray:
+        """Sum a's basis axis within each odd mask, in basis order."""
+        return np.add.reduceat(a.take(order, axis=axis), starts, axis=axis)
+
+    if isinstance(meas, ProjectiveMeasurement):
+        w = fold(meas.V.conj() * v0, 1)  # (R, u): effect r's overlap, split by mask
+        ones = np.array([label == 1 for label in labels], dtype=bool)
+        slices = [_exact_slices(np.concatenate([w[s].real, w[s].imag])) for s in (ones, ~ones)]
+
+        def gram(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+            g1 = _gram_rows(slices[0], rows)
+            return g1, g1 + _gram_rows(slices[1], rows)
+    else:
+        sums = (sum(m for label, m in meas.elements if label == 1),
+                sum(m for _, m in meas.elements))
+        g1, g_all = (fold(fold(np.real(v0.conj()[:, None] * m * v0), 0), 1) for m in sums)
+
+        def gram(rows: slice) -> tuple[np.ndarray, np.ndarray]:
+            return g1[rows], g_all[rows]
+
+    h = np.zeros((2, 1 << f.n))  # label 1, all outcomes
+    step = max(1, SWEEP_CELLS // len(masks))
+    for start in range(0, len(masks), step):
+        rows = slice(start, start + step)
+        at = masks[rows, None] ^ masks[None, :]
+        for h_row, g in zip(h, gram(rows)):
+            np.add.at(h_row, at, g)
+    p1, total = fwht(h)
     if np.max(np.abs(total - 1.0)) > ATOL:
         raise ContractViolation(
             "measurement is not complete on the state's oracle orbit"

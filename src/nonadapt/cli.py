@@ -411,6 +411,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not isinstance(data, dict):
             raise ParseError(f"{p}: expected a JSON object")
         run_id = data.get("run_id", p.stem)
+        if not isinstance(run_id, str):  # runs is keyed and sorted by run id
+            raise ParseError(f"{p}: run_id must be a string, got {type(run_id).__name__}")
         if run_id in runs:
             warnings.append(f"duplicate run id {run_id}: keeping {p.name}")
         runs[run_id] = data

@@ -143,6 +143,22 @@ def parity(v):
     return v.bit_count() & 1
 
 
+def fwht(v: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of the last axis: sum_y (-1)^parity(x & y) v[y].
+
+    Returns a new array, real or complex as v is; the butterflies run in place on it.
+    """
+    v = np.array(v, dtype=np.result_type(v, np.float64))
+    h = 1
+    while h < v.shape[-1]:  # a stage of span h < the row length stays within each row
+        pairs = v.reshape(-1, 2, h)
+        top = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        np.subtract(top, pairs[:, 1], out=pairs[:, 1])
+        h *= 2
+    return v
+
+
 def odd_incidence(index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(entry, var) pairs, entry-major, where var >= 1 occurs an odd number of times in a row."""
     s = np.sort(index, axis=1)

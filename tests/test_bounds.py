@@ -1,5 +1,10 @@
 """Query weights, overlap identities, discrimination bounds, error sweeps."""
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from nonadapt import (
     ContractViolation,
     OracleString,
     PovmMeasurement,
+    ProjectiveMeasurement,
     TotalFunction,
     ValidationError,
     apply_oracle,
@@ -29,7 +35,7 @@ from nonadapt import (
 )
 from nonadapt import bounds
 from nonadapt.algorithms import build_parity_algorithm, decision_measurement
-from nonadapt.qstate import QueryState
+from nonadapt.qstate import QueryState, odd_masks
 from tests.conftest import k1_state, random_projective, random_two_outcome_povm, uniform_k1
 
 S = OracleString.from_string
@@ -252,6 +258,116 @@ class TestErrorProfile:
         meas = random_projective(np.random.default_rng(1), psi)
         with pytest.raises(ContractViolation):
             error_profile(psi, meas, TotalFunction(3, (0,) * 8))
+
+
+def distinct_masks(meas):
+    return len(set(odd_masks(meas.basis_keys[:, :-1]).tolist()))
+
+
+def random_table(rng, n):
+    return TotalFunction(n, tuple(int(b) for b in rng.integers(0, 2, size=1 << n)))
+
+
+class TestMaskCompression:
+    """Basis entries sharing an odd mask are folded together before the sweep, so u < d."""
+
+    def test_hand_built_shared_masks(self):
+        # (i, i) and (0, 0) share mask 0, (i, 0) and (0, i) a 0-padded mask, and a
+        # tuple's two ancilla labels its mask: 10 entries on 4 masks
+        keys = [((1, 1), 0), ((0, 0), 1), ((2, 2), 1), ((1, 0), 0), ((0, 1), 1),
+                ((1, 2), 0), ((1, 2), 1), ((2, 1), 1), ((3, 0), 0), ((0, 3), 0)]
+        rng = np.random.default_rng(41)
+        amps = rng.normal(size=len(keys)) + 1j * rng.normal(size=len(keys))
+        psi = QueryState(3, 2, dict(zip(keys, amps.tolist())), ancilla_dim=2).normalized()
+        f = TotalFunction(3, (0, 1, 1, 0, 1, 0, 0, 1))
+        for meas, tol in ((random_projective(rng, psi), 1e-12),
+                          (random_two_outcome_povm(rng, psi), 1e-9)):
+            assert distinct_masks(meas) == 4 and len(meas.basis) == 10
+            assert error_profile(psi, meas, f) == pytest.approx(
+                slow_error_profile(psi, meas, f), abs=tol)
+
+    def test_random_shared_masks_match_slow_sweep(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        compressed = 0
+        for i in range(30):
+            n, k, anc = int(rng.integers(1, 4)), int(rng.integers(2, 4)), int(rng.integers(1, 3))
+            psi = random_state(rng, n, k, anc, support_size=int(rng.integers(2, 20)))
+            povm = i % 2 == 1
+            meas = random_two_outcome_povm(rng, psi) if povm else random_projective(rng, psi)
+            compressed += distinct_masks(meas) < len(meas.basis)
+            f = random_table(rng, n)
+            monkeypatch.setattr(bounds, "SWEEP_CELLS", 1 << 18)
+            whole = error_profile(psi, meas, f)
+            assert whole == pytest.approx(
+                slow_error_profile(psi, meas, f), abs=1e-9 if povm else 1e-12)
+            monkeypatch.setattr(bounds, "SWEEP_CELLS", 1)  # one Gram row per block
+            assert np.array_equal(error_profile(psi, meas, f), whole)
+        assert compressed >= 25
+
+    def test_incomplete_measurement_still_refused(self):
+        rng = np.random.default_rng(47)
+        psi = random_state(rng, 2, 3, 2, support_size=12)
+        meas = ProjectiveMeasurement(random_projective(rng, psi).effects[:-1])
+        assert distinct_masks(meas) < len(meas.basis)
+        f = random_table(rng, 2)
+        with pytest.raises(ContractViolation, match="not complete"):
+            error_profile(psi, meas, f)
+        with pytest.raises(ContractViolation, match="not complete"):
+            slow_error_profile(psi, meas, f)
+
+    def test_parity_16_profile_is_exactly_zero(self):
+        # amplitudes are powers of two at even n, so every Gram, scatter and transform step is exact
+        alg = build_parity_algorithm(16)
+        profile = error_profile(alg.psi, decision_measurement(alg), build_function("parity", 16))
+        assert profile.shape == (1 << 16,) and not profile.any()
+
+
+# Sweeps projective instances large enough for BLAS to thread its products, at two
+# block sizes, and prints the profiles' bytes as hex.  The bases are Fourier bases
+# with random phases, orthonormal without LAPACK, so every thread count builds the
+# same measurement.
+THREADED_SWEEP = """
+import json, numpy as np
+from nonadapt import ProjectiveMeasurement, QueryState, TotalFunction, bounds, random_state
+rng = np.random.default_rng(59)
+profiles = []
+for n, k, d in ((7, 3, 150), (9, 3, 300)):
+    psi = random_state(rng, n, k, support_size=d)
+    phases = np.exp(2j * np.pi * rng.uniform(size=d))
+    V = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d) * phases
+    meas = ProjectiveMeasurement(tuple(
+        (int(label), QueryState.from_arrays(n, k, psi.keys, row))
+        for label, row in zip(rng.integers(0, 2, size=d), V)))
+    f = TotalFunction(n, tuple(int(b) for b in rng.integers(0, 2, size=1 << n)))
+    for cells in (1 << 18, 3 * d):
+        bounds.SWEEP_CELLS = cells
+        profiles.append(bounds.error_profile(psi, meas, f).tobytes().hex())
+print(json.dumps(profiles))
+"""
+
+
+class TestGramSlices:
+    def test_projective_sweep_within_a_few_roundings(self):
+        # one slice fewer than the exact-product count leaves errors near 3e-14 here
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            n, k = int(rng.integers(2, 5)), int(rng.integers(2, 4))
+            psi = random_state(rng, n, k, support_size=int(rng.integers(20, 48)))
+            meas = random_projective(rng, psi)
+            f = random_table(rng, n)
+            fast, slow = error_profile(psi, meas, f), slow_error_profile(psi, meas, f)
+            assert fast == pytest.approx(slow, abs=2e-15)
+
+    def test_sweep_independent_of_blas_threads_and_blocks(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+            proc = subprocess.run([sys.executable, "-c", THREADED_SWEEP], env=env,
+                                  capture_output=True, text=True, check=True)
+            runs.append(json.loads(proc.stdout))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == runs[0][1] and runs[0][2] == runs[0][3]
 
 
 class TestBoundReport:

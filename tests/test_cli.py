@@ -456,6 +456,19 @@ class TestReport:
         code, _, _ = run_cli(capsys, "report", "--in", str(run_dir))
         assert code == 3
 
+    @pytest.mark.parametrize("ids", [(5, "b"), ("a", [1, 2]), ({"x": 1}, "b")])
+    def test_non_string_run_id_refused(self, tmp_path, capsys, ids):
+        # mixed id types cannot be sorted as JSON keys, and a list or object cannot be a key
+        run_dir = tmp_path / "runs"
+        run_dir.mkdir()
+        for name, run_id in zip(("a.json", "b.json"), ids):
+            (run_dir / name).write_text(json.dumps({"run_id": run_id}))
+        code, out, err = run_cli(capsys, "report", "--in", str(run_dir))
+        bad = "a.json" if not isinstance(ids[0], str) else "b.json"
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and bad in err and "run_id must be a string" in err
+
 
 class TestEntrypointPlumbing:
     def test_unknown_command_rejected_by_argparse(self, capsys):

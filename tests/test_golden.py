@@ -134,6 +134,24 @@ def test_learn_golden_under_blas_threads(threads):
     assert not result["numpy_ma"]
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sweep_golden_under_blas_threads(threads):
+    """The parity sweep, bound reports and subset transform must not depend on BLAS threads."""
+    cases = {name: argv for name, argv in CASES.items()
+             if name == "parity-n5" or name.startswith(("verify-bound", "vandam"))}
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN, json.dumps(cases)],
+        cwd=INPUTS, env=env, capture_output=True, text=True, check=True,
+    )
+    runs = json.loads(proc.stdout)["runs"]
+    exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert len(runs) == 6
+    for name, (code, out) in runs.items():
+        assert code == exit_codes[name], name
+        assert out == (GOLDEN / f"{name}.stdout").read_text(), name
+
+
 if __name__ == "__main__":
     codes = {}
     for name, argv in sorted(CASES.items()):
