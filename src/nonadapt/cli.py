@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from operator import itemgetter
 from pathlib import Path
 
 from .algorithms import (
@@ -61,56 +60,7 @@ EXIT_IO = 3
 
 
 def render_json(payload: dict) -> str:
-    """Exactly `json.dumps(payload, indent=2, sort_keys=True) + "\\n"`.
-
-    The stdlib's indented encoder is pure Python, and `learn` prints one record
-    per concept pair; so lists of flat records are written from one %-template.
-    """
-    return _encode(payload, "\n") + "\n"
-
-
-def _bracket(pair: str, texts, indent: str) -> str:
-    """Item texts, written at `indent` + 2 spaces, inside the brackets `pair`."""
-    body = ("," + indent + "  ").join(texts)
-    return f"{pair[0]}{indent}  {body}{indent}{pair[1]}" if body else pair
-
-
-def _key(key) -> str:
-    """A key as the stdlib writes it: a str, else the JSON text of a number, bool or None."""
-    return json.dumps(key if isinstance(key, str) else json.dumps(key))
-
-
-def _encode(value, indent: str) -> str:
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = sorted(value.items())
-        return _bracket("{}", [f"{_key(k)}: {_encode(v, inner)}" for k, v in items], indent)
-    if isinstance(value, (list, tuple)):
-        return _bracket("[]", _records(value, inner) or [_encode(v, inner) for v in value], indent)
-    return json.dumps(value)
-
-
-def _records(items, indent: str):
-    """Texts of flat plain dicts sharing one key tuple, from one template; else None."""
-    shapes = set(map(tuple, items)) if set(map(type, items)) == {dict} else ()
-    if len(shapes) != 1 or not (keys := sorted(shapes.pop())):
-        return None
-    columns = []
-    for key in keys:
-        column = list(map(itemgetter(key), items))
-        types = set(map(type, column))
-        if types == {int}:
-            columns.append(map(int.__repr__, column))
-        elif types <= {bool, type(None)}:
-            columns.append(map({True: "true", False: "false", None: "null"}.get, column))
-        elif types == {float} and 0.0 not in (texts := {v: json.dumps(v) for v in set(column)}):
-            columns.append(map(texts.__getitem__, column))  # 0.0 == -0.0 would share a text
-        elif types <= {str, int, float, bool, type(None)}:
-            columns.append(map(json.dumps, column))
-        else:
-            return None
-    template = _bracket("{}", [f"{_key(k).replace('%', '%%')}: %s" for k in keys], indent)
-    return map(template.__mod__, zip(*columns))
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _cell(value) -> str:
@@ -307,16 +257,13 @@ def cmd_learn(args: argparse.Namespace) -> int:
         exact_min = len(min_distinguishing_set(concepts, "exact"))
     except ValidationError:  # beyond n = 24 or the search budget
         exact_min = None
-    margins, report = None, result.overlap_report
+    # every pair is within the bound, or build_classical_plan raised: print the binding one
+    margins, pairs_checked, report = None, 0, result.overlap_report
     if report is not None:
-        margins = [
-            {"i": i, "j": j, "overlap_sq": s, "margin": d, "ok": ok}
-            for i, j, s, d, ok in zip(
-                report.pairs[:, 0].tolist(), report.pairs[:, 1].tolist(),
-                report.overlap_sq.tolist(), (report.bound - report.overlap_sq).tolist(),
-                report.ok.tolist(),
-            )
-        ]
+        worst = report.worst()
+        margins = [{"i": worst.i, "j": worst.j, "overlap_sq": worst.overlap_sq,
+                    "margin": report.bound - worst.overlap_sq, "ok": worst.ok}]
+        pairs_checked = len(report.pairs)
 
     payload = {
         "command": "learn",
@@ -325,6 +272,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         "exact_min": exact_min,
         "overlap_bound": None if report is None else report.bound,
         "overlap_margins": margins,
+        "pairs_checked": pairs_checked,
         "verified_all_concepts": verified,
         **result.audit,
     }

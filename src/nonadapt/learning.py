@@ -322,6 +322,15 @@ class OverlapReport:
             for (i, j), s in zip(self.pairs[bad].tolist(), self.overlap_sq[bad].tolist())
         )
 
+    def worst(self) -> PairOverlap:
+        """The binding pair: the first in pair order with the largest overlap_sq.
+
+        ok only turns false as overlap_sq grows, so it is ok iff every pair is.
+        """
+        r = int(np.argmax(self.overlap_sq))
+        i, j = self.pairs[r].tolist()
+        return PairOverlap(i, j, float(self.overlap_sq[r]), bool(self.ok[r]))
+
 
 def check_pairwise_overlaps(
     profile: AmplitudeProfile, c: ConceptClass, eps: float
@@ -507,7 +516,7 @@ def build_classical_plan(
     profile = amplitude_profile(psi)
     report = check_pairwise_overlaps(profile, tclass, eps)
     if not report.passed:
-        worst = max(report.violations(), key=lambda p: p.overlap_sq)
+        worst = report.worst()
         raise BoundViolation(
             f"concepts {worst.i} and {worst.j} have squared overlap "
             f"{worst.overlap_sq:.6g} > {report.bound:.6g}; the claimed error "

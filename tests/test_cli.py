@@ -1,12 +1,8 @@
 """End-to-end command tests driven through cli.main with in-process capture."""
 import json
 import math
-from collections import OrderedDict
 
-import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from nonadapt import (
     OracleString,
@@ -18,8 +14,13 @@ from nonadapt import (
     save_state,
 )
 from nonadapt import algorithms, learning
-from nonadapt.cli import main, render_json
-from nonadapt.learning import ClassicalOracle, classical_learn
+from nonadapt.cli import main
+from nonadapt.learning import (
+    ClassicalOracle,
+    amplitude_profile,
+    check_pairwise_overlaps,
+    classical_learn,
+)
 
 
 def run_cli(capsys, *argv):
@@ -223,8 +224,13 @@ class TestLearnCommand:
         assert audit["verified_all_concepts"] is True
         assert audit["plan_path"] == str(plan_path)
         assert "plan" not in audit
-        assert len(audit["overlap_margins"]) == 8 * 7 // 2
-        assert all(m["ok"] for m in audit["overlap_margins"])
+        assert audit["pairs_checked"] == 8 * 7 // 2
+        concepts, alg = algorithms.build_hadamard_instance(3)
+        worst = check_pairwise_overlaps(amplitude_profile(alg.psi), concepts, 0.0).worst()
+        assert audit["overlap_margins"] == [{
+            "i": worst.i, "j": worst.j, "overlap_sq": worst.overlap_sq,
+            "margin": audit["overlap_bound"] - worst.overlap_sq, "ok": True,
+        }]
         plan = load_plan(plan_path)
         assert len(plan.base_queries) == audit["base_query_count"]
         for idx, x in enumerate(plan.concepts.concepts):
@@ -517,51 +523,3 @@ class TestEntrypointPlumbing:
         assert code == 0
         assert json.loads(out)["k"] == alg.k
 
-
-# --- JSON rendering -----------------------------------------------------------
-
-KEYS = st.text(max_size=4) | st.sampled_from(["%", "%s", "a%%b", "\u00e9", "\u2603"])
-SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
-COLUMNS = [st.integers(), st.floats(), st.booleans() | st.none(), st.text(max_size=6), SCALARS]
-
-
-@st.composite
-def record_lists(draw, children):
-    """Non-empty lists of dicts on one key set, each column drawn from one strategy."""
-    keys = draw(st.lists(KEYS, min_size=1, max_size=4, unique=True))
-    column = {k: draw(st.sampled_from([*COLUMNS, children])) for k in keys}
-    return draw(st.lists(st.fixed_dictionaries(column), min_size=1, max_size=6))
-
-
-JSON_VALUES = st.recursive(
-    SCALARS,
-    lambda children: st.one_of(
-        st.lists(children, max_size=4),
-        st.lists(children, max_size=4).map(tuple),
-        st.dictionaries(KEYS, children, max_size=4),
-        record_lists(children),
-    ),
-    max_leaves=40,
-)
-
-
-@settings(max_examples=1000, deadline=None)
-@given(JSON_VALUES)
-@example({"rows": [{"x": 0.0}, {"x": -0.0}, {"x": 0.5}, {"x": -0.0}]})
-@example([{"x": math.nan, "y": math.inf}, {"x": -math.inf, "y": math.nan}, {"x": 1.0, "y": 0.5}])
-@example([math.nan, math.inf, -math.inf, -0.0])
-@example([{"i": 2**64}, {"i": -(2**70)}, {"i": 0}])
-@example({"\u00e9": "snow \u2603", "rows": [{"\u00fc": "\u65e5\u672c"}, {"\u00fc": "\U0001f600"}]})
-@example([{"%": 1, "a%sb": 2.5, "%%": True, "%(x)s": None}])
-@example({"a": {}, "b": [], "c": [{}, {}], "d": [[], {}, ()]})
-@example({"t": (1, (2.5, "x"), ()), "r": ({"a": 1}, {"a": 2})})
-@example([{"a": 1, "b": 1.5}, {"a": True, "b": None}, {"a": "s", "b": 2}])
-@example([{"a": [1, 2]}, {"a": {"b": 1}}, {"a": 3}])
-@example([{"a": 1}, {"b": 1}])
-@example([{"a": 1, "b": 2}, {"b": 2, "a": 1}])
-@example({"i": {1: "a", 10: "b"}, "f": {0.5: 1, math.inf: 2}, "b": {True: 1, False: 0},
-          "n": {None: 1}, "rows": [{1: 0.5, 2: None}, {1: 1.5, 2: True}]})
-@example([OrderedDict(a=1), OrderedDict(a=2)])
-@example([{"x": np.float64(0.25)}, {"x": np.float64(-0.0)}])
-def test_render_json_matches_stdlib(payload):
-    assert render_json(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -94,11 +94,13 @@ def test_golden_json_is_stdlib_indented(name):
 
 
 def test_large_learn_output_is_stdlib_indented():
-    # 2,016 overlap records: the per-record template at a scale no golden case reaches
+    # 2,016 concept pairs checked, one binding record printed
     code, out = run_case(["learn", "--learner", "vandam", "--n", "6", "--k", "3",
                           "--eps", "0.0625"])
     assert code == 0
-    assert len(json.loads(out)["overlap_margins"]) == 64 * 63 // 2
+    record = json.loads(out)
+    assert record["pairs_checked"] == 64 * 63 // 2
+    assert len(record["overlap_margins"]) == 1 and record["overlap_margins"][0]["ok"]
     assert out == canonical(out)
 
 

@@ -329,6 +329,20 @@ class TestPairwiseOverlaps:
             tuple(ij) for ij in report.pairs[want > report.bound + 1e-12].tolist()
         ]
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_worst_is_first_maximum(self, seed):
+        # a uniform profile makes overlap_sq a function of Hamming distance: many ties
+        rng = np.random.default_rng(seed)
+        n, m = 6, 24
+        words = rng.choice(1 << n, size=m, replace=False)
+        c = ConceptClass(n, [OracleString.from_int(n, int(v)).bits for v in words])
+        report = check_pairwise_overlaps(AmplitudeProfile.uniform(n + 1), c, eps=0.2)
+        sq = report.overlap_sq.tolist()
+        r = sq.index(max(sq))
+        assert sq.count(sq[r]) > 1
+        i, j = report.pairs[r].tolist()
+        assert report.worst() == learning.PairOverlap(i, j, sq[r], bool(report.ok[r]))
+
 
 def reference_overlap_sq(profile, c):
     """(sum_t p_t (-1)^(x_t + y_t))^2 per pair (i, j), i < j, one position at a time."""
