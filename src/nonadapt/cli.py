@@ -298,7 +298,9 @@ def cmd_extract_set(args: argparse.Namespace) -> int:
         raise ContractViolation(f"--trials must be >= 1, got {args.trials}")
 
     results = [
-        sample_index_set(profile, concepts, k_draws, seed=[args.seed, t])
+        sample_index_set(
+            profile, concepts, k_draws, stream(args.seed, "extract-set", f"trial={t}")
+        )
         for t in range(args.trials)
     ]
     failures = sum(1 for r in results if not r.distinguishing)

@@ -23,6 +23,7 @@ from .errors import (
     BoundViolation, ContractViolation, InputOutsideClass, ParseError, ValidationError,
 )
 from .qstate import IndexTuple, OracleString, QueryState, odd_mask, oracle_phase, parity
+from .rng import stream
 
 MAX_TENSOR_POSITIONS = 1 << 20
 # build_classical_plan's refusal limits: tensor-class entries, 1 byte each (the overlap
@@ -372,18 +373,17 @@ class SampleResult:
 
 
 def sample_index_set(
-    profile: AmplitudeProfile, c: ConceptClass, k_draws: int, seed
+    profile: AmplitudeProfile, c: ConceptClass, k_draws: int, rng: np.random.Generator
 ) -> SampleResult:
-    """Draw positions i.i.d. from the profile and test the resulting set.
+    """Draw positions i.i.d. from the profile with rng and test the resulting set.
 
     Draws of position 0 are recorded but contribute nothing to the set,
-    since position 0 reads 0 on every concept.  Deterministic given seed.
+    since position 0 reads 0 on every concept.  Deterministic given rng's state.
     """
     if k_draws < 1:
         raise ContractViolation(f"k_draws must be >= 1, got {k_draws}")
     if profile.positions != c.n + 1:
         raise ContractViolation(f"profile has {profile.positions} positions, expected {c.n + 1}")
-    rng = np.random.default_rng(seed)
     drawn = rng.choice(profile.positions, size=k_draws, p=np.asarray(profile.values))
     draws = tuple(int(i) for i in drawn)
     index_set = tuple(sorted({i for i in draws if i != 0}))
@@ -529,7 +529,8 @@ def build_classical_plan(
     # the expanded plan within ceil(k * bound)
     draws_per_attempt = max(1, math.ceil(classical_query_bound(m, eps) / k))
     for retries in range(retry_cap):
-        res = sample_index_set(profile, tclass, draws_per_attempt, seed=[seed, retries])
+        rng = stream(seed, "plan", f"attempt={retries}")
+        res = sample_index_set(profile, tclass, draws_per_attempt, rng)
         if res.distinguishing:
             selected, used_fallback = res.index_set, False
             break

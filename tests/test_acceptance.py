@@ -44,6 +44,7 @@ from nonadapt import (
     worst_case_error,
 )
 from nonadapt.learning import AmplitudeProfile
+from nonadapt.rng import stream
 from tests.conftest import random_projective, random_two_outcome_povm
 
 
@@ -186,7 +187,9 @@ def test_extraction_failure_rate(capsys):
     failures = sum(
         1
         for t in range(trials)
-        if not sample_index_set(profile, concepts, k_draws, seed=[2026, t]).distinguishing
+        if not sample_index_set(
+            profile, concepts, k_draws, stream(2026, "extract-set", f"trial={t}")
+        ).distinguishing
     )
     p_bound = concepts.m**2 * (0.5 + math.sqrt(eps * (1 - eps))) ** k_draws
     sigma = math.sqrt(p_bound * (1 - p_bound) / trials)

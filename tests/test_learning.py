@@ -46,6 +46,7 @@ from nonadapt import (
 )
 from nonadapt import learning
 from nonadapt.qstate import odd_mask, parity
+from nonadapt.rng import stream
 
 S = OracleString.from_string
 
@@ -375,20 +376,20 @@ class TestClassicalQueryBound:
 class TestSampleIndexSet:
     def test_point_mass_never_distinguishes(self):
         prof = AmplitudeProfile((0.0, 1.0, 0.0, 0.0))
-        res = sample_index_set(prof, THREE, k_draws=8, seed=1)
+        res = sample_index_set(prof, THREE, k_draws=8, rng=stream(1, "test"))
         assert res.index_set == (1,)
         assert not res.distinguishing
 
     def test_reference_draws_are_dropped(self):
         prof = AmplitudeProfile((1.0, 0.0, 0.0, 0.0))
-        res = sample_index_set(prof, THREE, k_draws=5, seed=0)
+        res = sample_index_set(prof, THREE, k_draws=5, rng=stream(0, "test"))
         assert res.index_set == ()
         assert len(res.draws) == 5
 
     def test_deterministic_in_seed(self):
         prof = AmplitudeProfile((0.1, 0.3, 0.3, 0.3))
-        a = sample_index_set(prof, THREE, k_draws=12, seed=42)
-        b = sample_index_set(prof, THREE, k_draws=12, seed=42)
+        a = sample_index_set(prof, THREE, k_draws=12, rng=stream(42, "test"))
+        b = sample_index_set(prof, THREE, k_draws=12, rng=stream(42, "test"))
         assert a == b
 
 
