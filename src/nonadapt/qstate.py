@@ -409,8 +409,11 @@ class ProjectiveMeasurement:
         for s in states[1:]:
             if not s.same_space(first):
                 raise ValidationError("measurement states live in different spaces")
-        keys = np.vstack([s.keys for s in states])
+        shared = all(s.keys is first.keys for s in states)  # one support, as a Hadamard basis
+        keys = first.keys if shared else np.vstack([s.keys for s in states])
         first, rank = group_keys(keys)
+        if shared:
+            rank = np.tile(rank, len(states))
         vecs = np.zeros((len(states), len(first)), dtype=complex)
         effect = np.repeat(np.arange(len(states)), [len(s.amps) for s in states])
         vecs[effect, rank] = np.concatenate([s.amps for s in states])

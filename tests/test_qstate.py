@@ -221,6 +221,29 @@ class TestMeasurementValidation:
         assert meas.basis == (((0,), 0), ((2,), 0))
         assert np.array_equal(meas.V, [[0, 1], [-1j, 0]])
 
+    @pytest.mark.parametrize("orthogonal", [True, False])
+    def test_projective_shared_keys_match_copies(self, orthogonal):
+        # effects sharing one key matrix take the one-support path; copies take the stacked one
+        keys = np.array([[3, 0], [1, 0], [2, 0], [0, 0]])
+        rows = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1],
+                               [1, -1, -1, 1 if orthogonal else -1]])
+
+        def build(copy):
+            return ProjectiveMeasurement(tuple(
+                (s, QueryState.from_arrays(3, 1, keys.copy() if copy else keys, row))
+                for s, row in enumerate(rows)
+            ))
+
+        if not orthogonal:
+            for copy in (False, True):
+                with pytest.raises(ValidationError, match="states 0 and 3 are not orthogonal"):
+                    build(copy)
+            return
+        shared, copied = build(False), build(True)
+        assert shared.basis == copied.basis == tuple(((i,), 0) for i in range(4))
+        assert np.array_equal(shared.basis_keys, copied.basis_keys)
+        assert np.array_equal(shared.V, copied.V)
+
     def test_povm_rejects_non_psd(self):
         basis = (((0,), 0), ((1,), 0))
         e0 = np.array([[1.5, 0], [0, -0.5]])
