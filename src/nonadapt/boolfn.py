@@ -1,14 +1,11 @@
 """Total boolean functions as truth tables.
 
-Inputs are encoded as integers with bit 1 = least significant, so table[i]
-is the function value on the string whose j'th bit is (i >> (j-1)) & 1.
-The same encoding is used by the truth-table file format: first line n,
-second line 2^n characters of {0,1} in integer order.
+table[i] is the value on the string whose j'th bit is (i >> (j-1)) & 1, bit 1 least
+significant.  A truth-table file holds n, then a line of the 2^n values in that order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -18,83 +15,84 @@ from .qstate import OracleString, parity
 MAX_N = 20  # truth tables are dense; larger n is out of scope by design
 
 
-@dataclass(frozen=True)
+def _check_n(n) -> int:  # before anything of size 2^n exists
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= MAX_N:
+        raise ValidationError(f"n must be an int in [1, {MAX_N}], got {n!r}")
+    return int(n)
+
+
+@dataclass(frozen=True, eq=False)
 class TotalFunction:
+    """f as a read-only (2^n,) uint8 table, validated once from any 0/1 sequence."""
     n: int
-    table: tuple[int, ...]
+    table: np.ndarray
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_N:
-            raise ValidationError(f"n must be in [1, {MAX_N}], got {self.n}")
-        if len(self.table) != 1 << self.n:
-            raise ValidationError(
-                f"table has {len(self.table)} entries, expected {1 << self.n}"
-            )
-        if any(v not in (0, 1) for v in self.table):
+        n = _check_n(self.n)
+        table = np.array(self.table)
+        if table.shape != (1 << n,):
+            raise ValidationError(f"table has {table.size} entries, expected {1 << n}")
+        if table.dtype.kind not in "biuf" or not ((table == 0) | (table == 1)).all():
             raise ValidationError("table entries must be 0/1")
+        table = table.astype(np.uint8, copy=False)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+
+    def __eq__(self, other):
+        if not isinstance(other, TotalFunction):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.table, other.table)
 
     def value_at(self, x_int: int) -> int:
         if not 0 <= x_int < (1 << self.n):
             raise ContractViolation(f"input {x_int} out of range for n={self.n}")
-        return self.table[x_int]
+        return int(self.table[x_int])
 
     def value(self, x: OracleString) -> int:
         if x.n != self.n:
             raise ContractViolation(f"input has n={x.n}, function has n={self.n}")
-        return self.table[x.to_int()]
+        return int(self.table[x.to_int()])
 
     def is_constant(self) -> bool:
-        return len(set(self.table)) == 1
+        return bool(self.table.min() == self.table.max())
 
     def relevant_variables(self) -> tuple[int, ...]:
         """Variables j the function actually depends on."""
-        return tuple(
-            j for j in range(1, self.n + 1) if sensitive_witness(self, j) is not None
-        )
+        return tuple(j for j in range(1, self.n + 1) if sensitive_witness(self, j) is not None)
 
 
-def sensitive_witness(f: TotalFunction, j: int) -> Optional[OracleString]:
-    """Smallest input (by integer encoding) whose value flips when bit j flips.
-
-    Returns None when f does not depend on variable j.
-    """
+def sensitive_witness(f: TotalFunction, j: int) -> OracleString | None:
+    """Smallest input (by integer encoding) whose value flips with bit j; None if f ignores j."""
     if not 1 <= j <= f.n:
         raise ContractViolation(f"variable index {j} out of range [1, {f.n}]")
-    mask = 1 << (j - 1)
-    for x_int in range(1 << f.n):
-        if f.table[x_int] != f.table[x_int ^ mask]:
-            return OracleString.from_int(f.n, x_int)
-    return None
+    v = f.table.reshape(-1, 2, 1 << (j - 1))
+    flips = v[:, 0] != v[:, 1]  # [b, o]: input b * 2^j + o flips with bit j
+    first = int(flips.argmax())  # row-major order is the inputs' integer order
+    if not flips.flat[first]:
+        return None
+    block, offset = divmod(first, flips.shape[1])
+    return OracleString.from_int(f.n, block << j | offset)
 
 
 def build_function(kind: str, n: int, table=None) -> TotalFunction:
     """Standard truth tables: parity, and, or, majority, or an explicit table."""
-    if n < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
-    size = 1 << n
-    if kind == "parity":
-        values = tuple(parity(np.arange(size)).tolist())
-    elif kind == "and":
-        values = tuple(1 if i == size - 1 else 0 for i in range(size))
-    elif kind == "or":
-        values = tuple(0 if i == 0 else 1 for i in range(size))
-    elif kind == "majority":
-        if n % 2 == 0:
-            raise ValidationError("majority requires odd n")
-        values = tuple(1 if 2 * i.bit_count() > n else 0 for i in range(size))
-    elif kind == "from_table":
+    n = _check_n(n)
+    if kind == "from_table":
         if table is None:
             raise ValidationError("from_table requires a table")
-        values = tuple(int(v) for v in table)
-    else:
+        return TotalFunction(n, table)
+    if kind == "majority" and n % 2 == 0:
+        raise ValidationError("majority requires odd n")
+    build = {"parity": parity, "and": lambda x: x == x[-1], "or": lambda x: x != 0,
+             "majority": lambda x: 2 * np.bitwise_count(x) > n}
+    if kind not in build:
         raise ValidationError(f"unknown function kind {kind!r}")
-    return TotalFunction(n, values)
+    return TotalFunction(n, build[kind](np.arange(1 << n)))
 
 
 def save_function(f: TotalFunction, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{f.n}\n")
-        fh.write("".join(str(v) for v in f.table) + "\n")
+        fh.write(f"{f.n}\n{(f.table + ord('0')).tobytes().decode()}\n")
 
 
 def load_function(path) -> TotalFunction:
@@ -110,10 +108,10 @@ def load_function(path) -> TotalFunction:
         raise ValidationError(f"{path}: line 1: n must be in [1, {MAX_N}], got {n}")
     row = lines[1].strip()
     if len(row) != 1 << n:
-        raise ParseError(
-            f"{path}: line 2: expected {1 << n} characters, got {len(row)}"
-        )
-    bad = next((i for i, c in enumerate(row) if c not in "01"), None)
-    if bad is not None:
-        raise ParseError(f"{path}: line 2, position {bad + 1}: expected 0 or 1")
-    return TotalFunction(n, tuple(int(c) for c in row))
+        raise ParseError(f"{path}: line 2: expected {1 << n} characters, got {len(row)}")
+    # one code point per character, so an index is a character position
+    bits = np.frombuffer(row.encode("utf-32-le"), dtype="<u4") - ord("0")
+    bad = np.flatnonzero(bits > 1)
+    if len(bad):
+        raise ParseError(f"{path}: line 2, position {bad[0] + 1}: expected 0 or 1")
+    return TotalFunction(n, bits)

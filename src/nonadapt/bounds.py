@@ -222,8 +222,7 @@ def error_profile(psi: QueryState, meas: Measurement, f: TotalFunction) -> np.nd
             "measurement is not complete on the state's oracle orbit"
         )
 
-    fvals = np.array(f.table, dtype=np.float64)
-    return np.where(fvals == 1.0, 1.0 - p1, p1)
+    return np.where(f.table == 1, 1.0 - p1, p1)
 
 
 def worst_case_error(psi: QueryState, meas: Measurement, f: TotalFunction) -> float:

@@ -340,45 +340,6 @@ def cmd_extract_set(args: argparse.Namespace) -> int:
     return EXIT_PASS
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    """Merge prior JSON run records from a directory into one document."""
-    _json_only(args)
-    in_dir = _require(args.in_path, "--in (directory of run outputs)")
-    root = Path(in_dir)
-    if not root.is_dir():
-        raise ParseError(f"{in_dir}: not a directory")
-    paths = sorted(p for p in root.glob("*.json") if p.is_file())
-    if not paths:
-        raise ParseError(f"{in_dir}: no run outputs found; expected *.json files")
-    runs: dict[str, dict] = {}
-    warnings: list[str] = []
-    for p in paths:
-        try:
-            with open(p, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{p}: line {exc.lineno} column {exc.colno}: {exc.msg}")
-        if not isinstance(data, dict):
-            raise ParseError(f"{p}: expected a JSON object")
-        run_id = data.get("run_id", p.stem)
-        if not isinstance(run_id, str):  # runs is keyed and sorted by run id
-            raise ParseError(f"{p}: run_id must be a string, got {type(run_id).__name__}")
-        if run_id in runs:
-            warnings.append(f"duplicate run id {run_id}: keeping {p.name}")
-        runs[run_id] = data
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    payload = {
-        "command": "report",
-        "seed": args.seed,
-        "count": len(runs),
-        "runs": runs,
-        "warnings": warnings,
-    }
-    emit(args, render_json(payload))
-    return EXIT_PASS
-
-
 COMMANDS = {
     "verify-bound": cmd_verify_bound,
     "vandam": cmd_vandam,
@@ -386,7 +347,6 @@ COMMANDS = {
     "bv": cmd_bv,
     "learn": cmd_learn,
     "extract-set": cmd_extract_set,
-    "report": cmd_report,
 }
 
 
@@ -396,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--k", type=int, help="query count / subset size / draw count")
     common.add_argument("--eps", type=float, default=0.0, help="error rate in [0, 1/2)")
     common.add_argument("--seed", type=int, default=0, help="64-bit master seed")
-    common.add_argument("--in", dest="in_path", help="input path (state file or directory)")
+    common.add_argument("--in", dest="in_path", help="input path (state file)")
     common.add_argument("--out", dest="out_path", help="output path (default stdout)")
     common.add_argument(
         "--format", dest="fmt", choices=["json", "csv"], default="json",
@@ -434,9 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sample distinguishing sets from an amplitude profile")
     p.add_argument("--concepts", help="concept-class file", required=True)
     p.add_argument("--trials", type=int, default=1)
-
-    sub.add_parser("report", parents=[common],
-                   help="merge prior JSON run records from a directory")
     return parser
 
 

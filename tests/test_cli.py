@@ -414,72 +414,17 @@ class TestExtractSet:
         assert code == 2
 
 
-class TestReport:
-    def write_runs(self, tmp_path, capsys, ns=(2, 3, 4)):
-        run_dir = tmp_path / "runs"
-        run_dir.mkdir()
-        for n in ns:
-            code, _, _ = run_cli(
-                capsys, "parity", "--n", str(n), "--out", str(run_dir / f"parity{n}.json")
-            )
-            assert code == 0
-        return run_dir
-
-    def test_merges_runs(self, tmp_path, capsys):
-        run_dir = self.write_runs(tmp_path, capsys)
-        code, out, _ = run_cli(capsys, "report", "--in", str(run_dir))
-        assert code == 0
-        data = json.loads(out)
-        assert data["count"] == 3
-        assert set(data["runs"]) == {"parity-n2-seed0", "parity-n3-seed0", "parity-n4-seed0"}
-        assert data["warnings"] == []
-
-    def test_duplicate_run_ids_warn(self, tmp_path, capsys):
-        run_dir = self.write_runs(tmp_path, capsys, ns=(3,))
-        record = json.loads((run_dir / "parity3.json").read_text())
-        (run_dir / "copy.json").write_text(json.dumps(record))
-        code, out, err = run_cli(capsys, "report", "--in", str(run_dir))
-        assert code == 0
-        data = json.loads(out)
-        assert data["count"] == 1
-        assert len(data["warnings"]) == 1
-        assert "duplicate" in err
-
-    def test_missing_directory(self, tmp_path, capsys):
-        code, _, _ = run_cli(capsys, "report", "--in", str(tmp_path / "nope"))
-        assert code == 3
-
-    def test_empty_directory(self, tmp_path, capsys):
-        empty = tmp_path / "empty"
-        empty.mkdir()
-        code, _, _ = run_cli(capsys, "report", "--in", str(empty))
-        assert code == 3
-
-    def test_malformed_record(self, tmp_path, capsys):
-        run_dir = tmp_path / "runs"
-        run_dir.mkdir()
-        (run_dir / "bad.json").write_text("{broken")
-        code, _, _ = run_cli(capsys, "report", "--in", str(run_dir))
-        assert code == 3
-
-    @pytest.mark.parametrize("ids", [(5, "b"), ("a", [1, 2]), ({"x": 1}, "b")])
-    def test_non_string_run_id_refused(self, tmp_path, capsys, ids):
-        # mixed id types cannot be sorted as JSON keys, and a list or object cannot be a key
-        run_dir = tmp_path / "runs"
-        run_dir.mkdir()
-        for name, run_id in zip(("a.json", "b.json"), ids):
-            (run_dir / name).write_text(json.dumps({"run_id": run_id}))
-        code, out, err = run_cli(capsys, "report", "--in", str(run_dir))
-        bad = "a.json" if not isinstance(ids[0], str) else "b.json"
-        assert code == 3
-        assert out == ""
-        assert err.count("\n") == 1 and bad in err and "run_id must be a string" in err
-
-
 class TestEntrypointPlumbing:
     def test_unknown_command_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_report_is_not_a_command(self, capsys):
+        # merging run records is a job for the shell; argparse refuses the name
+        with pytest.raises(SystemExit) as exc:
+            main(["report"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'report'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [
         ["verify-bound", "--table", "parity2.txt"],

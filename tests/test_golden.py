@@ -42,7 +42,6 @@ CASES = {
                          "--trials", "4", "--seed", "1"],
     "extract-set-csv": ["extract-set", "--concepts", "concepts.txt", "--in", "k1-n4.json",
                         "--k", "5", "--trials", "3", "--format", "csv"],
-    "report": ["report", "--in", "runs"],
     "exit1-infeasible-eps": ["learn", "--learner", "vandam", "--n", "4", "--k", "2",
                              "--eps", "0"],
     "exit2-vandam-too-large": ["vandam", "--n", "17"],
@@ -55,6 +54,11 @@ CASES = {
                          "--k", "40", "--trials", "3", "--seed", "2"],
     "learn-state-n100": ["learn", "--learner", "state", "--in", "n100-k2.json",
                          "--concepts", "concepts100.txt", "--eps", "0.25", "--seed", "3"],
+    # f = (x1 & x3) ^ (x4 & x6) ignores x2 and x5, so n_eff = 4 < n = 6
+    "verify-bound-n6-partial": ["verify-bound", "--in", "n6-k2.json", "--table",
+                                "table6-partial.txt"],
+    "verify-bound-constant": ["verify-bound", "--in", "random-n4-k2.json", "--table",
+                              "const4.txt"],
 }
 
 
@@ -76,6 +80,12 @@ def test_golden(name):
     exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
     assert code == exit_codes[name]
     assert out == (GOLDEN / f"{name}.stdout").read_text()
+
+
+def test_corpus_has_no_orphans():
+    """Every golden stdout and recorded exit code belongs to a case, and every case has both."""
+    assert {p.stem for p in GOLDEN.glob("*.stdout")} == set(CASES)
+    assert set(json.loads((GOLDEN / "exit_codes.json").read_text())) == set(CASES)
 
 
 def canonical(text):
@@ -148,7 +158,7 @@ def test_sweep_golden_under_blas_threads(threads):
     )
     runs = json.loads(proc.stdout)["runs"]
     exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
-    assert len(runs) == 6
+    assert len(runs) == 8
     for name, (code, out) in runs.items():
         assert code == exit_codes[name], name
         assert out == (GOLDEN / f"{name}.stdout").read_text(), name
