@@ -96,8 +96,11 @@ def save_function(f: TotalFunction, path) -> None:
 
 
 def load_function(path) -> TotalFunction:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start + 1} is not UTF-8 text") from exc
     if len(lines) < 2:
         raise ParseError(f"{path}: expected two lines (n, then 2^n characters)")
     try:

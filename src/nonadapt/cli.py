@@ -8,6 +8,7 @@ or plan failure, 2 validation error, 3 I/O or parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -39,10 +40,8 @@ from .errors import (
 )
 from .learning import (
     AmplitudeProfile,
-    ClassicalOracle,
     amplitude_profile,
     build_classical_plan,
-    classical_learn,
     full_concept_class,
     load_concept_class,
     min_distinguishing_set,
@@ -248,11 +247,10 @@ def cmd_learn(args: argparse.Namespace) -> int:
     )
     plan = result.plan
 
-    verified = True
-    for idx, concept in enumerate(concepts.concepts):
-        res = classical_learn(plan, ClassicalOracle(concept))
-        if res.concept_index != idx:
-            verified = False
+    # decode every concept from its own bits at the plan's positions, independently of
+    # how the plan was built; a pattern the decoder lacks raises InputOutsideClass
+    observed = concepts.bits[:, [q - 1 for q in plan.base_queries]].tolist()
+    verified = [plan.decode(tuple(row)) for row in observed] == list(range(concepts.m))
     try:
         exact_min = len(min_distinguishing_set(concepts, "exact"))
     except ValidationError:  # beyond n = 24 or the search budget
@@ -350,6 +348,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # built once per process: parse_args keeps no state on the parser
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--n", type=int, help="number of input bits")

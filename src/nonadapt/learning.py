@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations, islice
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -30,9 +30,14 @@ MAX_TENSOR_POSITIONS = 1 << 20
 # check's 8-byte signs are per concept and support position), and pairs checked and printed
 MAX_TENSOR_BITS = 1 << 24
 MAX_OVERLAP_PAIRS = 1 << 17
+# violating pairs a BoundViolation carries, the first in pair order
+MAX_REPORTED_VIOLATIONS = 16
 # min_distinguishing_set's exact-search limit, in subset tests times concepts
-# (about 0.1 us each on a 2-CPU Xeon, so under 2 s)
+# (about 10 ns each on a 2-CPU Xeon, so under 0.2 s)
 MAX_EXACT_CELLS = 1 << 24
+# subset-test cells per block of the exact search, a (block, m) int64 array of 64 KB:
+# small enough that a search ending in its first block does little work past it
+EXACT_BLOCK_CELLS = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,9 +57,12 @@ class ConceptClass:
     def __post_init__(self):
         if len(self.bits) == 0 or self.n < 1:
             raise ValidationError(f"concept class needs a concept and n >= 1, got n={self.n}")
-        for row in self.bits:
-            if len(row) != self.n:
-                raise ValidationError(f"concept {_word(row)} has length {len(row)}, not {self.n}")
+        if not (isinstance(self.bits, np.ndarray) and self.bits.shape[1:] == (self.n,)):
+            for row in self.bits:  # ragged input: name the first row of the wrong length
+                if len(row) != self.n:
+                    raise ValidationError(
+                        f"concept {_word(row)} has length {len(row)}, not {self.n}"
+                    )
         bits = np.array(self.bits)
         if bits.min() < 0 or bits.max() > 1:
             raise ValidationError("concept entries must be 0 or 1")
@@ -89,6 +97,11 @@ def _word(row) -> str:
     return "".join(str(int(b)) for b in row)
 
 
+def _words(bits: np.ndarray) -> list[str]:
+    """The rows of a 0/1 uint8 matrix as strings of '0' and '1'."""
+    return [row.tobytes().decode() for row in bits + ord("0")]
+
+
 def _count(v: int) -> str:
     """v in decimal, or bounded by a power of two where decimal would be too long to print."""
     return str(v) if v < 1 << 64 else f"at least 2^{v.bit_length() - 1}"
@@ -104,12 +117,15 @@ def full_concept_class(n: int) -> ConceptClass:
 def save_concept_class(c: ConceptClass, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{c.n} {c.m}\n")
-        fh.writelines(_word(row) + "\n" for row in c.bits)
+        fh.writelines(word + "\n" for word in _words(c.bits))
 
 
 def load_concept_class(path) -> ConceptClass:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start + 1} is not UTF-8 text") from exc
     if not lines:
         raise ParseError(f"{path}: empty file")
     head = lines[0].split()
@@ -155,6 +171,8 @@ def min_distinguishing_set(c: ConceptClass, mode: str = "exact") -> tuple[int, .
     Exact mode enumerates subsets by increasing size, ties broken by the
     lexicographically smallest set; it refuses beyond n = 24, and stops with
     a ValidationError once its subset tests times m pass MAX_EXACT_CELLS.
+    It tests a block of subsets at once: a subset distinguishes the class
+    when the concepts' masked codes, sorted, have no two equal neighbours.
     Greedy mode repeatedly adds the index separating the most still-colliding
     pairs, ties to the lowest index.
     """
@@ -165,19 +183,28 @@ def min_distinguishing_set(c: ConceptClass, mode: str = "exact") -> tuple[int, .
             raise ValidationError(
                 f"exact search enumerates subsets of [{c.n}]; n <= 24 required, use greedy"
             )
-        codes = (c.bits.astype(np.int64) << np.arange(c.n)).sum(axis=1).tolist()
-        cells = 0
+        codes = (c.bits.astype(np.int64) << np.arange(c.n)).sum(axis=1)
+        budget = MAX_EXACT_CELLS // c.m  # subsets tested before the cells pass the limit
+        block = max(1, EXACT_BLOCK_CELLS // c.m)
         # s positions separate at most 2^s concepts
         for size in range((c.m - 1).bit_length(), c.n + 1):
-            for subset in combinations(range(c.n), size):
-                cells += c.m
-                if cells > MAX_EXACT_CELLS:
+            subsets = combinations(range(c.n), size)
+            while True:
+                # the full index set always distinguishes, so an untested subset remains
+                if budget == 0:
                     raise ValidationError(
                         f"exact search passed {MAX_EXACT_CELLS} subset-test cells; use greedy"
                     )
-                mask = sum(1 << j for j in subset)
-                if len({v & mask for v in codes}) == c.m:
-                    return tuple(j + 1 for j in subset)
+                chosen = np.fromiter(
+                    chain.from_iterable(islice(subsets, min(block, budget))), dtype=np.int64
+                ).reshape(-1, size)
+                if not len(chosen):
+                    break
+                budget -= len(chosen)
+                masked = np.sort(codes & (1 << chosen).sum(axis=1)[:, None], axis=1)
+                ok = (masked[:, 1:] != masked[:, :-1]).all(axis=1)
+                if ok.any():
+                    return tuple((chosen[np.argmax(ok)] + 1).tolist())
         raise RuntimeError("unreachable: the full index set always distinguishes")
     if mode == "greedy":
         chosen = _greedy_over_support(c, range(1, c.n + 1))
@@ -269,7 +296,7 @@ class AmplitudeProfile:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        if any(v < 0 for v in self.values):
+        if (self.array < 0).any():
             raise ValidationError("profile entries must be nonnegative")
         if abs(sum(self.values) - 1.0) > 1e-9:
             raise ValidationError(f"profile sums to {sum(self.values)!r}, expected 1")
@@ -281,6 +308,13 @@ class AmplitudeProfile:
     @property
     def positions(self) -> int:
         return len(self.values)
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """values as a read-only float64 array, converted once."""
+        p = np.fromiter(self.values, dtype=np.float64, count=len(self.values))
+        p.flags.writeable = False
+        return p
 
 
 def amplitude_profile(psi: QueryState) -> AmplitudeProfile:
@@ -316,8 +350,9 @@ class OverlapReport:
     def passed(self) -> bool:
         return bool(self.ok.all())
 
-    def violations(self) -> tuple[PairOverlap, ...]:
-        bad = np.flatnonzero(~self.ok)
+    def violations(self, limit: int | None = None) -> tuple[PairOverlap, ...]:
+        """The pairs over the bound in pair order; only the first limit when given."""
+        bad = np.flatnonzero(~self.ok)[:limit]
         return tuple(
             PairOverlap(i, j, s, False)
             for (i, j), s in zip(self.pairs[bad].tolist(), self.overlap_sq[bad].tolist())
@@ -347,7 +382,7 @@ def check_pairwise_overlaps(
         raise ContractViolation(f"profile has {profile.positions} positions, expected {c.n + 1}")
     if not 0.0 <= eps <= 0.5:
         raise ContractViolation(f"eps must be in [0, 1/2], got {eps}")
-    p = np.asarray(profile.values)
+    p = profile.array
     supp = np.flatnonzero(p[1:] > 0.0)  # columns of c.bits; position 0 never differs
     signs = 1.0 - 2.0 * c.bits[:, supp]
     gram = p[0] + (signs * p[1:][supp]) @ signs.T
@@ -384,7 +419,7 @@ def sample_index_set(
         raise ContractViolation(f"k_draws must be >= 1, got {k_draws}")
     if profile.positions != c.n + 1:
         raise ContractViolation(f"profile has {profile.positions} positions, expected {c.n + 1}")
-    drawn = rng.choice(profile.positions, size=k_draws, p=np.asarray(profile.values))
+    drawn = rng.choice(profile.positions, size=k_draws, p=profile.array)
     draws = tuple(int(i) for i in drawn)
     index_set = tuple(sorted({i for i in draws if i != 0}))
     return SampleResult(draws, index_set, is_distinguishing(c, index_set))
@@ -521,7 +556,7 @@ def build_classical_plan(
             f"concepts {worst.i} and {worst.j} have squared overlap "
             f"{worst.overlap_sq:.6g} > {report.bound:.6g}; the claimed error "
             f"rate {eps} cannot be correct",
-            pairs=report.violations(),
+            pairs=report.violations(MAX_REPORTED_VIOLATIONS),
         )
 
     budget = math.ceil(k * classical_query_bound(m, eps))
@@ -535,7 +570,7 @@ def build_classical_plan(
             selected, used_fallback = res.index_set, False
             break
     else:
-        support = np.flatnonzero(np.asarray(profile.values[1:]) > 0.0) + 1
+        support = np.flatnonzero(profile.array[1:] > 0.0) + 1
         selected = _greedy_over_support(tclass, support.tolist())
         if selected is None:
             raise BoundViolation(
@@ -559,13 +594,11 @@ def build_classical_plan(
 
 
 def plan_to_dict(plan: QueryPlan) -> dict:
+    patterns = np.array(list(plan.decoder), dtype=np.uint8)  # (m, len(base_queries))
     return {
         "base_queries": list(plan.base_queries),
-        "concepts": [str(x) for x in plan.concepts.concepts],
-        "decoder_table": {
-            "".join(str(b) for b in pattern): idx
-            for pattern, idx in sorted(plan.decoder.items())
-        },
+        "concepts": _words(plan.concepts.bits),
+        "decoder_table": dict(zip(_words(patterns), plan.decoder.values())),
     }
 
 
@@ -609,4 +642,6 @@ def load_plan(path) -> QueryPlan:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start + 1} is not UTF-8 text") from exc
     return plan_from_dict(data)

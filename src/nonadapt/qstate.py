@@ -600,4 +600,6 @@ def load_state(path) -> QueryState:
             data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start + 1} is not UTF-8 text") from exc
     return state_from_dict(data)

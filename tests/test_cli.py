@@ -1,4 +1,6 @@
 """End-to-end command tests driven through cli.main with in-process capture."""
+import argparse
+import dataclasses
 import json
 import math
 
@@ -13,8 +15,8 @@ from nonadapt import (
     save_function,
     save_state,
 )
-from nonadapt import algorithms, learning
-from nonadapt.cli import main
+from nonadapt import algorithms, learning, qstate
+from nonadapt.cli import build_parser, main
 from nonadapt.learning import (
     ClassicalOracle,
     amplitude_profile,
@@ -350,6 +352,75 @@ class TestLearnCommand:
         assert code == 1
         assert "overlap" in err
 
+    @staticmethod
+    def patch_decoder(monkeypatch, edit):
+        """Make build_classical_plan return plans whose decoder dict went through edit."""
+        make_plan = learning.make_plan
+
+        def edited(c, base):
+            plan = make_plan(c, base)
+            decoder = dict(plan.decoder)
+            edit(decoder)
+            return dataclasses.replace(plan, decoder=decoder)
+
+        monkeypatch.setattr(learning, "make_plan", edited)
+
+    def test_verification_catches_swapped_indices(self, capsys, monkeypatch):
+        def swap(decoder):
+            a, b = (pattern for pattern, idx in decoder.items() if idx in (0, 1))
+            decoder[a], decoder[b] = decoder[b], decoder[a]
+
+        self.patch_decoder(monkeypatch, swap)
+        code, out, _ = run_cli(
+            capsys, "learn", "--learner", "vandam", "--n", "3", "--k", "2", "--eps", "0.0625"
+        )
+        assert code == 1
+        assert json.loads(out)["verified_all_concepts"] is False
+
+    def test_verification_catches_missing_pattern(self, capsys, monkeypatch):
+        self.patch_decoder(monkeypatch, lambda decoder: decoder.pop((1, 0, 1)))
+        code, out, err = run_cli(
+            capsys, "learn", "--learner", "vandam", "--n", "3", "--k", "2", "--eps", "0.0625"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: observed pattern (1, 0, 1) matches no concept in the class\n"
+
+    @pytest.mark.parametrize("argv, want", [
+        (["--learner", "vandam", "--n", "8", "--k", "4", "--eps", "0.0625"], 0),
+        (["--learner", "bv", "--b", "4"], 0),
+        (["--learner", "vandam", "--n", "6", "--k", "3", "--eps", "0"], 1),
+    ])
+    def test_no_parser_build_or_oracle_string_per_call(self, capsys, monkeypatch, argv, want):
+        # learn works on bit matrices and reuses the parser built by the first call
+        run_cli(capsys, "learn", "--learner", "bv", "--b", "2")
+
+        def fail(*args, **kwargs):
+            raise AssertionError("built on the learn path")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", fail)
+        monkeypatch.setattr(qstate.OracleString, "__post_init__", fail)
+        code, out, err = run_cli(capsys, "learn", *argv)
+        assert code == want
+        if want == 0:
+            assert json.loads(out)["verified_all_concepts"] is True
+        else:
+            assert out == "" and "cannot be correct" in err
+
+    def test_cached_parser_keeps_no_state(self, tmp_path, capsys):
+        args = ("learn", "--learner", "vandam", "--n", "3", "--k", "2", "--eps", "0.0625")
+        plan_path = tmp_path / "plan.json"
+        code, out, _ = run_cli(capsys, *args, "--retry-cap", "0", "--out", str(plan_path))
+        assert code == 0
+        assert json.loads(out)["used_fallback"] is True and plan_path.exists()
+        code, out, _ = run_cli(capsys, *args)
+        audit = json.loads(out)
+        assert code == 0
+        assert audit["used_fallback"] is False and "plan" in audit and "plan_path" not in audit
+        assert build_parser() is build_parser()
+        assert build_parser().parse_args(list(args)) == build_parser.__wrapped__().parse_args(
+            list(args)
+        )
+
     def test_byte_identical_reruns(self, capsys):
         args = ("learn", "--learner", "bv", "--b", "2", "--seed", "9")
         _, first, _ = run_cli(capsys, *args)
@@ -456,6 +527,24 @@ class TestEntrypointPlumbing:
         code, out, err = run_cli(capsys, *command, "--in", "state.json")
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "at least 2^15000" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, broken", [
+        (["verify-bound", "--in", "state.json", "--table", "parity2.txt"], "state.json"),
+        (["verify-bound", "--in", "state.json", "--table", "parity2.txt"], "parity2.txt"),
+        (["extract-set", "--concepts", "concepts.txt", "--k", "2"], "concepts.txt"),
+    ])
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path, capsys, monkeypatch, command,
+                                            broken):
+        # one loader per file: load_state, load_function, load_concept_class
+        monkeypatch.chdir(tmp_path)
+        save_state(build_parity_algorithm(2).psi, "state.json")
+        save_function(build_function("parity", 2), "parity2.txt")
+        write_concepts(tmp_path, 2, ["01", "10"])
+        text = (tmp_path / broken).read_bytes()
+        (tmp_path / broken).write_bytes(text[:5] + b"\xff" + text[5:])
+        code, out, err = run_cli(capsys, *command)
+        assert (code, out) == (3, "")
+        assert err == f"error: {broken}: byte 6 is not UTF-8 text\n"
 
     def test_oracle_string_round_trip_through_files(self, tmp_path, capsys):
         # states written by one command are readable by another

@@ -1,6 +1,8 @@
 """Concept classes, tensor-power reductions, and the classical query plan."""
+import functools
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -170,12 +172,81 @@ class TestDistinguishingSets:
             min_distinguishing_set(c, "exact")
         assert min_distinguishing_set(c, "greedy") == (1, 2, 3, 4)
 
+    @pytest.mark.parametrize("seed", range(16))
+    def test_block_search_matches_scalar(self, monkeypatch, seed):
+        default = learning.EXACT_BLOCK_CELLS
+        for c, want, cells in seeded_exact_cases(seed):
+            # one subset per block only where the search is short, a few, and the default
+            for block_cells in ([c.m] if cells // c.m <= 3000 else []) + [7 * c.m, default]:
+                monkeypatch.setattr(learning, "EXACT_BLOCK_CELLS", block_cells)
+                assert min_distinguishing_set(c, "exact") == want
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_block_search_refuses_where_scalar_does(self, monkeypatch, seed):
+        for c, want, cells in seeded_exact_cases(seed):
+            # the scalar loop returns at its first solution's cells under any cap at least
+            # that, and refuses under a cap one cell or one subset short; small caps stop it
+            # within four subsets, cheap enough to run it again
+            caps = [(cap, cap < cells) for cap in (cells, cells - 1, cells - c.m)]
+            caps += [(cap, scalar_exact_search(c, cap) is None)
+                     for cap in (c.m - 1, c.m, 3 * c.m + 1)]
+            for cap, refused in caps:
+                monkeypatch.setattr(learning, "MAX_EXACT_CELLS", cap)
+                if refused:
+                    with pytest.raises(ValidationError, match=f"exact search passed {cap} "):
+                        min_distinguishing_set(c, "exact")
+                else:
+                    assert min_distinguishing_set(c, "exact") == want
+
     def test_single_concept_needs_nothing(self):
         assert min_distinguishing_set(concept_class(2, ("10",)), mode="exact") == ()
 
     def test_unknown_mode(self):
         with pytest.raises(ContractViolation):
             min_distinguishing_set(THREE, mode="magic")
+
+
+def scalar_exact_search(c, cap):
+    """The exact search one subset at a time: (first set, cells tested), or None once refused.
+
+    Subsets go by size in combinations order; each test costs m cells, and the
+    search refuses the subset that would take the count past cap.
+    """
+    codes = (c.bits.astype(np.int64) << np.arange(c.n)).sum(axis=1).tolist()
+    cells = 0
+    for size in range((c.m - 1).bit_length(), c.n + 1):
+        for subset in combinations(range(c.n), size):
+            cells += c.m
+            if cells > cap:
+                return None
+            mask = sum(1 << j for j in subset)
+            if len({v & mask for v in codes}) == c.m:
+                return tuple(j + 1 for j in subset), cells
+    raise AssertionError("the full index set always distinguishes")
+
+
+@functools.cache
+def seeded_exact_cases(seed):
+    """(class, scalar result, cells tested) for each of seeded_classes(seed)."""
+    return [(c, *scalar_exact_search(c, learning.MAX_EXACT_CELLS)) for c in seeded_classes(seed)]
+
+
+def seeded_classes(seed):
+    """Classes with n <= 16 and m in [2, 64]; most have several tied minimum sets.
+
+    The second is built of pairs that differ in the last position alone, which every
+    distinguishing set must then hold, so each size is searched to its late subsets.
+    """
+    rng = np.random.default_rng([seed, 12])
+    n = 16 if seed == 0 else int(rng.integers(3, 17))
+    m = min(64 if seed < 2 else int(rng.integers(2, 65)), 1 << n)
+    words = rng.choice(1 << n, size=m, replace=False)
+    yield ConceptClass(n, (words[:, None] >> np.arange(n)) & 1)
+    half = words[: max(1, m // 2)] & ((1 << (n - 1)) - 1)
+    twins = np.unique(np.concatenate([half, half | (1 << (n - 1))]))
+    yield ConceptClass(n, (twins[:, None] >> np.arange(n)) & 1)
+    if seed < 4:
+        yield hadamard_concept_class(seed + 1)
 
 
 class TestTensorEncoding:
@@ -426,6 +497,9 @@ class TestQueryPlan:
         path = tmp_path / "plan.json"
         save_plan(plan, path)
         assert load_plan(path) == plan
+        path.write_bytes(path.read_bytes() + b"\xff")
+        with pytest.raises(ParseError, match="is not UTF-8 text"):
+            load_plan(path)
 
     def test_malformed_record(self):
         with pytest.raises(ParseError):
@@ -555,6 +629,21 @@ class TestBuildClassicalPlan:
         concepts = concept_class(2, ("00", "01"))
         result = build_classical_plan(psi, concepts, eps=0.0, seed=0)
         assert result.plan.base_queries == (2,)
+
+    def test_bound_violation_carries_first_pairs(self):
+        # eps = 0 leaves every one of the 2,016 pairs of the n = 6 subset learner over the bound
+        psi, concepts = build_subset_state(6, 3), full_concept_class(6)
+        with pytest.raises(BoundViolation) as err:
+            build_classical_plan(psi, concepts, eps=0.0, seed=0)
+        report = check_pairwise_overlaps(
+            amplitude_profile(psi), tensor_power_class(concepts, 3), 0.0
+        )
+        worst = report.worst()
+        assert len(report.violations()) == 2016
+        assert err.value.pairs == report.violations()[: learning.MAX_REPORTED_VIOLATIONS]
+        assert report.violations(3) == report.violations()[:3]
+        assert (err.value.pairs[0].i, err.value.pairs[0].j) == (0, 1)
+        assert f"concepts {worst.i} and {worst.j} have squared overlap" in str(err.value)
 
     def test_bound_violation_names_pair(self):
         psi = QueryState(2, 1, {((0,), 0): 1.0})
