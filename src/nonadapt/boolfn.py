@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractViolation, ParseError, ValidationError
+from .errors import ContractViolation, ParseError, ValidationError, read_input
 from .qstate import OracleString, parity
 
 MAX_N = 20  # truth tables are dense; larger n is out of scope by design
@@ -96,11 +96,7 @@ def save_function(f: TotalFunction, path) -> None:
 
 
 def load_function(path) -> TotalFunction:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: byte {exc.start + 1} is not UTF-8 text") from exc
+    lines = read_input(path).splitlines()
     if len(lines) < 2:
         raise ParseError(f"{path}: expected two lines (n, then 2^n characters)")
     try:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -28,7 +29,6 @@ from .bounds import (
     error_lower_bound,
     error_profile,
     helstrom_error,
-    oracle_pair_overlap,
     query_lower_bound,
 )
 from .errors import (
@@ -42,6 +42,7 @@ from .learning import (
     AmplitudeProfile,
     amplitude_profile,
     build_classical_plan,
+    check_pairwise_overlaps,
     full_concept_class,
     load_concept_class,
     min_distinguishing_set,
@@ -189,11 +190,9 @@ def cmd_bv(args: argparse.Namespace) -> int:
     success = [
         run_algorithm(alg, x).get(s, 0.0) for s, x in enumerate(concepts.concepts)
     ]
-    floor = 0.0
-    for i in range(concepts.m):
-        for j in range(i + 1, concepts.m):
-            c = abs(oracle_pair_overlap(alg.psi, concepts.concepts[i], concepts.concepts[j]))
-            floor = max(floor, helstrom_error(min(c, 1.0)))
+    # the most overlapping pair sets the floor; at eps = 1/2 the overlap check cannot fail
+    w = check_pairwise_overlaps(amplitude_profile(alg.psi), concepts, 0.5).worst()
+    floor = helstrom_error(min(math.sqrt(w.overlap_sq), 1.0))
     min_size = len(min_distinguishing_set(concepts, "exact"))
     ok = min(success) >= 1.0 - ATOL
     payload = {

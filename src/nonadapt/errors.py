@@ -1,8 +1,9 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one input reader.
 
 The split mirrors the CLI exit codes: contract violations and validation
 errors exit 2, bound/plan failures exit 1, parse errors exit 3.
 """
+import json
 
 
 class ContractViolation(ValueError):
@@ -15,6 +16,17 @@ class ValidationError(ValueError):
 
 class ParseError(ValueError):
     """A file could not be parsed; message carries line/position where known."""
+
+
+def read_input(path, as_json=False):
+    """path's UTF-8 text, or the JSON value it holds; a bad byte or bad JSON is a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh) if as_json else fh.read()
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start + 1} is not UTF-8 text") from exc
 
 
 class BoundViolation(RuntimeError):

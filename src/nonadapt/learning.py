@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
-    BoundViolation, ContractViolation, InputOutsideClass, ParseError, ValidationError,
+    BoundViolation, ContractViolation, InputOutsideClass, ParseError, ValidationError, read_input,
 )
 from .qstate import IndexTuple, OracleString, QueryState, odd_mask, oracle_phase, parity
 from .rng import stream
@@ -121,11 +121,7 @@ def save_concept_class(c: ConceptClass, path) -> None:
 
 
 def load_concept_class(path) -> ConceptClass:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: byte {exc.start + 1} is not UTF-8 text") from exc
+    lines = read_input(path).splitlines()
     if not lines:
         raise ParseError(f"{path}: empty file")
     head = lines[0].split()
@@ -296,9 +292,11 @@ class AmplitudeProfile:
     values: tuple[float, ...]
 
     def __post_init__(self):
+        if not np.isfinite(self.array).all():
+            raise ValidationError("profile entries must be finite")
         if (self.array < 0).any():
             raise ValidationError("profile entries must be nonnegative")
-        if abs(sum(self.values) - 1.0) > 1e-9:
+        if not abs(sum(self.values) - 1.0) <= 1e-9:
             raise ValidationError(f"profile sums to {sum(self.values)!r}, expected 1")
 
     @classmethod
@@ -637,11 +635,4 @@ def save_plan(plan: QueryPlan, path) -> None:
 
 
 def load_plan(path) -> QueryPlan:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: byte {exc.start + 1} is not UTF-8 text") from exc
-    return plan_from_dict(data)
+    return plan_from_dict(read_input(path, as_json=True))

@@ -25,7 +25,7 @@ from typing import Callable, Hashable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import ContractViolation, ParseError, ValidationError
+from .errors import ContractViolation, ParseError, ValidationError, read_input
 
 ATOL = 1e-9
 
@@ -417,6 +417,9 @@ class ProjectiveMeasurement:
         vecs = np.zeros((len(states), len(first)), dtype=complex)
         effect = np.repeat(np.arange(len(states)), [len(s.amps) for s in states])
         vecs[effect, rank] = np.concatenate([s.amps for s in states])
+        if not (finite := np.isfinite(vecs).all(axis=1)).all():
+            i = np.argmin(finite)  # the first offender
+            raise ValidationError(f"measurement state {i} has a non-finite amplitude")
         gram = vecs.conj() @ vecs.T
         bad = np.triu(np.abs(gram - np.eye(len(states))) > ATOL)
         if bad.any():
@@ -465,13 +468,15 @@ class PovmMeasurement:
                     f"element for outcome {outcome!r} has shape {mat.shape}, "
                     f"expected ({d}, {d})"
                 )
+            if not np.isfinite(mat).all():
+                raise ValidationError(f"element for outcome {outcome!r} has a non-finite entry")
             if np.max(np.abs(mat - mat.conj().T)) > ATOL:
                 raise ValidationError(f"element for outcome {outcome!r} is not Hermitian")
             if np.linalg.eigvalsh(mat)[0] < -ATOL:
                 raise ValidationError(f"element for outcome {outcome!r} is not PSD")
             total += mat
             frozen.append((outcome, mat))
-        if np.max(np.abs(total - np.eye(d))) > ATOL:
+        if not np.max(np.abs(total - np.eye(d))) <= ATOL:  # written so that NaN fails
             raise ValidationError("POVM elements do not sum to the identity")
         object.__setattr__(self, "elements", tuple(frozen))
 
@@ -488,10 +493,17 @@ class PovmMeasurement:
 Measurement = Union[ProjectiveMeasurement, PovmMeasurement]
 
 
-def _state_vector(psi: QueryState, basis_keys: np.ndarray) -> np.ndarray:
-    """psi's amplitudes over a measurement basis given by its (d, k + 1) key matrix."""
-    d = len(basis_keys)
-    first, rank = group_keys(np.vstack([basis_keys, psi.keys]))
+def _state_vector(psi: QueryState, meas: Measurement) -> np.ndarray:
+    """psi's amplitudes over meas's basis; psi must be normalized, in meas's space and basis."""
+    if not isinstance(meas, (ProjectiveMeasurement, PovmMeasurement)):
+        raise ContractViolation(f"unsupported measurement type {type(meas)!r}")
+    if not psi.is_normalized():
+        raise ContractViolation("state must be normalized before measurement")
+    ref = meas.effects[0][1] if isinstance(meas, ProjectiveMeasurement) else meas
+    if (psi.n, psi.k, psi.ancilla_dim) != (ref.n, ref.k, ref.ancilla_dim):
+        raise ContractViolation("state and measurement live in different spaces")
+    d = len(meas.basis_keys)
+    first, rank = group_keys(np.vstack([meas.basis_keys, psi.keys]))
     pos = first[rank[d:]]  # a stable sort puts a basis row first among equal keys
     outside = pos >= d
     if outside.any():
@@ -506,31 +518,18 @@ def _state_vector(psi: QueryState, basis_keys: np.ndarray) -> np.ndarray:
 
 def measure(psi: QueryState, meas: Measurement) -> dict[Outcome, float]:
     """Outcome distribution of measuring psi; probabilities sum to 1 within 1e-9."""
-    if not psi.is_normalized():
-        raise ContractViolation("state must be normalized before measurement")
-    probs: dict[Outcome, float] = {}
-    if isinstance(meas, ProjectiveMeasurement):
-        ref = meas.effects[0][1]
-        if not psi.same_space(ref):
-            raise ContractViolation("state and measurement live in different spaces")
-        if not psi.support() <= set(meas.basis):
-            raise ContractViolation(
-                "state support is not contained in the measurement basis support"
-            )
-        for outcome, s in meas.effects:
-            p = abs(inner_product(s, psi)) ** 2
-            probs[outcome] = probs.get(outcome, 0.0) + p
-    elif isinstance(meas, PovmMeasurement):
-        if (psi.n, psi.k, psi.ancilla_dim) != (meas.n, meas.k, meas.ancilla_dim):
-            raise ContractViolation("state and measurement live in different spaces")
-        v = _state_vector(psi, meas.basis_keys)
-        for outcome, mat in meas.elements:
-            p = float(np.real(np.vdot(v, mat @ v)))
-            probs[outcome] = probs.get(outcome, 0.0) + max(p, 0.0)
+    v = _state_vector(psi, meas)
+    if isinstance(meas, ProjectiveMeasurement):  # Python's abs(c) ** 2, as QueryState.probs
+        ps = [abs(c) ** 2 for c in (meas.V.conj() @ v).tolist()]
+        outcomes = [outcome for outcome, _ in meas.effects]
     else:
-        raise ContractViolation(f"unsupported measurement type {type(meas)!r}")
+        ps = [max(float(np.real(np.vdot(v, mat @ v))), 0.0) for _, mat in meas.elements]
+        outcomes = [outcome for outcome, _ in meas.elements]
+    probs: dict[Outcome, float] = {}
+    for outcome, p in zip(outcomes, ps):  # summed per label in effect order
+        probs[outcome] = probs.get(outcome, 0.0) + p
     total = sum(probs.values())
-    if abs(total - 1.0) > ATOL:
+    if not abs(total - 1.0) <= ATOL:  # written so that NaN fails
         raise ContractViolation(
             f"outcome probabilities sum to {total!r}; the measurement is not "
             "complete on this state"
@@ -595,11 +594,4 @@ def save_state(psi: QueryState, path) -> None:
 
 
 def load_state(path) -> QueryState:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: byte {exc.start + 1} is not UTF-8 text") from exc
-    return state_from_dict(data)
+    return state_from_dict(read_input(path, as_json=True))

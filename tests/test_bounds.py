@@ -259,6 +259,27 @@ class TestErrorProfile:
         with pytest.raises(ContractViolation):
             error_profile(psi, meas, TotalFunction(3, (0,) * 8))
 
+    def test_shares_measure_checks(self):
+        # error_profile and measure refuse a bad state or measurement with one message
+        psi = uniform_k1(2, [1, 2])
+        meas = random_projective(np.random.default_rng(3), psi)
+        narrow = ProjectiveMeasurement(((0, k1_state(2, {1: 1.0})),))
+        f = TotalFunction(2, (0, 1, 1, 0))
+        for state, m in ((psi, [meas]), (k1_state(2, {1: 0.5}), meas),
+                         (QueryState(2, 2, {((1, 1), 0): 1.0}), meas), (psi, narrow)):
+            with pytest.raises(ContractViolation) as via_measure:
+                measure(state, m)
+            with pytest.raises(ContractViolation) as via_profile:
+                error_profile(state, m, f)
+            assert str(via_profile.value) == str(via_measure.value)
+
+    def test_nan_fails_the_completeness_check(self):
+        psi = uniform_k1(2, [1, 2])
+        meas = random_projective(np.random.default_rng(5), psi)
+        object.__setattr__(meas, "V", np.full_like(meas.V, math.nan))
+        with pytest.raises(ContractViolation, match="not complete on the state's oracle orbit"):
+            error_profile(psi, meas, TotalFunction(2, (0, 1, 1, 0)))
+
 
 def distinct_masks(meas):
     return len(set(odd_masks(meas.basis_keys[:, :-1]).tolist()))
@@ -397,6 +418,31 @@ class TestBoundReport:
     def test_constant_function_rejected(self):
         with pytest.raises(ValidationError):
             bound_report(pair_state(), TotalFunction(2, (0, 0, 0, 0)))
+
+    def test_refusals_keep_their_order(self):
+        # a constant function is refused before an n mismatch is
+        with pytest.raises(ValidationError, match="function is constant: nothing to bound"):
+            bound_report(pair_state(), TotalFunction(3, (0,) * 8))
+        with pytest.raises(ContractViolation, match="state has n=2, function has n=3"):
+            bound_report(pair_state(), build_function("parity", 3))
+
+    def test_relevant_variables_and_weights_computed_once(self, monkeypatch):
+        calls = {"relevant": 0, "weights": 0}
+        relevant, weights = TotalFunction.relevant_variables, bounds.weight_profile
+
+        def count(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        psi, f = random_state(np.random.default_rng(9), 3, 2), build_function("majority", 3)
+        expected = error_lower_bound(psi, f)
+        monkeypatch.setattr(TotalFunction, "relevant_variables", count("relevant", relevant))
+        monkeypatch.setattr(bounds, "weight_profile", count("weights", weights))
+        rep = bound_report(psi, f)
+        assert calls == {"relevant": 1, "weights": 1}
+        assert rep["eps_lower_bound"] == expected
 
 
 @st.composite

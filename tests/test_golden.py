@@ -29,6 +29,7 @@ CASES = {
     "vandam-n6-json": ["vandam", "--n", "6", "--seed", "5"],
     "vandam-n6-csv": ["vandam", "--n", "6", "--format", "csv"],
     "bv-b3": ["bv", "--b", "3"],
+    "bv-b4": ["bv", "--b", "4"],
     "verify-bound-parity4": ["verify-bound", "--in", "parity4.json", "--table", "parity4.txt"],
     "verify-bound-random": ["verify-bound", "--in", "random-n4-k2.json", "--table", "table4.txt"],
     "learn-bv-b3": ["learn", "--learner", "bv", "--b", "3"],
@@ -157,9 +158,9 @@ def test_learn_golden_under_blas_threads(threads):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_sweep_golden_under_blas_threads(threads):
-    """The parity sweep, bound reports and subset transform must not depend on BLAS threads."""
+    """The parity sweep, bv, bound reports and subset transform must not depend on BLAS threads."""
     cases = {name: argv for name, argv in CASES.items()
-             if name == "parity-n5" or name.startswith(("verify-bound", "vandam"))}
+             if name in ("parity-n5", "bv-b3") or name.startswith(("verify-bound", "vandam"))}
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", FRESH_RUN, json.dumps(cases)],
@@ -167,7 +168,7 @@ def test_sweep_golden_under_blas_threads(threads):
     )
     runs = json.loads(proc.stdout)["runs"]
     exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
-    assert len(runs) == 8
+    assert len(runs) == 9
     for name, (code, out) in runs.items():
         assert code == exit_codes[name], name
         assert out == (GOLDEN / f"{name}.stdout").read_text(), name

@@ -345,6 +345,13 @@ class TestAmplitudeProfile:
         with pytest.raises(ValidationError):
             AmplitudeProfile((-0.1, 1.1))
 
+    @pytest.mark.parametrize("values", [(math.nan, 0.5, 0.5), (math.inf, 0.5, 0.5),
+                                        (0.5, 0.5, -math.inf)])
+    def test_non_finite_mass_rejected(self, values):
+        # NaN passes "< 0" and "> 1e-9", and sample_index_set would then fail inside numpy
+        with pytest.raises(ValidationError, match="profile entries must be finite"):
+            AmplitudeProfile(values)
+
     def test_unnormalized_state_rejected(self):
         psi = QueryState(1, 1, {((1,), 0): 1.0, ((0,), 0): 1.0})
         with pytest.raises(ContractViolation):

@@ -26,7 +26,7 @@ from nonadapt import (
     state_to_dict,
 )
 from nonadapt.bounds import oracle_pair_overlap, query_weight, weight_profile
-from nonadapt.learning import amplitude_profile, tuple_to_position
+from nonadapt.learning import amplitude_profile, load_plan, tuple_to_position
 from nonadapt.qstate import odd_mask, parity
 from tests.conftest import k1_state, random_projective, uniform_k1
 
@@ -194,6 +194,61 @@ class TestMeasure:
         with pytest.raises(ContractViolation):
             measure(k1_state(1, {1: 0.5}), meas)
 
+    @pytest.mark.parametrize("shared", [True, False])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_inner_product_reference(self, seed, shared):
+        # |<e|psi>|^2 summed per label, by the dict reference, against measure's array path
+        rng = np.random.default_rng(seed)
+        n, k, anc = 3, int(rng.integers(1, 3)), 1 + seed % 2
+        keys = random_state(rng, n, k, anc, support_size=8).keys
+        d = len(keys)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        if shared:  # every effect on the one key matrix: the one-support path
+            effects = [QueryState.from_arrays(n, k, keys, q[:, c], anc) for c in range(d)]
+        else:  # a block-diagonal unitary, each effect on its own block's keys
+            cut = int(rng.integers(1, d))
+            effects = []
+            for block in (keys[:cut], keys[cut:]):
+                b = len(block)
+                u, _ = np.linalg.qr(rng.normal(size=(b, b)) + 1j * rng.normal(size=(b, b)))
+                effects += [QueryState.from_arrays(n, k, block, u[:, c], anc) for c in range(b)]
+            effects = [effects[i] for i in rng.permutation(d)]
+        labels = rng.integers(0, 3, size=d).tolist()  # repeated labels
+        meas = ProjectiveMeasurement(tuple(zip(labels, effects)))
+        sub = rng.permutation(d)[: int(rng.integers(1, d))]  # a strict subset of the basis
+        amps = rng.normal(size=len(sub)) + 1j * rng.normal(size=len(sub))
+        psi = QueryState.from_arrays(n, k, keys[sub], amps, anc).normalized()
+        ref: dict = {}
+        for label, e in meas.effects:
+            ref[label] = ref.get(label, 0.0) + abs(inner_product(e, psi)) ** 2
+        got = measure(psi, meas)
+        assert list(got) == list(ref)  # labels in first-appearance order
+        assert all(abs(got[label] - ref[label]) <= 1e-12 for label in ref)
+
+    @pytest.mark.parametrize("povm", [False, True])
+    def test_each_contract_violation(self, povm):
+        psi = uniform_k1(2, [1, 2])
+        if povm:
+            meas = PovmMeasurement(n=2, k=1, basis=(((1,), 0), ((2,), 0)),
+                                   elements=((0, np.eye(2)),))
+            narrow = PovmMeasurement(n=2, k=1, basis=(((1,), 0),), elements=((0, np.eye(1)),))
+        else:
+            meas = ProjectiveMeasurement(((0, k1_state(2, {1: 1.0})), (1, k1_state(2, {2: 1.0}))))
+            narrow = ProjectiveMeasurement(((0, k1_state(2, {1: 1.0})),))
+        with pytest.raises(ContractViolation, match="unsupported measurement type"):
+            measure(psi, [meas])
+        with pytest.raises(ContractViolation, match="normalized before measurement"):
+            measure(k1_state(2, {1: 0.5}), meas)
+        with pytest.raises(ContractViolation, match="live in different spaces"):
+            measure(uniform_k1(3, [1, 2]), meas)
+        with pytest.raises(ContractViolation, match=r"entry \(\(2,\), 0\) is outside"):
+            measure(psi, narrow)
+        if not povm:  # a valid POVM sums to the identity, so it is complete on its basis
+            a = 1 / math.sqrt(2)
+            incomplete = ProjectiveMeasurement(((0, k1_state(2, {1: a, 2: -a})),))
+            with pytest.raises(ContractViolation, match="not complete on this state"):
+                measure(psi, incomplete)
+
 
 class TestMeasurementValidation:
     def test_projective_rejects_nonorthogonal(self):
@@ -243,6 +298,27 @@ class TestMeasurementValidation:
         assert shared.basis == copied.basis == tuple(((i,), 0) for i in range(4))
         assert np.array_equal(shared.basis_keys, copied.basis_keys)
         assert np.array_equal(shared.V, copied.V)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_projective_rejects_non_finite(self, bad):
+        # NaN passes every "> ATOL" tolerance check, so it must be refused up front
+        good = k1_state(2, {2: 1.0})
+        for states, i in (((k1_state(2, {1: bad}), good), 0), ((good, k1_state(2, {1: bad})), 1)):
+            with pytest.raises(ValidationError, match=f"state {i} has a non-finite amplitude"):
+                ProjectiveMeasurement(tuple(enumerate(states)))
+
+    def test_povm_rejects_non_finite(self):
+        basis = (((0,), 0), ((1,), 0))
+        e0 = np.array([[math.nan, 0], [0, 0.5]])
+        with pytest.raises(ValidationError, match="outcome 0 has a non-finite entry"):
+            PovmMeasurement(n=1, k=1, basis=basis, elements=((0, e0), (1, np.eye(2) - e0)))
+
+    def test_nan_fails_the_completeness_check(self):
+        # a measurement whose matrix went NaN after validation is refused, not measured
+        meas = ProjectiveMeasurement(((0, k1_state(2, {1: 1.0})), (1, k1_state(2, {2: 1.0}))))
+        object.__setattr__(meas, "V", np.full_like(meas.V, math.nan))
+        with pytest.raises(ContractViolation, match="sum to nan"):
+            measure(uniform_k1(2, [1, 2]), meas)
 
     def test_povm_rejects_non_psd(self):
         basis = (((0,), 0), ((1,), 0))
@@ -373,6 +449,18 @@ class TestSerialization:
     def test_missing_field(self):
         with pytest.raises(ParseError):
             state_from_dict({"n": 1, "k": 1})
+
+    def test_json_loaders_share_one_reader(self, tmp_path):
+        # load_state and load_plan report bad JSON and bad bytes alike
+        path = tmp_path / "bad.json"
+        path.write_text('{\n  "n": 1,\n  oops')
+        for load in (load_state, load_plan):
+            with pytest.raises(ParseError, match=r"bad.json: line 3 column 3: Expecting property"):
+                load(path)
+        path.write_bytes(b'{"n": \xff}')
+        for load in (load_state, load_plan):
+            with pytest.raises(ParseError, match=r"bad.json: byte 7 is not UTF-8 text$"):
+                load(path)
 
 
 def _strings(n_max=4):
