@@ -103,11 +103,7 @@ def error_lower_bound(psi: QueryState, f: TotalFunction) -> float:
     relevant = f.relevant_variables()
     if not relevant:
         raise ValidationError("function is constant: no sensitive pairs exist")
-    return _helstrom_floor(weight_profile(psi), relevant)
-
-
-def _helstrom_floor(profile: WeightProfile, relevant) -> float:
-    """max over the relevant variables j of helstrom_error(|1 - 2*W_j|)."""
+    profile = weight_profile(psi)
     return max(helstrom_error(abs(1.0 - 2.0 * profile.weights[j - 1])) for j in relevant)
 
 
@@ -236,9 +232,7 @@ def bound_report(
     if not relevant:
         raise ValidationError("function is constant: nothing to bound")
     profile = weight_profile(psi)
-    if psi.n != f.n:
-        raise ContractViolation(f"state has n={psi.n}, function has n={f.n}")
-    eps_lb = _helstrom_floor(profile, relevant)
+    eps_lb = error_lower_bound(psi, f)
     report = {
         "n": f.n,
         "n_eff": len(relevant),

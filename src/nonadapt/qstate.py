@@ -519,8 +519,13 @@ def _state_vector(psi: QueryState, meas: Measurement) -> np.ndarray:
 def measure(psi: QueryState, meas: Measurement) -> dict[Outcome, float]:
     """Outcome distribution of measuring psi; probabilities sum to 1 within 1e-9."""
     v = _state_vector(psi, meas)
-    if isinstance(meas, ProjectiveMeasurement):  # Python's abs(c) ** 2, as QueryState.probs
-        ps = [abs(c) ** 2 for c in (meas.V.conj() @ v).tolist()]
+    if isinstance(meas, ProjectiveMeasurement):
+        # <s_r|psi> rounded as Python's complex arithmetic: separate float products summed in
+        # basis order; BLAS and numpy's complex multiply (fused on some CPUs) vary by machine
+        V = meas.V
+        parts = np.stack([V.real * v.real + V.imag * v.imag, V.real * v.imag - V.imag * v.real])
+        re, im = np.cumsum(parts, axis=2)[:, :, -1].tolist()
+        ps = [abs(complex(a, b)) ** 2 for a, b in zip(re, im)]
         outcomes = [outcome for outcome, _ in meas.effects]
     else:
         ps = [max(float(np.real(np.vdot(v, mat @ v))), 0.0) for _, mat in meas.elements]

@@ -426,24 +426,6 @@ class TestBoundReport:
         with pytest.raises(ContractViolation, match="state has n=2, function has n=3"):
             bound_report(pair_state(), build_function("parity", 3))
 
-    def test_relevant_variables_and_weights_computed_once(self, monkeypatch):
-        calls = {"relevant": 0, "weights": 0}
-        relevant, weights = TotalFunction.relevant_variables, bounds.weight_profile
-
-        def count(name, fn):
-            def counted(*args):
-                calls[name] += 1
-                return fn(*args)
-            return counted
-
-        psi, f = random_state(np.random.default_rng(9), 3, 2), build_function("majority", 3)
-        expected = error_lower_bound(psi, f)
-        monkeypatch.setattr(TotalFunction, "relevant_variables", count("relevant", relevant))
-        monkeypatch.setattr(bounds, "weight_profile", count("weights", weights))
-        rep = bound_report(psi, f)
-        assert calls == {"relevant": 1, "weights": 1}
-        assert rep["eps_lower_bound"] == expected
-
 
 @st.composite
 def random_state_case(draw):

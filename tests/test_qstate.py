@@ -224,6 +224,15 @@ class TestMeasure:
         got = measure(psi, meas)
         assert list(got) == list(ref)  # labels in first-appearance order
         assert all(abs(got[label] - ref[label]) <= 1e-12 for label in ref)
+        # bit for bit: Python complex arithmetic summed in basis order, with no BLAS
+        v = [psi.amplitudes.get(key, 0j) for key in meas.basis]
+        exact: dict = {}
+        for (label, _), row in zip(meas.effects, meas.V.tolist()):
+            c = 0j
+            for e, a in zip(row, v):
+                c += e.conjugate() * a
+            exact[label] = exact.get(label, 0.0) + abs(c) ** 2
+        assert got == exact
 
     @pytest.mark.parametrize("povm", [False, True])
     def test_each_contract_violation(self, povm):
