@@ -55,9 +55,7 @@ def _hadamard_basis(
     rows = amp * (1.0 - 2.0 * parity(codes[:, None] & codes))
     keys = np.column_stack([index, np.zeros(d, np.int64)])
     psi = QueryState.from_arrays(n, index.shape[1], keys, np.full(d, amp))
-    effects = tuple(
-        (label, QueryState.from_arrays(n, psi.k, psi.keys, row)) for label, row in zip(labels, rows)
-    )
+    effects = tuple((label, psi.with_amps(row)) for label, row in zip(labels, rows))
     return psi, ProjectiveMeasurement(effects)
 
 
@@ -189,22 +187,23 @@ def subset_outcome_distribution(
     Entry y is the probability of outcome y in the OracleString.to_int
     encoding; the mass outside the measured family, 1 - sum, is failure.
     The post-oracle state's Fourier coefficients are built straight from
-    the subset masks, with the amplitude build_subset_state uses.  The
-    "fast" method uses a Walsh-Hadamard butterfly; "direct" evaluates every
-    overlap by explicit summation as an independent cross-check.
+    the subset masks, with the amplitude build_subset_state uses; they are
+    real, so the overlaps are too.  The "fast" method uses a Walsh-Hadamard
+    butterfly; "direct" evaluates every overlap by explicit summation as an
+    independent cross-check.
     """
     if x.n != n:
         raise ContractViolation(f"oracle string has n={x.n}, expected {n}")
     masks = _subset_masks(n, k)
-    coeff = np.zeros(1 << n, dtype=complex)
-    amp = complex(1.0 / math.sqrt(len(masks)))
+    coeff = np.zeros(1 << n)
+    amp = 1.0 / math.sqrt(len(masks))
     coeff[masks] = amp * (1.0 - 2.0 * parity(x.to_int() & masks))
     scale = 2.0 ** (-n / 2.0)
     if method == "fast":
         overlaps = fwht(coeff) * scale
     elif method == "direct":
         ys = np.arange(1 << n, dtype=np.int64)
-        overlaps = np.zeros(1 << n, dtype=complex)
+        overlaps = np.zeros(1 << n)
         amps = coeff[masks]
         chunk = 1 << 9
         for start in range(0, 1 << n, chunk):

@@ -29,6 +29,7 @@ from .qstate import (
     odd_masks,
     oracle_signs,
     ordered_sum,
+    overlap_terms,
 )
 
 EXACT_ATOL = 1e-12  # slack for pure sign arithmetic
@@ -160,10 +161,11 @@ def error_profile(psi: QueryState, meas: Measurement, f: TotalFunction) -> np.nd
     Walsh-Hadamard transform of length 2^n give every input at once, at a
     cost of u^2 * R + n * 2^n instead of 2^n * d * R.  The Gram goes through
     in blocks of at most SWEEP_CELLS cells (at least one row), so peak
-    memory does not grow with u^2.  Projective Grams are sums of exact
-    slice products, and the folds, the scatter and the transform do not use
-    BLAS, so the result is bit-identical for any SWEEP_CELLS and any BLAS
-    thread count.
+    memory does not grow with u^2.  The complex products round as Python's
+    (qstate.overlap_terms), projective Grams are sums of exact slice
+    products, and the folds, the scatter and the transform do not use BLAS,
+    so the result is bit-identical for any SWEEP_CELLS, any BLAS thread
+    count and any CPU.
     """
     if psi.n != f.n:
         raise ContractViolation(f"state has n={psi.n}, function has n={f.n}")
@@ -183,9 +185,9 @@ def error_profile(psi: QueryState, meas: Measurement, f: TotalFunction) -> np.nd
         return np.add.reduceat(a.take(order, axis=axis), starts, axis=axis)
 
     if projective:
-        w = fold(meas.V.conj() * v0, 1)  # (R, u): effect r's overlap, split by mask
+        re, im = (fold(w, 1) for w in overlap_terms(meas.V, v0))  # (R, u): split by mask
         ones = np.array([label == 1 for label in labels], dtype=bool)
-        slices = [_exact_slices(np.concatenate([w[s].real, w[s].imag])) for s in (ones, ~ones)]
+        slices = [_exact_slices(np.concatenate([re[s], im[s]])) for s in (ones, ~ones)]
 
         def gram(rows: slice) -> tuple[np.ndarray, np.ndarray]:
             g1 = _gram_rows(slices[0], rows)
@@ -193,7 +195,8 @@ def error_profile(psi: QueryState, meas: Measurement, f: TotalFunction) -> np.nd
     else:
         sums = (sum(m for label, m in meas.elements if label == 1),
                 sum(m for _, m in meas.elements))
-        g1, g_all = (fold(fold(np.real(v0.conj()[:, None] * m * v0), 0), 1) for m in sums)
+        terms = (overlap_terms(v0[:, None], m) for m in sums)  # conj(v0_a) m_ab
+        g1, g_all = (fold(fold(re * v0.real - im * v0.imag, 0), 1) for re, im in terms)
 
         def gram(rows: slice) -> tuple[np.ndarray, np.ndarray]:
             return g1[rows], g_all[rows]

@@ -11,7 +11,9 @@ A state is read-only arrays, validated once: a (d, k + 1) key matrix, each
 row an index tuple and then its ancilla label, and the d nonzero complex
 amplitudes.  It is built from an {(index tuple, ancilla): amplitude} dict,
 or from arrays through QueryState.from_arrays; the dict form is rebuilt
-only on request.  States and measurements are immutable after construction.
+only on request.  A state derived by new amplitudes on the same keys, as by
+the oracle or normalization, shares its parent's checked key matrix through
+QueryState.with_amps.  States and measurements are immutable after construction.
 """
 from __future__ import annotations
 
@@ -258,7 +260,7 @@ class QueryState:
     ancilla_dim: int = 1
 
     def __init__(self, n: int, k: int, amplitudes: Mapping[AmplitudeKey, complex], ancilla_dim=1):
-        keys = _key_arrays(amplitudes, n, k, ancilla_dim)
+        keys = _checked_keys(n, k, ancilla_dim, _key_arrays(amplitudes, n, k, ancilla_dim))
         amps = np.fromiter(amplitudes.values(), dtype=np.complex128, count=len(amplitudes))
         self._freeze(n, k, keys, amps, ancilla_dim)
 
@@ -266,11 +268,17 @@ class QueryState:
     def from_arrays(cls, n: int, k: int, keys, amps, ancilla_dim=1) -> "QueryState":
         """The state of a (d, k + 1) key matrix and d amplitudes, both kept read-only."""
         psi = cls.__new__(cls)
-        psi._freeze(n, k, keys, amps, ancilla_dim)
+        psi._freeze(n, k, _checked_keys(n, k, ancilla_dim, keys), amps, ancilla_dim)
+        return psi
+
+    def with_amps(self, amps) -> "QueryState":
+        """The state on self.keys, checked when self was built, with d new amplitudes."""
+        psi = type(self).__new__(type(self))
+        psi._freeze(self.n, self.k, self.keys, amps, self.ancilla_dim)
         return psi
 
     def _freeze(self, n, k, keys, amps, ancilla_dim) -> None:
-        keys = _checked_keys(n, k, ancilla_dim, keys)
+        """Store checked keys and their amplitudes read-only, zero amplitudes dropped."""
         amps = np.asarray(amps, dtype=np.complex128)
         if amps.shape != (len(keys),):
             raise ContractViolation(f"{amps.shape} amplitudes for {len(keys)} keys")
@@ -326,7 +334,7 @@ class QueryState:
         re, im = self.amps.real, self.amps.imag
         # the parts of Python's amp / norm, which divides by complex(norm, 0.0)
         amps = (np.stack([re + im * 0.0, im - re * 0.0], axis=1) / norm).view(np.complex128)
-        return QueryState.from_arrays(self.n, self.k, self.keys, amps[:, 0], self.ancilla_dim)
+        return self.with_amps(amps[:, 0])
 
     def support(self) -> frozenset[AmplitudeKey]:
         return frozenset(self.amplitudes)
@@ -356,9 +364,7 @@ def apply_oracle(psi: QueryState, x: OracleString) -> QueryState:
     """Apply the k-fold phase oracle for x; ancilla labels are untouched."""
     if psi.n != x.n:
         raise ContractViolation(f"state has n={psi.n} but oracle string has n={x.n}")
-    return QueryState.from_arrays(
-        psi.n, psi.k, psi.keys, psi.amps * oracle_signs(psi, x), psi.ancilla_dim
-    )
+    return psi.with_amps(psi.amps * oracle_signs(psi, x))
 
 
 def inner_product(a: QueryState, b: QueryState) -> complex:
@@ -516,19 +522,33 @@ def _state_vector(psi: QueryState, meas: Measurement) -> np.ndarray:
     return v
 
 
+def overlap_terms(V: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of conj(V) * v, broadcast, from separately rounded products.
+
+    They round as Python's complex product does; numpy's complex multiply
+    fuses multiply-add on some CPUs, so its bits vary by machine.
+    """
+    return V.real * v.real + V.imag * v.imag, V.real * v.imag - V.imag * v.real
+
+
 def measure(psi: QueryState, meas: Measurement) -> dict[Outcome, float]:
-    """Outcome distribution of measuring psi; probabilities sum to 1 within 1e-9."""
+    """Outcome distribution of measuring psi; probabilities sum to 1 within 1e-9.
+
+    No BLAS call and a fixed summation order: the same bits on every machine.
+    """
     v = _state_vector(psi, meas)
     if isinstance(meas, ProjectiveMeasurement):
-        # <s_r|psi> rounded as Python's complex arithmetic: separate float products summed in
-        # basis order; BLAS and numpy's complex multiply (fused on some CPUs) vary by machine
-        V = meas.V
-        parts = np.stack([V.real * v.real + V.imag * v.imag, V.real * v.imag - V.imag * v.real])
-        re, im = np.cumsum(parts, axis=2)[:, :, -1].tolist()
+        # <s_r|psi>: the terms summed in basis order
+        re, im = np.cumsum(np.stack(overlap_terms(meas.V, v)), axis=2)[:, :, -1].tolist()
         ps = [abs(complex(a, b)) ** 2 for a, b in zip(re, im)]
         outcomes = [outcome for outcome, _ in meas.effects]
     else:
-        ps = [max(float(np.real(np.vdot(v, mat @ v))), 0.0) for _, mat in meas.elements]
+        # Re <psi|M|psi> = Re <psi|M^dagger|psi> for any M: w_a = sum_b conj(M_ba) v_b, each
+        # summed in basis order, then Re sum_a conj(v_a) w_a, so errors grow with d, not d^2
+        ps = []
+        for _, mat in meas.elements:
+            wr, wi = (np.cumsum(t, axis=0)[-1] for t in overlap_terms(mat, v[:, None]))
+            ps.append(max(ordered_sum(v.real * wr + v.imag * wi), 0.0))
         outcomes = [outcome for outcome, _ in meas.elements]
     probs: dict[Outcome, float] = {}
     for outcome, p in zip(outcomes, ps):  # summed per label in effect order
@@ -583,6 +603,8 @@ def state_from_dict(data: dict) -> QueryState:
             if key in amps:
                 raise ValidationError(f"duplicate state entry {key}")
             amp = complex(entry["re"], entry["im"])
+            if not (math.isfinite(amp.real) and math.isfinite(amp.imag)):  # json reads NaN
+                raise ValidationError(f"state entry {key}: amplitude {amp!r} is not finite")
             # every command needs a normalized state; hypot, unlike abs, does not overflow
             if not math.hypot(amp.real, amp.imag) <= 1.0 + ATOL:
                 raise ValidationError(f"state entry {key}: amplitude {amp!r} has magnitude > 1")

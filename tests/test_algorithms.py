@@ -27,7 +27,7 @@ from nonadapt import (
 )
 from nonadapt import algorithms
 from nonadapt.algorithms import NonadaptiveAlgorithm, parity_registers
-from nonadapt.qstate import QueryState
+from nonadapt.qstate import QueryState, fwht, parity
 
 S = OracleString.from_string
 
@@ -85,6 +85,12 @@ class TestParityAlgorithm:
         assert len(amps) == 4
         for a in amps.values():
             assert a == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("alg", [build_parity_algorithm(7), build_hadamard_algorithm(3)],
+                             ids=["parity7", "bv3"])
+    def test_effects_share_the_state_keys(self, alg):
+        # one key matrix, checked once, for the state and every Hadamard effect
+        assert all(s.keys is alg.psi.keys for _, s in alg.meas.effects)
 
 
 class TestSubsetState:
@@ -168,6 +174,19 @@ class TestSubsetDistribution:
     def test_unknown_method(self):
         with pytest.raises(ContractViolation):
             subset_outcome_distribution(2, 1, S("00"), method="magic")
+
+    def test_real_transform_matches_complex_reference(self):
+        # the coefficients are real, so transforming them as complex numbers gives the same bits
+        rng = np.random.default_rng(29)
+        for n in range(1, 11):
+            x = OracleString.from_int(n, int(rng.integers(0, 1 << n)))
+            for k in range(n + 1):
+                masks = algorithms._subset_masks(n, k)
+                coeff = np.zeros(1 << n, dtype=complex)
+                amp = complex(1.0 / math.sqrt(len(masks)))
+                coeff[masks] = amp * (1.0 - 2.0 * parity(x.to_int() & masks))
+                want = np.abs(fwht(coeff) * 2.0 ** (-n / 2.0)) ** 2
+                assert np.array_equal(subset_outcome_distribution(n, k, x), want)
 
 
 class TestSubsetAlgorithm:

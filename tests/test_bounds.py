@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -389,6 +390,56 @@ class TestGramSlices:
             runs.append(json.loads(proc.stdout))
         assert runs[0] == runs[1]
         assert runs[0][0] == runs[0][1] and runs[0][2] == runs[0][3]
+
+
+# Loads the instances pickled by the test below and prints, for each, the projective
+# and POVM error profiles as hex and the POVM outcome probabilities.
+CPU_SWEEP = """
+import json, pickle, sys
+from nonadapt import (PovmMeasurement, ProjectiveMeasurement, QueryState, TotalFunction,
+                      error_profile, measure)
+from nonadapt.qstate import key_tuples
+out = []
+with open(sys.argv[1], "rb") as fh:
+    instances = pickle.load(fh)
+for n, k, keys, amps, q, labels, elements, table in instances:
+    psi = QueryState.from_arrays(n, k, keys, amps)
+    f = TotalFunction(n, table)
+    proj = ProjectiveMeasurement(tuple(
+        (label, QueryState.from_arrays(n, k, keys, q[:, c])) for c, label in enumerate(labels)))
+    povm = PovmMeasurement(n, k, tuple(key_tuples(keys)), tuple(zip(labels, elements)))
+    out += [error_profile(psi, m, f).tobytes().hex() for m in (proj, povm)]
+    out.append(repr(sorted(measure(psi, povm).items())))
+print(json.dumps(out))
+"""
+
+
+def test_sweep_and_povm_measure_independent_of_cpu_features(tmp_path):
+    """The complex products round the same with and without numpy's fused multiply-add."""
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    simd = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
+    if not simd:
+        pytest.skip("numpy dispatches no SIMD extension on this CPU")
+    rng = np.random.default_rng(61)
+    instances = []
+    for i in range(12):
+        n, k = 3 + i % 6, 1 + i % 2
+        psi = random_state(rng, n, k, support_size=12)
+        d = len(psi.keys)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        labels = [int(b) for b in rng.integers(0, 2, size=d)]
+        elements = [np.outer(q[:, c], q[:, c].conj()) for c in range(d)]
+        table = tuple(int(b) for b in rng.integers(0, 2, size=1 << n))
+        instances.append((n, k, psi.keys, psi.amps, q, labels, elements, table))
+    (tmp_path / "instances.pkl").write_bytes(pickle.dumps(instances))
+    src = Path(__file__).resolve().parent.parent / "src"
+    runs = []
+    for disabled in ("", " ".join(simd)):
+        env = dict(os.environ, PYTHONPATH=str(src), NPY_DISABLE_CPU_FEATURES=disabled)
+        proc = subprocess.run([sys.executable, "-c", CPU_SWEEP, str(tmp_path / "instances.pkl")],
+                              env=env, capture_output=True, text=True, check=True)
+        runs.append(json.loads(proc.stdout))
+    assert len(runs[0]) == 36 and runs[0] == runs[1]
 
 
 class TestBoundReport:

@@ -514,6 +514,24 @@ class TestEntrypointPlumbing:
         assert err.startswith("error:") and "magnitude > 1" in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("command", [
+        ["verify-bound", "--table", "parity2.txt"],
+        ["extract-set", "--concepts", "concepts.txt", "--k", "2"],
+    ])
+    @pytest.mark.parametrize("re_im", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)])
+    def test_non_finite_amplitude_rejected(self, tmp_path, capsys, monkeypatch, command, re_im):
+        # json reads NaN and Infinity; neither may pass as a magnitude above 1
+        monkeypatch.chdir(tmp_path)
+        save_function(build_function("parity", 2), "parity2.txt")
+        write_concepts(tmp_path, 2, ["01", "10"])
+        record = {"n": 2, "k": 1, "entries": [{"tuple": [1], "a": 0, "re": re_im[0],
+                                               "im": re_im[1]}]}
+        (tmp_path / "state.json").write_text(json.dumps(record))
+        code, out, err = run_cli(capsys, *command, "--in", "state.json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: state entry ((1,), 0): amplitude") and err.count("\n") == 1
+        assert err.rstrip().endswith("is not finite")
+
+    @pytest.mark.parametrize("command", [
         ["learn", "--learner", "state", "--concepts", "concepts.txt"],
         ["extract-set", "--concepts", "concepts.txt", "--k", "2"],
     ])

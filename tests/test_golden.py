@@ -26,8 +26,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 CASES = {
     "parity-n5": ["parity", "--n", "5"],
+    "parity-n14": ["parity", "--n", "14"],
     "vandam-n6-json": ["vandam", "--n", "6", "--seed", "5"],
     "vandam-n6-csv": ["vandam", "--n", "6", "--format", "csv"],
+    "vandam-n16-k8": ["vandam", "--n", "16", "--k", "8"],
     "bv-b3": ["bv", "--b", "3"],
     "bv-b4": ["bv", "--b", "4"],
     "verify-bound-parity4": ["verify-bound", "--in", "parity4.json", "--table", "parity4.txt"],
@@ -160,7 +162,7 @@ def test_learn_golden_under_blas_threads(threads):
 def test_sweep_golden_under_blas_threads(threads):
     """The parity sweep, bv, bound reports and subset transform must not depend on BLAS threads."""
     cases = {name: argv for name, argv in CASES.items()
-             if name in ("parity-n5", "bv-b3") or name.startswith(("verify-bound", "vandam"))}
+             if name in ("parity-n5", "parity-n14", "bv-b3") or name.startswith(("verify-bound", "vandam"))}
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
     proc = subprocess.run(
         [sys.executable, "-c", FRESH_RUN, json.dumps(cases)],
@@ -168,7 +170,7 @@ def test_sweep_golden_under_blas_threads(threads):
     )
     runs = json.loads(proc.stdout)["runs"]
     exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
-    assert len(runs) == 9
+    assert len(runs) == 11
     for name, (code, out) in runs.items():
         assert code == exit_codes[name], name
         assert out == (GOLDEN / f"{name}.stdout").read_text(), name

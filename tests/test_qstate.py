@@ -27,8 +27,8 @@ from nonadapt import (
 )
 from nonadapt.bounds import oracle_pair_overlap, query_weight, weight_profile
 from nonadapt.learning import amplitude_profile, load_plan, tuple_to_position
-from nonadapt.qstate import odd_mask, parity
-from tests.conftest import k1_state, random_projective, uniform_k1
+from nonadapt.qstate import odd_mask, overlap_terms, parity
+from tests.conftest import k1_state, random_projective, random_two_outcome_povm, uniform_k1
 
 S = OracleString.from_string
 
@@ -421,6 +421,61 @@ class TestQueryStateValidation:
     def test_canonical_entry_order(self):
         psi = QueryState(2, 2, {((2, 1), 0): 0.5, ((0, 0), 0): 0.5, ((1, 2), 0): 0.5, ((1, 0), 0): 0.5})
         assert [t for t, _, _ in psi.entries()] == [(0, 0), (1, 0), (1, 2), (2, 1)]
+
+
+class TestWithAmps:
+    def test_shares_the_checked_keys(self):
+        psi = random_state(np.random.default_rng(0), 4, 2, ancilla_dim=2)
+        phi = psi.with_amps(-psi.amps)
+        assert phi.keys is psi.keys and (phi.n, phi.k, phi.ancilla_dim) == (4, 2, 2)
+        assert np.array_equal(phi.amps, -psi.amps) and not phi.amps.flags.writeable
+
+    def test_drops_zero_amplitudes(self):
+        phi = uniform_k1(3, [1, 2, 3]).with_amps([0.0, 1.0, 0.0])
+        assert phi.amplitudes == {((2,), 0): 1.0}
+        for a in (phi.keys, phi.amps):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ContractViolation, match="amplitudes for 2 keys"):
+            uniform_k1(3, [1, 2]).with_amps([1.0])
+
+    def test_derived_states_keep_the_parent_keys(self):
+        rng = np.random.default_rng(1)
+        psi = random_state(rng, 5, 3)
+        x = OracleString(tuple(int(b) for b in rng.integers(0, 2, 5)))
+        assert apply_oracle(psi, x).keys is psi.keys
+        assert psi.normalized().keys is psi.keys
+
+
+def test_overlap_terms_match_python_complex_product():
+    # numpy's own conj(a) * b fuses multiply-add on some CPUs and then differs in the last bit
+    rng = np.random.default_rng(17)
+    a, b = (rng.normal(size=(2, 10_000)) * 2.0 ** rng.integers(-20, 20, size=(2, 10_000))
+            for _ in "ab")
+    a, b = a[0] + 1j * a[1], b[0] + 1j * b[1]
+    want = np.array([x.conjugate() * y for x, y in zip(a.tolist(), b.tolist())])
+    re, im = overlap_terms(a, b)
+    assert re.tobytes() == want.real.tobytes() and im.tobytes() == want.imag.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_povm_measure_sums_python_products_in_basis_order(seed):
+    # no BLAS: w_a = sum_b conj(M_ba) v_b, then Re sum_a conj(v_a) w_a, in Python's arithmetic
+    rng = np.random.default_rng(seed)
+    psi = random_state(rng, 4, 2, support_size=6 + seed)
+    meas = random_two_outcome_povm(rng, psi)
+    v = [psi.amplitudes[key] for key in meas.basis]
+    got = measure(psi, meas)
+    for label, mat in meas.elements:
+        total = 0.0
+        for a, va in enumerate(v):
+            w = 0j
+            for b, vb in enumerate(v):
+                w += complex(mat[b, a]).conjugate() * vb
+            total += (va.conjugate() * w).real
+        assert same_bits(got[label], max(total, 0.0))
 
 
 class TestSerialization:
