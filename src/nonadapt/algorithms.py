@@ -179,18 +179,14 @@ def build_subset_state(n: int, k: int) -> QueryState:
     return QueryState.from_arrays(n, max(k, 1), keys, np.full(len(masks), amp))
 
 
-def subset_outcome_distribution(
-    n: int, k: int, x: OracleString, method: str = "fast"
-) -> np.ndarray:
+def subset_outcome_distribution(n: int, k: int, x: OracleString) -> np.ndarray:
     """Distribution of the subset learner's Fourier measurement on input x.
 
     Entry y is the probability of outcome y in the OracleString.to_int
     encoding; the mass outside the measured family, 1 - sum, is failure.
     The post-oracle state's Fourier coefficients are built straight from
     the subset masks, with the amplitude build_subset_state uses; they are
-    real, so the overlaps are too.  The "fast" method uses a Walsh-Hadamard
-    butterfly; "direct" evaluates every overlap by explicit summation as an
-    independent cross-check.
+    real, so the overlaps are too, and one Walsh-Hadamard transform gives them all.
     """
     if x.n != n:
         raise ContractViolation(f"oracle string has n={x.n}, expected {n}")
@@ -198,20 +194,7 @@ def subset_outcome_distribution(
     coeff = np.zeros(1 << n)
     amp = 1.0 / math.sqrt(len(masks))
     coeff[masks] = amp * (1.0 - 2.0 * parity(x.to_int() & masks))
-    scale = 2.0 ** (-n / 2.0)
-    if method == "fast":
-        overlaps = fwht(coeff) * scale
-    elif method == "direct":
-        ys = np.arange(1 << n, dtype=np.int64)
-        overlaps = np.zeros(1 << n)
-        amps = coeff[masks]
-        chunk = 1 << 9
-        for start in range(0, 1 << n, chunk):
-            signs = 1.0 - 2.0 * parity(ys[start : start + chunk, None] & masks[None, :])
-            overlaps[start : start + chunk] = signs @ amps * scale
-    else:
-        raise ContractViolation(f"method must be 'fast' or 'direct', got {method!r}")
-    return np.abs(overlaps) ** 2
+    return np.abs(fwht(coeff) * 2.0 ** (-n / 2.0)) ** 2
 
 
 def build_subset_algorithm(n: int, k: int) -> NonadaptiveAlgorithm:

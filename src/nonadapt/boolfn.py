@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, ParseError, ValidationError, read_input
-from .qstate import OracleString, parity
+from .qstate import OracleString, decode_bits, encode_bits, parity
 
 MAX_N = 20  # truth tables are dense; larger n is out of scope by design
 
@@ -92,7 +92,7 @@ def build_function(kind: str, n: int, table=None) -> TotalFunction:
 
 def save_function(f: TotalFunction, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{f.n}\n{(f.table + ord('0')).tobytes().decode()}\n")
+        fh.write(f"{f.n}\n{encode_bits(f.table[None])[0]}\n")
 
 
 def load_function(path) -> TotalFunction:
@@ -108,9 +108,7 @@ def load_function(path) -> TotalFunction:
     row = lines[1].strip()
     if len(row) != 1 << n:
         raise ParseError(f"{path}: line 2: expected {1 << n} characters, got {len(row)}")
-    # one code point per character, so an index is a character position
-    bits = np.frombuffer(row.encode("utf-32-le"), dtype="<u4") - ord("0")
-    bad = np.flatnonzero(bits > 1)
-    if len(bad):
-        raise ParseError(f"{path}: line 2, position {bad[0] + 1}: expected 0 or 1")
+    bits, bad = decode_bits(row)
+    if bad.any():
+        raise ParseError(f"{path}: line 2, position {np.argmax(bad) + 1}: expected 0 or 1")
     return TotalFunction(n, bits)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from pathlib import Path
@@ -37,6 +36,7 @@ from .errors import (
     InputOutsideClass,
     ParseError,
     ValidationError,
+    render_json,
 )
 from .learning import (
     AmplitudeProfile,
@@ -57,10 +57,6 @@ EXIT_PASS = 0
 EXIT_BOUND_FAILURE = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
-
-
-def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _cell(value) -> str:

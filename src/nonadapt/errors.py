@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one input reader.
+"""Exception types shared across the package, the one input reader and the one JSON writer.
 
 The split mirrors the CLI exit codes: contract violations and validation
 errors exit 2, bound/plan failures exit 1, parse errors exit 3.
@@ -27,6 +27,11 @@ def read_input(path, as_json=False):
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte {exc.start + 1} is not UTF-8 text") from exc
+
+
+def render_json(payload) -> str:
+    """payload as every JSON record and output is written: sorted keys, indent 2, a newline."""
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 class BoundViolation(RuntimeError):

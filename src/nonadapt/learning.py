@@ -10,7 +10,6 @@ extraction), then expand each sampled tuple into its distinct base indices.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -21,8 +20,12 @@ import numpy as np
 
 from .errors import (
     BoundViolation, ContractViolation, InputOutsideClass, ParseError, ValidationError, read_input,
+    render_json,
 )
-from .qstate import IndexTuple, OracleString, QueryState, odd_mask, oracle_phase, parity
+from .qstate import (
+    IndexTuple, OracleString, QueryState, decode_words, encode_bits, odd_mask, oracle_phase,
+    ordered_sum, parity,
+)
 from .rng import stream
 
 MAX_TENSOR_POSITIONS = 1 << 20
@@ -60,9 +63,8 @@ class ConceptClass:
         if not (isinstance(self.bits, np.ndarray) and self.bits.shape[1:] == (self.n,)):
             for row in self.bits:  # ragged input: name the first row of the wrong length
                 if len(row) != self.n:
-                    raise ValidationError(
-                        f"concept {_word(row)} has length {len(row)}, not {self.n}"
-                    )
+                    word = encode_bits(np.array([row]).astype(np.uint8))[0]
+                    raise ValidationError(f"concept {word} has length {len(row)}, not {self.n}")
         bits = np.array(self.bits)
         if bits.min() < 0 or bits.max() > 1:
             raise ValidationError("concept entries must be 0 or 1")
@@ -93,15 +95,6 @@ class ConceptClass:
         raise InputOutsideClass(f"{x} is not a concept in this class")
 
 
-def _word(row) -> str:
-    return "".join(str(int(b)) for b in row)
-
-
-def _words(bits: np.ndarray) -> list[str]:
-    """The rows of a 0/1 uint8 matrix as strings of '0' and '1'."""
-    return [row.tobytes().decode() for row in bits + ord("0")]
-
-
 def _count(v: int) -> str:
     """v in decimal, or bounded by a power of two where decimal would be too long to print."""
     return str(v) if v < 1 << 64 else f"at least 2^{v.bit_length() - 1}"
@@ -117,7 +110,7 @@ def full_concept_class(n: int) -> ConceptClass:
 def save_concept_class(c: ConceptClass, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{c.n} {c.m}\n")
-        fh.writelines(word + "\n" for word in _words(c.bits))
+        fh.writelines(word + "\n" for word in encode_bits(c.bits))
 
 
 def load_concept_class(path) -> ConceptClass:
@@ -133,13 +126,11 @@ def load_concept_class(path) -> ConceptClass:
         raise ParseError(f"{path}: line 1: expected integers, got {lines[0]!r}") from exc
     if len(lines) < m + 1:
         raise ParseError(f"{path}: expected {m} concept lines, found {len(lines) - 1}")
-    rows = []
-    for ln, text in enumerate(lines[1 : m + 1], start=2):
-        row = text.strip()
-        if not row or len(row) != n or any(ch not in "01" for ch in row):
-            raise ParseError(f"{path}: line {ln}: expected {n} characters of 0/1")
-        rows.append([int(ch) for ch in row])
-    return ConceptClass(n, rows)
+    rows = [line.strip() for line in lines[1 : m + 1]]
+    bits, lengths, bad = decode_words(rows)
+    if (bad := bad | (lengths != n) | (lengths == 0)).any():
+        raise ParseError(f"{path}: line {np.argmax(bad) + 2}: expected {n} characters of 0/1")
+    return ConceptClass(n, bits.reshape(len(rows), n if rows else 0))
 
 
 def _columns(c: ConceptClass, indices: Iterable[int]) -> np.ndarray:
@@ -285,34 +276,35 @@ def simulate_tensor_query(t: Sequence[int], oracle: ClassicalOracle) -> int:
 # --- amplitude profiles and the probabilistic extraction -------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmplitudeProfile:
-    """Squared-amplitude distribution over query positions (position 0 included)."""
+    """Squared amplitudes per query position (0 included), as read-only float64 ``values``."""
 
-    values: tuple[float, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.array).all():
+        p = np.array(self.values, dtype=np.float64)
+        if not np.isfinite(p).all():
             raise ValidationError("profile entries must be finite")
-        if (self.array < 0).any():
+        if (p < 0).any():
             raise ValidationError("profile entries must be nonnegative")
-        if not abs(sum(self.values) - 1.0) <= 1e-9:
-            raise ValidationError(f"profile sums to {sum(self.values)!r}, expected 1")
+        if not abs((total := ordered_sum(p)) - 1.0) <= 1e-9:
+            raise ValidationError(f"profile sums to {total!r}, expected 1")
+        p.flags.writeable = False
+        object.__setattr__(self, "values", p)
+
+    def __eq__(self, other):
+        if not isinstance(other, AmplitudeProfile):
+            return NotImplemented
+        return np.array_equal(self.values, other.values)
 
     @classmethod
     def uniform(cls, length: int) -> "AmplitudeProfile":
-        return cls((1.0 / length,) * length)
+        return cls(np.full(length, 1.0 / length))
 
     @property
     def positions(self) -> int:
         return len(self.values)
-
-    @cached_property
-    def array(self) -> np.ndarray:
-        """values as a read-only float64 array, converted once."""
-        p = np.fromiter(self.values, dtype=np.float64, count=len(self.values))
-        p.flags.writeable = False
-        return p
 
 
 def amplitude_profile(psi: QueryState) -> AmplitudeProfile:
@@ -323,8 +315,7 @@ def amplitude_profile(psi: QueryState) -> AmplitudeProfile:
     if size > MAX_TENSOR_POSITIONS:
         raise ValidationError(f"profile would have {_count(size)} positions; too large")
     positions = psi.index @ (psi.n + 1) ** np.arange(psi.k)  # tuple_to_position of each entry
-    p = np.bincount(positions, weights=psi.probs, minlength=size)
-    return AmplitudeProfile(tuple(p.tolist()))
+    return AmplitudeProfile(np.bincount(positions, weights=psi.probs, minlength=size))
 
 
 @dataclass(frozen=True)
@@ -380,7 +371,7 @@ def check_pairwise_overlaps(
         raise ContractViolation(f"profile has {profile.positions} positions, expected {c.n + 1}")
     if not 0.0 <= eps <= 0.5:
         raise ContractViolation(f"eps must be in [0, 1/2], got {eps}")
-    p = profile.array
+    p = profile.values
     supp = np.flatnonzero(p[1:] > 0.0)  # columns of c.bits; position 0 never differs
     signs = 1.0 - 2.0 * c.bits[:, supp]
     gram = p[0] + (signs * p[1:][supp]) @ signs.T
@@ -417,7 +408,7 @@ def sample_index_set(
         raise ContractViolation(f"k_draws must be >= 1, got {k_draws}")
     if profile.positions != c.n + 1:
         raise ContractViolation(f"profile has {profile.positions} positions, expected {c.n + 1}")
-    drawn = rng.choice(profile.positions, size=k_draws, p=profile.array)
+    drawn = rng.choice(profile.positions, size=k_draws, p=profile.values)
     draws = tuple(int(i) for i in drawn)
     index_set = tuple(sorted({i for i in draws if i != 0}))
     return SampleResult(draws, index_set, is_distinguishing(c, index_set))
@@ -568,7 +559,7 @@ def build_classical_plan(
             selected, used_fallback = res.index_set, False
             break
     else:
-        support = np.flatnonzero(profile.array[1:] > 0.0) + 1
+        support = np.flatnonzero(profile.values[1:] > 0.0) + 1
         selected = _greedy_over_support(tclass, support.tolist())
         if selected is None:
             raise BoundViolation(
@@ -595,13 +586,13 @@ def plan_to_dict(plan: QueryPlan) -> dict:
     patterns = np.array(list(plan.decoder), dtype=np.uint8)  # (m, len(base_queries))
     return {
         "base_queries": list(plan.base_queries),
-        "concepts": _words(plan.concepts.bits),
-        "decoder_table": dict(zip(_words(patterns), plan.decoder.values())),
+        "concepts": encode_bits(plan.concepts.bits),
+        "decoder_table": dict(zip(encode_bits(patterns), plan.decoder.values())),
     }
 
 
 def plan_from_dict(data: dict) -> QueryPlan:
-    """Rebuild a plan from its record; the decoder is derived, then compared.
+    """Rebuild a plan from its record; the plan is derived, then its table compared.
 
     base_queries must be a list of plain ints and decoder_table a mapping of
     0/1 pattern strings to plain ints; nothing is coerced.
@@ -613,25 +604,26 @@ def plan_from_dict(data: dict) -> QueryPlan:
         for v in [*base, *table.values()]:
             if type(v) is not int:
                 raise TypeError(f"{v!r} is not an integer")
-        for pattern in table:
-            if not isinstance(pattern, str) or set(pattern) - {"0", "1"}:
-                raise TypeError(f"decoder pattern {pattern!r} is not a 0/1 string")
-        concepts = ConceptClass(
-            len(words[0]), [OracleString.from_string(w).bits for w in words]
-        )
-        decoder = {tuple(map(int, pattern)): idx for pattern, idx in table.items()}
+        patterns = list(table)
+        if (bad := decode_words(patterns)[2]).any():
+            raise TypeError(f"decoder pattern {patterns[np.argmax(bad)]!r} is not a 0/1 string")
+        n = len(words[0])
     except (KeyError, IndexError, TypeError) as exc:
         raise ParseError(f"malformed plan record: {exc}") from exc
-    plan = make_plan(concepts, base)
-    if decoder != plan.decoder:
+    bits, lengths, bad = decode_words(words)
+    if (bad := bad | (lengths == 0)).any():
+        raise ParseError(f"expected a nonempty 0/1 string, got {words[np.argmax(bad)]!r}")
+    if lengths[r := np.argmax(lengths != n)] != n:  # a ragged class
+        raise ValidationError(f"concept {words[r]} has length {lengths[r]}, not {n}")
+    plan = make_plan(ConceptClass(n, bits.reshape(len(words), n)), base)
+    if table != plan_to_dict(plan)["decoder_table"]:
         raise ValidationError("decoder_table differs from the one its base_queries induce")
     return plan
 
 
 def save_plan(plan: QueryPlan, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(plan_to_dict(plan), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(render_json(plan_to_dict(plan)))
 
 
 def load_plan(path) -> QueryPlan:

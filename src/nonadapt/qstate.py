@@ -14,11 +14,14 @@ or from arrays through QueryState.from_arrays; the dict form is rebuilt
 only on request.  A state derived by new amplitudes on the same keys, as by
 the oracle or normalization, shares its parent's checked key matrix through
 QueryState.with_amps.  States and measurements are immutable after construction.
+
+Every bit string read or written as 0/1 text goes through one codec: decode_bits
+and decode_words give uint8 bits and mark the characters and words that are not
+0/1, and encode_bits writes uint8 rows back as strings.
 """
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -27,7 +30,7 @@ from typing import Callable, Hashable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
-from .errors import ContractViolation, ParseError, ValidationError, read_input
+from .errors import ContractViolation, ParseError, ValidationError, read_input, render_json
 
 ATOL = 1e-9
 
@@ -87,9 +90,10 @@ class OracleString:
 
     @classmethod
     def from_string(cls, text: str) -> "OracleString":
-        if not isinstance(text, str) or not text or any(c not in "01" for c in text):
+        bits, _, bad = decode_words([text])
+        if not text or bad[0]:
             raise ParseError(f"expected a nonempty 0/1 string, got {text!r}")
-        return cls(tuple(int(c) for c in text))
+        return cls(tuple(bits.tolist()))
 
     @classmethod
     def zeros(cls, n: int) -> "OracleString":
@@ -103,7 +107,27 @@ class OracleString:
         return cls(tuple(1 if i == j - 1 else 0 for i in range(n)))
 
     def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return encode_bits(np.array([self.bits], dtype=np.uint8))[0]
+
+
+def decode_bits(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """text as uint8 bits, one per code point ('?' past ASCII), and a mask of those not 0/1."""
+    bits = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8) - ord("0")
+    return bits, bits > 1
+
+
+def decode_words(words: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The words' bits end to end, their lengths, and which are not strings of 0/1 characters."""
+    text = [w if isinstance(w, str) else "?" for w in words]
+    lengths = np.fromiter(map(len, text), dtype=np.int64, count=len(text))
+    bits, bad = decode_bits("".join(text))
+    word = np.searchsorted(np.cumsum(lengths), np.flatnonzero(bad), side="right")
+    return bits, lengths, np.bincount(word, minlength=len(text)) > 0
+
+
+def encode_bits(bits: np.ndarray) -> list[str]:
+    """The rows of a 0/1 uint8 matrix as strings of '0' and '1'."""
+    return [row.tobytes().decode() for row in bits + ord("0")]
 
 
 def validate_index_tuple(t: Sequence[int], n: int, k: int) -> IndexTuple:
@@ -324,8 +348,8 @@ class QueryState:
     def squared_norm(self) -> float:
         return self._squared_norm
 
-    def is_normalized(self, tol: float = ATOL) -> bool:
-        return abs(self.squared_norm() - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(self.squared_norm() - 1.0) <= ATOL
 
     def normalized(self) -> "QueryState":
         norm = math.sqrt(self.squared_norm())
@@ -616,8 +640,7 @@ def state_from_dict(data: dict) -> QueryState:
 
 def save_state(psi: QueryState, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_dict(psi), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(render_json(state_to_dict(psi)))
 
 
 def load_state(path) -> QueryState:

@@ -150,7 +150,7 @@ def test_subset_learner_closed_form(capsys):
         prev = -1.0
         for k in range(n + 1):
             x = OracleString.from_int(n, int(rng.integers(0, 1 << n)))
-            sim = subset_outcome_distribution(n, k, x, method="fast")[x.to_int()]
+            sim = subset_outcome_distribution(n, k, x)[x.to_int()]
             closed = recovery_success_probability(n, k)
             if abs(sim - closed) > 1e-9 or sim < prev - 1e-12:
                 bad.append((n, k, sim, closed))

@@ -149,14 +149,22 @@ class TestSubsetDistribution:
             }
             assert max(vals) - min(vals) < 1e-12
 
+    @staticmethod
+    def direct_distribution(n, k, x):
+        """The distribution with every overlap summed explicitly over the subsets."""
+        masks = algorithms._subset_masks(n, k)
+        amps = (1.0 - 2.0 * parity(x.to_int() & masks)) / math.sqrt(len(masks))
+        signs = 1.0 - 2.0 * parity(np.arange(1 << n)[:, None] & masks[None, :])
+        return np.abs(signs @ amps * 2.0 ** (-n / 2.0)) ** 2
+
     def test_fast_matches_direct(self):
         rng = np.random.default_rng(5)
         for n in (1, 3, 5, 8):
             for k in sorted(set([0, 1, n // 2, n])):
                 v = int(rng.integers(0, 1 << n))
                 x = OracleString.from_int(n, v)
-                fast = subset_outcome_distribution(n, k, x, method="fast")
-                direct = subset_outcome_distribution(n, k, x, method="direct")
+                fast = subset_outcome_distribution(n, k, x)
+                direct = self.direct_distribution(n, k, x)
                 assert fast == pytest.approx(direct, abs=1e-9)
 
     def test_distribution_normalized(self):
@@ -170,10 +178,6 @@ class TestSubsetDistribution:
             x = OracleString.from_int(n, 0b101)
             dist = subset_outcome_distribution(n, k, x)
             assert dist[x.to_int()] == pytest.approx(recovery_success_probability(n, k), abs=1e-9)
-
-    def test_unknown_method(self):
-        with pytest.raises(ContractViolation):
-            subset_outcome_distribution(2, 1, S("00"), method="magic")
 
     def test_real_transform_matches_complex_reference(self):
         # the coefficients are real, so transforming them as complex numbers gives the same bits

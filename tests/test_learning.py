@@ -47,7 +47,7 @@ from nonadapt import (
     tuple_to_position,
 )
 from nonadapt import learning
-from nonadapt.qstate import odd_mask, parity
+from nonadapt.qstate import encode_bits, odd_mask, parity
 from nonadapt.rng import stream
 
 S = OracleString.from_string
@@ -113,6 +113,22 @@ class TestConceptClass:
         path = tmp_path / "bad.txt"
         path.write_text("3 1\n0x0\n")
         with pytest.raises(ParseError, match="line 2"):
+            load_concept_class(path)
+
+    @pytest.mark.parametrize("last", ["00000000000x", "0000000000001", "00000000000", "", "é" * 12])
+    def test_only_bad_line_is_the_last_of_4096(self, tmp_path, last):
+        words = encode_bits(full_concept_class(12).bits)
+        path = tmp_path / "big.txt"
+        path.write_text("12 4096\n" + "".join(w + "\n" for w in [*words[:-1], last]))
+        with pytest.raises(ParseError, match=r"big.txt: line 4097: expected 12 characters of 0/1$"):
+            load_concept_class(path)
+        path.write_text("12 4096\n" + "".join(w + "\n" for w in words))
+        assert load_concept_class(path) == full_concept_class(12)
+
+    def test_header_m_below_zero_reads_no_concept(self, tmp_path):
+        path = tmp_path / "neg.txt"
+        path.write_text("2 -1\n01\n")
+        with pytest.raises(ValidationError, match="needs a concept"):
             load_concept_class(path)
 
 
@@ -337,6 +353,31 @@ class TestAmplitudeProfile:
     def test_uniform_constructor(self):
         assert AmplitudeProfile.uniform(4).values == pytest.approx((0.25,) * 4)
 
+    def test_values_are_one_read_only_array(self):
+        prof = AmplitudeProfile([0.5, 0.25, 0.25])
+        assert prof.values.dtype == np.float64
+        with pytest.raises(ValueError):
+            prof.values[0] = 1.0
+        assert prof == AmplitudeProfile((0.5, 0.25, 0.25))
+        assert prof != AmplitudeProfile((0.25, 0.5, 0.25))
+        assert prof != AmplitudeProfile((0.5, 0.25, 0.25, 0.0))
+
+    def test_sum_checked_as_python_sums_the_tuple(self):
+        # near the 1e-9 limit, Python's in-order sum and ndarray.sum's pairwise one can disagree
+        rng = np.random.default_rng(0)
+        disagree = 0
+        for _ in range(200):
+            p = rng.random(20)
+            p = p / p.sum() * (1 + 1e-9)
+            total = sum(p.tolist())
+            disagree += (abs(total - 1.0) > 1e-9) != (abs(np.sum(p) - 1.0) > 1e-9)
+            if abs(total - 1.0) <= 1e-9:
+                AmplitudeProfile(p)
+            else:
+                with pytest.raises(ValidationError, match=f"profile sums to {total!r},"):
+                    AmplitudeProfile(p)
+        assert disagree
+
     def test_must_sum_to_one(self):
         with pytest.raises(ValidationError):
             AmplitudeProfile((0.3, 0.3))
@@ -511,6 +552,40 @@ class TestQueryPlan:
     def test_malformed_record(self):
         with pytest.raises(ParseError):
             plan_from_dict({"base_queries": [1]})
+
+    def test_file_bytes_are_the_stdlib_json_text(self, tmp_path):
+        c = hadamard_concept_class(3)
+        plan = make_plan(c, min_distinguishing_set(c))
+        path = tmp_path / "plan.json"
+        save_plan(plan, path)
+        want = json.dumps(plan_to_dict(plan), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == want.encode()
+
+    @pytest.mark.parametrize("where", ["word", "pattern"])
+    def test_lone_surrogate_is_a_parse_error(self, where):
+        # JSON carries "\ud800", and it has no UTF-8 or UTF-32 encoding
+        data = json.loads(json.dumps(plan_to_dict(make_plan(THREE, (1, 2)))))
+        if where == "word":
+            data["concepts"][1] = "0\ud8001"
+        else:
+            data["decoder_table"]["0\ud800"] = data["decoder_table"].pop("01")
+        with pytest.raises(ParseError, match="0/1 string"):
+            plan_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "words, error, message",
+        [
+            (["01", "1", "x1"], ParseError, "got 'x1'"),
+            (["01", "", "11"], ParseError, "got ''"),
+            (["01", 5, "11"], ParseError, "got 5"),
+            (["01", "1", "11"], ValidationError, "concept 1 has length 1, not 2"),
+        ],
+        ids=["bad-character", "empty", "not-a-string", "ragged"],
+    )
+    def test_bad_concept_word(self, words, error, message):
+        data = {"base_queries": [1, 2], "concepts": words, "decoder_table": {}}
+        with pytest.raises(error, match=message):
+            plan_from_dict(data)
 
     @pytest.mark.parametrize(
         "edit, error",

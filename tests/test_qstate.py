@@ -27,7 +27,9 @@ from nonadapt import (
 )
 from nonadapt.bounds import oracle_pair_overlap, query_weight, weight_profile
 from nonadapt.learning import amplitude_profile, load_plan, tuple_to_position
-from nonadapt.qstate import odd_mask, overlap_terms, parity
+from nonadapt.qstate import (
+    decode_bits, decode_words, encode_bits, odd_mask, overlap_terms, parity,
+)
 from tests.conftest import k1_state, random_projective, random_two_outcome_povm, uniform_k1
 
 S = OracleString.from_string
@@ -59,12 +61,55 @@ class TestOracleString:
             OracleString((0, 2))
         with pytest.raises(ValidationError):
             OracleString(())
-        with pytest.raises(ParseError):
-            OracleString.from_string("01x")
+        for text in ("01x", "", "0\ud8001", "01 ", None, [0, 1]):
+            with pytest.raises(ParseError, match="expected a nonempty 0/1 string"):
+                OracleString.from_string(text)
         with pytest.raises(ContractViolation):
             S("01").bit(3)
         with pytest.raises(ContractViolation):
             S("01") ^ S("011")
+
+
+# mostly bits and near misses, lone surrogates included, then any code point
+TEXT = st.one_of(
+    st.sampled_from("01/2 \u00e9\ud800\udfff"), st.characters(blacklist_categories=())
+)
+
+
+class TestBitCodec:
+    def test_decode_and_encode_round_trip(self):
+        bits, bad = decode_bits("0110")
+        assert bits.dtype == np.uint8 and bits.tolist() == [0, 1, 1, 0]
+        assert not bad.any()
+        assert encode_bits(np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)) == ["011", "100"]
+        assert encode_bits(np.zeros((2, 0), dtype=np.uint8)) == ["", ""]
+
+    def test_offender_is_counted_in_characters(self):
+        # one position per code point: a non-ASCII character or a lone surrogate is one offender
+        for text, want in (("01x1", [2]), ("0é1\ud800", [1, 3]), ("1/2", [1, 2])):
+            assert np.flatnonzero(decode_bits(text)[1]).tolist() == want
+
+    def test_words_flag_the_offending_words(self):
+        words = ["01", "", "1x", None, "0", "\ud800", "10"]
+        bits, lengths, bad = decode_words(words)
+        assert bad.tolist() == [False, False, True, True, False, True, False]
+        assert lengths.tolist()[:3] == [2, 0, 2]
+        assert encode_bits(bits[None, :2]) == ["01"]
+        bits, lengths, bad = decode_words([])
+        assert (bits.size, lengths.size, bad.size) == (0, 0, 0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(st.text(TEXT, max_size=6), st.none(), st.integers()), max_size=8))
+    def test_words_match_the_character_loop(self, words):
+        bits, lengths, bad = decode_words(words)
+        assert bad.tolist() == [not isinstance(w, str) or any(c not in "01" for c in w)
+                                for w in words]
+        if not bad.any():
+            assert lengths.tolist() == [len(w) for w in words]
+            assert bits.tolist() == [int(c) for w in words for c in w]
+        for w in words:
+            if isinstance(w, str):
+                assert decode_bits(w)[1].tolist() == [c not in "01" for c in w]
 
 
 class TestOraclePhase:
@@ -487,6 +532,13 @@ class TestSerialization:
         back = load_state(path)
         assert back.amplitudes == psi.amplitudes
         assert (back.n, back.k, back.ancilla_dim) == (psi.n, psi.k, psi.ancilla_dim)
+
+    def test_file_bytes_are_the_stdlib_json_text(self, tmp_path):
+        psi = random_state(np.random.default_rng(8), n=3, k=2, ancilla_dim=2)
+        path = tmp_path / "state.json"
+        save_state(psi, path)
+        want = json.dumps(state_to_dict(psi), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == want.encode()
 
     def test_schema_fields(self):
         data = state_to_dict(uniform_k1(2, [0, 1]))
