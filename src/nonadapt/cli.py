@@ -51,7 +51,7 @@ from .learning import (
     save_plan,
 )
 from .qstate import ATOL, OracleString, load_state
-from .rng import check_seed, stream
+from . import rng
 
 EXIT_PASS = 0
 EXIT_BOUND_FAILURE = 1
@@ -126,8 +126,8 @@ def cmd_vandam(args: argparse.Namespace) -> int:
     ks = [args.k] if args.k is not None else range(n + 1)
     rows = []
     for k in ks:
-        rng = stream(args.seed, "vandam", f"k={k}")
-        x = OracleString.from_int(n, int(rng.integers(0, 1 << n)))
+        gen = rng.stream(args.seed, "vandam", f"k={k}")
+        x = OracleString.from_int(n, int(gen.integers(0, 1 << n)))
         sim = float(subset_outcome_distribution(n, k, x)[x.to_int()])
         closed = recovery_success_probability(n, k)
         rows.append(
@@ -237,9 +237,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     else:
         raise ContractViolation("--concepts is required when learning from a state file")
 
-    result = build_classical_plan(
-        psi, concepts, args.eps, args.seed, retry_cap=args.retry_cap
-    )
+    result = build_classical_plan(psi, concepts, args.eps)
     plan = result.plan
 
     # decode every concept from its own bits at the plan's positions, independently of
@@ -261,6 +259,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
     payload = {
         "command": "learn",
         "run_id": f"learn-{tag}-seed{args.seed}",
+        "seed": args.seed,
         "base_queries": list(plan.base_queries),
         "exact_min": exact_min,
         "overlap_bound": None if report is None else report.bound,
@@ -292,7 +291,7 @@ def cmd_extract_set(args: argparse.Namespace) -> int:
 
     results = [
         sample_index_set(
-            profile, concepts, k_draws, stream(args.seed, "extract-set", f"trial={t}")
+            profile, concepts, k_draws, rng.stream(args.seed, "extract-set", f"trial={t}")
         )
         for t in range(args.trials)
     ]
@@ -382,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int, help="instance size for the bv learner")
     p.add_argument("--learner", choices=["bv", "vandam", "state"], default="state")
     p.add_argument("--concepts", help="concept-class file (default: learner's own class)")
-    p.add_argument("--retry-cap", dest="retry_cap", type=int, default=64)
 
     p = sub.add_parser("extract-set", parents=[common],
                        help="sample distinguishing sets from an amplitude profile")
@@ -394,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        check_seed(args.seed)
+        rng.check_seed(args.seed)
         return COMMANDS[args.command](args)
     except BoundViolation as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,10 +3,10 @@
 A concept class is a finite set of candidate n-bit strings; a classical
 nonadaptive learner queries a fixed distinguishing set of bit positions and
 decodes.  A k-query quantum learner is turned into such a plan in three
-steps: view it as a one-query learner of the k-fold tensor class, sample
-tensor positions from the state's squared-amplitude profile until the
-sampled set distinguishes every concept pair (the probabilistic-method
-extraction), then expand each sampled tuple into its distinct base indices.
+steps: view it as a one-query learner of the k-fold tensor class, cover
+every concept pair greedily by the tensor positions where the state's
+squared-amplitude profile has mass, then expand each chosen tuple into its
+distinct base indices.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from .qstate import (
     IndexTuple, OracleString, QueryState, decode_words, encode_bits, odd_mask, oracle_phase,
     ordered_sum, parity,
 )
-from .rng import stream
 
 MAX_TENSOR_POSITIONS = 1 << 20
 # build_classical_plan's refusal limits: tensor-class entries, 1 byte each (the overlap
@@ -124,6 +123,8 @@ def load_concept_class(path) -> ConceptClass:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
         raise ParseError(f"{path}: line 1: expected integers, got {lines[0]!r}") from exc
+    if m < 0:
+        raise ParseError(f"{path}: line 1: concept count m = {m} is negative")
     if len(lines) < m + 1:
         raise ParseError(f"{path}: expected {m} concept lines, found {len(lines) - 1}")
     rows = [line.strip() for line in lines[1 : m + 1]]
@@ -245,7 +246,12 @@ def tensor_power_class(c: ConceptClass, k: int) -> ConceptClass:
     padded = extended = np.pad(c.bits, ((0, 0), (1, 0)))  # column 0 reads 0
     for _ in range(k - 1):  # prepend one more significant base-(n+1) digit per pass
         extended = (padded[:, :, None] ^ extended[:, None, :]).reshape(c.m, -1)
-    return ConceptClass(size - 1, extended[:, 1:])
+    # positions 1..n reproduce the checked class, so the rows are distinct 0/1 already
+    bits = extended[:, 1:]
+    bits.flags.writeable = False
+    tclass = ConceptClass.__new__(ConceptClass)
+    vars(tclass).update(n=size - 1, bits=bits)
+    return tclass
 
 
 @dataclass
@@ -421,6 +427,11 @@ def _greedy_over_support(c: ConceptClass, candidates: Iterable[int]) -> tuple[in
     ties to the earliest candidate; None when the candidates cannot separate
     every pair.  Colliding pairs are kept as groups of concepts that agree on
     every chosen position, so a position separates ones * zeros pairs per group.
+    If some distribution over the candidates separates every pair with
+    probability at least delta, the best candidate separates at least delta of
+    the pairs left (an average is at most the maximum), so the cover of
+    P = m(m-1)/2 pairs stops within floor(ln P / delta) + 1 positions
+    (Lovasz 1975).
     """
     candidates = list(candidates)
     cols = c.bits[:, _columns(c, candidates)]
@@ -494,21 +505,21 @@ class PlanResult:
     overlap_report: OverlapReport | None
 
 
-def build_classical_plan(
-    learner, concepts: ConceptClass, eps: float, seed: int, retry_cap: int = 64
-) -> PlanResult:
+def build_classical_plan(learner, concepts: ConceptClass, eps: float) -> PlanResult:
     """Derandomize a k-query quantum learner into a certain classical plan.
 
     The learner may be a full algorithm or a bare input state; only its state
     (and implied query count k) is consumed, and the caller is responsible
     for having verified that it learns the class with error at most eps.
-    Steps: check the pairwise overlap constraints on the tensor class, sample
-    tensor positions from the amplitude profile until they distinguish every
-    pair (retrying with fresh derived seeds up to retry_cap, then falling
-    back to a deterministic greedy cover, flagged in the audit), and expand
-    the sampled tuples into base query positions.  The resulting plan always
-    identifies every concept exactly; total positions stay within
-    ceil(4 k log2(m) / (1 - 2 sqrt(eps(1-eps)))).
+    Steps: check the pairwise overlap constraints on the tensor class, cover
+    every pair greedily by the tensor positions where the amplitude profile
+    has mass, and expand the chosen tuples into base query positions.  A
+    pair within the overlap bound is separated by a profile draw with
+    probability at least delta = (1 - c)/2, c = 2 sqrt(eps(1-eps)), so the
+    greedy cover takes at most floor(ln P / delta) + 1 <= 4 log2(m) / (1 - c)
+    tuples of at most k base queries each.  The plan is deterministic,
+    identifies every concept exactly, and stays within
+    ceil(4 k log2(m) / (1 - 2 sqrt(eps(1-eps)))) base queries, checked at runtime.
     """
     psi = getattr(learner, "psi", learner)
     if not isinstance(psi, QueryState):
@@ -517,15 +528,11 @@ def build_classical_plan(
         raise ContractViolation(f"learner state has n={psi.n}, concept class has n={concepts.n}")
     if not 0.0 <= eps < 0.5:
         raise ContractViolation(f"eps must be in [0, 1/2), got {eps}")
-    if type(retry_cap) is not int or retry_cap < 0:
-        raise ContractViolation(f"retry_cap must be an int >= 0, got {retry_cap!r}")
     if not psi.is_normalized():
         raise ContractViolation("state must be normalized")
     k, m = psi.k, concepts.m
-    audit = dict(  # a one-concept class needs no queries; the general path updates it
-        m=m, k=k, eps=eps, bound=0, draws_per_attempt=0, tuple_count=0,
-        base_query_count=0, retries=0, used_fallback=False, seed=seed,
-    )
+    # a one-concept class needs no queries; the general path updates the audit
+    audit = dict(m=m, k=k, eps=eps, bound=0, tuple_count=0, base_query_count=0)
     if m == 1:
         return PlanResult(make_plan(concepts, ()), audit, None)
     tensor_bits, pairs = m * ((concepts.n + 1) ** k - 1), m * (m - 1) // 2
@@ -548,34 +555,18 @@ def build_classical_plan(
             pairs=report.violations(MAX_REPORTED_VIOLATIONS),
         )
 
-    budget = math.ceil(k * classical_query_bound(m, eps))
-    # each drawn tuple is charged k base queries, so ceil(bound/k) draws keep
-    # the expanded plan within ceil(k * bound)
-    draws_per_attempt = max(1, math.ceil(classical_query_bound(m, eps) / k))
-    for retries in range(retry_cap):
-        rng = stream(seed, "plan", f"attempt={retries}")
-        res = sample_index_set(profile, tclass, draws_per_attempt, rng)
-        if res.distinguishing:
-            selected, used_fallback = res.index_set, False
-            break
-    else:
-        support = np.flatnonzero(profile.values[1:] > 0.0) + 1
-        selected = _greedy_over_support(tclass, support.tolist())
-        if selected is None:
-            raise BoundViolation(
-                "profile support cannot separate all concept pairs; "
-                "the claimed error rate is wrong"
-            )
-        retries, used_fallback = retry_cap, True
-
+    support = np.flatnonzero(profile.values[1:] > 0.0) + 1
+    selected = _greedy_over_support(tclass, support.tolist())
+    if selected is None:
+        raise BoundViolation(
+            "profile support cannot separate all concept pairs; the claimed error rate is wrong"
+        )
     tuples = [position_to_tuple(pos, concepts.n, k) for pos in selected]
     base = sorted({i for t in tuples for i in t if i != 0})
+    budget = math.ceil(k * classical_query_bound(m, eps))
     if len(base) > budget:
         raise BoundViolation(f"plan needs {len(base)} base queries, beyond its budget {budget}")
-    audit.update(
-        bound=budget, draws_per_attempt=draws_per_attempt, tuple_count=len(selected),
-        base_query_count=len(base), retries=retries, used_fallback=used_fallback,
-    )
+    audit.update(bound=budget, tuple_count=len(selected), base_query_count=len(base))
     return PlanResult(make_plan(concepts, base), audit, report)
 
 

@@ -1,9 +1,9 @@
 """Named random streams derived from a single 64-bit seed.
 
-Every source of randomness in the harness draws from stream(seed, name, ...)
-so that adding or removing parallelism never changes results: each
-subcomponent owns its stream, and streams with different names are
-independent by construction.
+Every source of randomness in the harness (vandam's hidden strings,
+extract-set's trials) draws from stream(seed, name, ...): each subcomponent
+owns its stream, so adding or removing draws in one never changes another's,
+and streams with different names are independent by construction.
 """
 from __future__ import annotations
 

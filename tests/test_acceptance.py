@@ -167,14 +167,16 @@ def test_one_query_learner_certainty(capsys):
         for s, x in enumerate(concepts.concepts):
             if run_algorithm(alg, x).get(s, 0.0) < 1.0 - 1e-9:
                 bad.append(("success", b, s))
-        result = build_classical_plan(alg, concepts, eps=0.0, seed=2026)
-        if len(result.plan.base_queries) > 4 * b:
-            bad.append(("plan-size", b, len(result.plan.base_queries)))
+        # the greedy plan meets the information bound: b queries for 2^b concepts
+        result = build_classical_plan(alg, concepts, eps=0.0)
+        plan_size, exact_min = len(result.plan.base_queries), len(
+            min_distinguishing_set(concepts, "exact")
+        )
+        if not plan_size == exact_min == b:
+            bad.append(("plan-size", b, plan_size, exact_min))
         for idx, x in enumerate(concepts.concepts):
             if classical_learn(result.plan, ClassicalOracle(x)).concept_index != idx:
                 bad.append(("decode", b, idx))
-        if len(min_distinguishing_set(concepts, "exact")) != b:
-            bad.append(("exact-min", b))
     elapsed = time.perf_counter() - t0
     assert verdict(capsys, "one-query-learner-certainty", not bad, elapsed, 10.0), bad
 

@@ -315,15 +315,6 @@ class TestLearnCommand:
             "131072 pairs\n"
         )
 
-    @pytest.mark.parametrize("cap", ["-5", "-1"])
-    def test_negative_retry_cap_refused(self, capsys, cap):
-        code, out, err = run_cli(
-            capsys, "learn", "--learner", "vandam", "--n", "3", "--k", "2", "--eps", "0.0625",
-            "--retry-cap", cap,
-        )
-        assert (code, out) == (2, "")
-        assert err == f"error: retry_cap must be an int >= 0, got {cap}\n"
-
     def test_state_learner_requires_concepts(self, tmp_path, capsys):
         state = tmp_path / "state.json"
         save_state(build_parity_algorithm(2).psi, state)
@@ -409,13 +400,13 @@ class TestLearnCommand:
     def test_cached_parser_keeps_no_state(self, tmp_path, capsys):
         args = ("learn", "--learner", "vandam", "--n", "3", "--k", "2", "--eps", "0.0625")
         plan_path = tmp_path / "plan.json"
-        code, out, _ = run_cli(capsys, *args, "--retry-cap", "0", "--out", str(plan_path))
+        code, out, _ = run_cli(capsys, *args, "--seed", "7", "--out", str(plan_path))
         assert code == 0
-        assert json.loads(out)["used_fallback"] is True and plan_path.exists()
+        assert json.loads(out)["seed"] == 7 and plan_path.exists()
         code, out, _ = run_cli(capsys, *args)
         audit = json.loads(out)
         assert code == 0
-        assert audit["used_fallback"] is False and "plan" in audit and "plan_path" not in audit
+        assert audit["seed"] == 0 and "plan" in audit and "plan_path" not in audit
         assert build_parser() is build_parser()
         assert build_parser().parse_args(list(args)) == build_parser.__wrapped__().parse_args(
             list(args)
@@ -426,6 +417,21 @@ class TestLearnCommand:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+    @pytest.mark.parametrize("argv", [
+        ["--learner", "vandam", "--n", "4", "--k", "3", "--eps", "0.0625"],
+        ["--learner", "bv", "--b", "3"],
+    ])
+    def test_plan_does_not_depend_on_seed(self, capsys, argv):
+        records = []
+        for seed in ("0", "7"):
+            code, out, _ = run_cli(capsys, "learn", *argv, "--seed", seed)
+            assert code == 0
+            record = json.loads(out)
+            assert record.pop("seed") == int(seed)
+            assert record.pop("run_id").endswith(f"-seed{seed}")
+            records.append(json.dumps(record, sort_keys=True))
+        assert records[0] == records[1]
 
 
 class TestExtractSet:
@@ -476,6 +482,13 @@ class TestExtractSet:
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
+
+    def test_negative_concept_count_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "neg.txt"
+        path.write_text("2 -2\n01\n10\n11\n")
+        code, out, err = run_cli(capsys, "extract-set", "--concepts", str(path), "--k", "4")
+        assert (code, out) == (3, "")
+        assert err == f"error: {path}: line 1: concept count m = -2 is negative\n"
 
     def test_trials_validated(self, tmp_path, capsys):
         concepts = write_concepts(tmp_path, 2, ["00", "01"])

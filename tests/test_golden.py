@@ -5,8 +5,9 @@ arguments are relative and every run id is stable.  Every JSON stdout must
 also be what json.dumps(indent=2, sort_keys=True) writes for its own
 content, so a corpus regenerated through a drifted renderer fails.  To
 regenerate after a deliberate output change, run
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff under
-tests/golden/.
+``PYTHONPATH=src python tests/test_golden.py``: it rewrites every case and
+prints the name of each one whose stdout or exit code changed.  Review the
+diff under tests/golden/.
 """
 import contextlib
 import io
@@ -37,8 +38,8 @@ CASES = {
     "learn-bv-b3": ["learn", "--learner", "bv", "--b", "3"],
     "learn-vandam-n4-k3": ["learn", "--learner", "vandam", "--n", "4", "--k", "3",
                            "--eps", "0.0625"],
-    "learn-vandam-fallback": ["learn", "--learner", "vandam", "--n", "3", "--k", "2",
-                              "--eps", "0.0625", "--retry-cap", "0"],
+    "learn-vandam-n3-k2": ["learn", "--learner", "vandam", "--n", "3", "--k", "2",
+                           "--eps", "0.0625"],
     "learn-state": ["learn", "--learner", "state", "--in", "random-n4-k2.json",
                     "--concepts", "concepts.txt", "--eps", "0.25"],
     "extract-set-json": ["extract-set", "--concepts", "concepts.txt", "--k", "6",
@@ -177,8 +178,13 @@ def test_sweep_golden_under_blas_threads(threads):
 
 
 if __name__ == "__main__":
+    codes_path = GOLDEN / "exit_codes.json"
+    old_codes = json.loads(codes_path.read_text()) if codes_path.exists() else {}
     codes = {}
     for name, argv in sorted(CASES.items()):
         codes[name], out = run_case(argv)
-        (GOLDEN / f"{name}.stdout").write_text(out)
-    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")
+        path = GOLDEN / f"{name}.stdout"
+        if codes[name] != old_codes.get(name) or not path.exists() or path.read_text() != out:
+            print(name)
+        path.write_text(out)
+    codes_path.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")

@@ -6,7 +6,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nonadapt import (
@@ -47,7 +47,7 @@ from nonadapt import (
     tuple_to_position,
 )
 from nonadapt import learning
-from nonadapt.qstate import encode_bits, odd_mask, parity
+from nonadapt.qstate import encode_bits, odd_mask, parity, random_state
 from nonadapt.rng import stream
 
 S = OracleString.from_string
@@ -127,7 +127,11 @@ class TestConceptClass:
 
     def test_header_m_below_zero_reads_no_concept(self, tmp_path):
         path = tmp_path / "neg.txt"
-        path.write_text("2 -1\n01\n")
+        for m in (-1, -2):  # slicing by m = -2 would read the truncated class {01, 10}
+            path.write_text(f"2 {m}\n01\n10\n11\n")
+            with pytest.raises(ParseError, match=f"line 1: concept count m = {m} is negative"):
+                load_concept_class(path)
+        path.write_text("2 0\n01\n")
         with pytest.raises(ValidationError, match="needs a concept"):
             load_concept_class(path)
 
@@ -308,6 +312,9 @@ class TestTensorEncoding:
             c = ConceptClass(n, [OracleString.from_int(n, int(v)).bits for v in words])
             tc = tensor_power_class(c, k)
             assert tc.bits.shape == (c.m, (n + 1) ** k - 1)
+            # built without ConceptClass's input checks, so pin what they would assert
+            assert not tc.bits.flags.writeable and tc.bits.dtype == np.uint8
+            assert len(np.unique(tc.bits, axis=0)) == c.m
             for x, row in zip(c.concepts, tc.bits.tolist()):
                 for pos in range(1, (n + 1) ** k):
                     assert row[pos - 1] == tensor_bit(x, position_to_tuple(pos, n, k))
@@ -669,7 +676,7 @@ def test_plan_record_fuzz(record):
 class TestBuildClassicalPlan:
     def test_hadamard_pipeline(self):
         concepts, alg = build_hadamard_instance(3)
-        result = build_classical_plan(alg, concepts, eps=0.0, seed=7)
+        result = build_classical_plan(alg, concepts, eps=0.0)
         audit = result.audit
         assert audit["m"] == 8
         assert audit["k"] == 1
@@ -683,7 +690,7 @@ class TestBuildClassicalPlan:
     def test_subset_learner_pipeline(self):
         concepts = full_concept_class(4)
         psi = build_subset_state(4, 3)
-        result = build_classical_plan(psi, concepts, eps=1 / 16, seed=3)
+        result = build_classical_plan(psi, concepts, eps=1 / 16)
         assert result.overlap_report.passed
         budget = math.ceil(3 * classical_query_bound(16, 1 / 16))
         assert len(result.plan.base_queries) <= budget
@@ -693,30 +700,30 @@ class TestBuildClassicalPlan:
 
     def test_trivial_single_concept(self):
         concepts = concept_class(2, ("01",))
-        result = build_classical_plan(build_subset_state(2, 1), concepts, eps=0.0, seed=0)
+        result = build_classical_plan(build_subset_state(2, 1), concepts, eps=0.0)
         assert result.plan.base_queries == ()
         res = classical_learn(result.plan, ClassicalOracle(S("01")))
         assert res.concept == S("01")
         assert res.queries_used == 0
         for eps in (7.0, -1.0, 0.5):  # checked even though one concept needs no queries
             with pytest.raises(ContractViolation):
-                build_classical_plan(build_subset_state(2, 1), concepts, eps=eps, seed=0)
+                build_classical_plan(build_subset_state(2, 1), concepts, eps=eps)
         unnormalized = QueryState(2, 1, {((1,), 0): 0.5})
         with pytest.raises(ContractViolation, match="normalized"):
-            build_classical_plan(unnormalized, concepts, eps=0.0, seed=0)
+            build_classical_plan(unnormalized, concepts, eps=0.0)
 
     def test_two_concepts_need_one_index(self):
         a = 1 / math.sqrt(2)
         psi = QueryState(2, 1, {((0,), 0): a, ((2,), 0): a})
         concepts = concept_class(2, ("00", "01"))
-        result = build_classical_plan(psi, concepts, eps=0.0, seed=0)
+        result = build_classical_plan(psi, concepts, eps=0.0)
         assert result.plan.base_queries == (2,)
 
     def test_bound_violation_carries_first_pairs(self):
         # eps = 0 leaves every one of the 2,016 pairs of the n = 6 subset learner over the bound
         psi, concepts = build_subset_state(6, 3), full_concept_class(6)
         with pytest.raises(BoundViolation) as err:
-            build_classical_plan(psi, concepts, eps=0.0, seed=0)
+            build_classical_plan(psi, concepts, eps=0.0)
         report = check_pairwise_overlaps(
             amplitude_profile(psi), tensor_power_class(concepts, 3), 0.0
         )
@@ -731,32 +738,9 @@ class TestBuildClassicalPlan:
         psi = QueryState(2, 1, {((0,), 0): 1.0})
         concepts = concept_class(2, ("00", "11"))
         with pytest.raises(BoundViolation) as err:
-            build_classical_plan(psi, concepts, eps=0.1, seed=0)
+            build_classical_plan(psi, concepts, eps=0.1)
         assert err.value.pairs
         assert (err.value.pairs[0].i, err.value.pairs[0].j) == (0, 1)
-
-    def test_fallback_on_exhausted_retries(self):
-        concepts, alg = build_hadamard_instance(2)
-        result = build_classical_plan(alg, concepts, eps=0.0, seed=5, retry_cap=0)
-        assert result.audit["used_fallback"]
-        for idx, x in enumerate(concepts.concepts):
-            res = classical_learn(result.plan, ClassicalOracle(x))
-            assert res.concept_index == idx
-
-    @pytest.mark.parametrize("cap", [-5, -1, 2.0, True, None])
-    def test_retry_cap_must_be_non_negative_int(self, cap):
-        concepts, alg = build_hadamard_instance(2)
-        with pytest.raises(ContractViolation, match="retry_cap must be an int >= 0"):
-            build_classical_plan(alg, concepts, eps=0.0, seed=5, retry_cap=cap)
-        # checked even though one concept needs no retries
-        with pytest.raises(ContractViolation, match="retry_cap"):
-            build_classical_plan(alg, concept_class(3, ("011",)), eps=0.0, seed=5, retry_cap=cap)
-
-    def test_draw_budget_formula(self):
-        concepts, alg = build_hadamard_instance(3)
-        result = build_classical_plan(alg, concepts, eps=0.0, seed=7)
-        bound = classical_query_bound(8, 0.0)
-        assert result.audit["draws_per_attempt"] == math.ceil(bound / 1)
 
     @pytest.mark.parametrize("n, k, bits, pairs", [
         (10, 5, 164_915_200, 523_776),  # the tensor class alone is 165 MB
@@ -765,21 +749,30 @@ class TestBuildClassicalPlan:
     def test_refuses_oversized_plan_before_building(self, monkeypatch, n, k, bits, pairs):
         monkeypatch.setattr(learning, "tensor_power_class", None)  # any build attempt fails
         with pytest.raises(ValidationError, match=f"{bits} bits and {pairs} pair checks"):
-            build_classical_plan(build_subset_state(n, k), full_concept_class(n), 0.0, seed=0)
+            build_classical_plan(build_subset_state(n, k), full_concept_class(n), 0.0)
 
     def test_budget_asserted_at_runtime(self, monkeypatch):
         # half the mass on the positions where the two concepts differ: overlap 0, so eps 0
         psi = QueryState(8, 1, {((i,), 0): 8 ** -0.5 for i in range(1, 9)})
         concepts = concept_class(8, ("00000000", "11110000"))
-        result = build_classical_plan(psi, concepts, eps=0.0, seed=0, retry_cap=0)
+        result = build_classical_plan(psi, concepts, eps=0.0)
         assert result.audit["bound"] == 4 and result.audit["base_query_count"] <= 4
         monkeypatch.setattr(learning, "_greedy_over_support", lambda c, cands: tuple(range(1, 9)))
         with pytest.raises(BoundViolation, match="8 base queries, beyond its budget 4"):
-            build_classical_plan(psi, concepts, eps=0.0, seed=0, retry_cap=0)
+            build_classical_plan(psi, concepts, eps=0.0)
+
+    def test_support_that_cannot_separate_is_refused(self, monkeypatch):
+        # the overlap check rules this out, so run it at eps = 1/2, where it cannot fail
+        check = learning.check_pairwise_overlaps
+        monkeypatch.setattr(learning, "check_pairwise_overlaps", lambda p, c, eps: check(p, c, 0.5))
+        a = 1 / math.sqrt(2)
+        psi = QueryState(2, 1, {((0,), 0): a, ((1,), 0): a})
+        with pytest.raises(BoundViolation, match="profile support cannot separate"):
+            build_classical_plan(psi, concept_class(2, ("00", "01")), eps=0.0)
 
     def test_rejects_non_state_learner(self):
         with pytest.raises(ContractViolation):
-            build_classical_plan("nope", THREE, eps=0.0, seed=0)
+            build_classical_plan("nope", THREE, eps=0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -804,25 +797,30 @@ def test_tensor_bit_is_parity_of_odd_multiplicity_entries(k, raw):
     assert parity(np.array([x.to_int() & mask]))[0] == want
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.sampled_from((64, 0)))
-def test_sampled_plans_within_budget(seed, retry_cap):
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_sampled_plans_within_budget(seed):
+    """Greedy plans for seeded states and classes stop within floor(ln P / delta) + 1 tuples.
+
+    eps sits just above the worst pair's Helstrom error, the tightest the state
+    meets, so every pair is separated by a profile draw with probability at
+    least delta = (1 - 2 sqrt(eps(1-eps)))/2 and no slack hides a long cover.
+    """
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, 5))
-    k = int(rng.integers(1, min(3, n) + 1))
-    concepts = full_concept_class(n)
-    psi = build_subset_state(n, k)
-    # smallest error rate the state can promise, from its worst concept pair
+    n, k = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+    psi = random_state(rng, n, k, support_size=int(rng.integers(n + 1, 4 * n + 1)))
+    m = int(rng.integers(2, (1 << n) + 1))
+    words = rng.choice(1 << n, size=m, replace=False)
+    concepts = ConceptClass(n, (words[:, None] >> np.arange(n)) & 1)
     tclass = tensor_power_class(concepts, k)
-    report = check_pairwise_overlaps(amplitude_profile(psi), tclass, eps=0.49)
-    worst = float(report.overlap_sq.max())
-    eps = min(0.45, helstrom_error(math.sqrt(worst)) + 1e-6 + float(rng.uniform(0, 0.02)))
-    result = build_classical_plan(
-        psi, concepts, eps=eps, seed=int(rng.integers(0, 2**31)), retry_cap=retry_cap
-    )
-    assert result.audit["used_fallback"] == (retry_cap == 0)
-    budget = math.ceil(psi.k * classical_query_bound(concepts.m, eps))
-    assert len(result.plan.base_queries) <= budget
+    worst = check_pairwise_overlaps(amplitude_profile(psi), tclass, 0.5).worst().overlap_sq
+    assume(worst < 1 - 1e-9)  # the support separates every pair
+    eps = helstrom_error(math.sqrt(worst)) + 1e-9
+    result = build_classical_plan(psi, concepts, eps)
+    delta = (1 - 2 * math.sqrt(eps * (1 - eps))) / 2
+    assert result.audit["tuple_count"] <= math.floor(math.log(m * (m - 1) // 2) / delta) + 1
+    budget = math.ceil(k * classical_query_bound(m, eps))
+    assert result.audit["bound"] == budget
+    assert result.audit["base_query_count"] == len(result.plan.base_queries) <= budget
     for idx, x in enumerate(concepts.concepts):
-        res = classical_learn(result.plan, ClassicalOracle(x))
-        assert res.concept_index == idx
+        assert classical_learn(result.plan, ClassicalOracle(x)).concept_index == idx
