@@ -57,6 +57,9 @@ EXIT_PASS = 0
 EXIT_BOUND_FAILURE = 1
 EXIT_VALIDATION = 2
 EXIT_IO = 3
+# extract-set's refusal limit on --k times --trials: a draw costs about 25 bytes, a trial
+# about 0.1 ms and 0.5 KB (2-vCPU Xeon), so k = 1 at the limit takes about 30 s and 160 MB
+MAX_EXTRACT_DRAWS = 1 << 18
 
 
 def _cell(value) -> str:
@@ -189,7 +192,7 @@ def cmd_bv(args: argparse.Namespace) -> int:
     # the most overlapping pair sets the floor; at eps = 1/2 the overlap check cannot fail
     w = check_pairwise_overlaps(amplitude_profile(alg.psi), concepts, 0.5).worst()
     floor = helstrom_error(min(math.sqrt(w.overlap_sq), 1.0))
-    min_size = len(min_distinguishing_set(concepts, "exact"))
+    min_size = len(min_distinguishing_set(concepts))
     ok = min(success) >= 1.0 - ATOL
     payload = {
         "command": "bv",
@@ -242,10 +245,10 @@ def cmd_learn(args: argparse.Namespace) -> int:
 
     # decode every concept from its own bits at the plan's positions, independently of
     # how the plan was built; a pattern the decoder lacks raises InputOutsideClass
-    observed = concepts.bits[:, [q - 1 for q in plan.base_queries]].tolist()
-    verified = [plan.decode(tuple(row)) for row in observed] == list(range(concepts.m))
+    observed = concepts.bits[:, [q - 1 for q in plan.base_queries]]
+    verified = plan.decode(observed).tolist() == list(range(concepts.m))
     try:
-        exact_min = len(min_distinguishing_set(concepts, "exact"))
+        exact_min = len(min_distinguishing_set(concepts))
     except ValidationError:  # beyond n = 24 or the search budget
         exact_min = None
     # every pair is within the bound, or build_classical_plan raised: print the binding one
@@ -288,6 +291,11 @@ def cmd_extract_set(args: argparse.Namespace) -> int:
         profile = AmplitudeProfile.uniform(concepts.n + 1)
     if args.trials < 1:
         raise ContractViolation(f"--trials must be >= 1, got {args.trials}")
+    if k_draws * args.trials > MAX_EXTRACT_DRAWS:
+        raise ValidationError(
+            f"--k {k_draws} times --trials {args.trials} is {k_draws * args.trials} draws; "
+            f"refusing beyond {MAX_EXTRACT_DRAWS}"
+        )
 
     results = [
         sample_index_set(

@@ -65,10 +65,10 @@ class ConceptClass:
                     word = encode_bits(np.array([row]).astype(np.uint8))[0]
                     raise ValidationError(f"concept {word} has length {len(row)}, not {self.n}")
         bits = np.array(self.bits)
-        if bits.min() < 0 or bits.max() > 1:
+        if not ((bits == 0) | (bits == 1)).all():
             raise ValidationError("concept entries must be 0 or 1")
         bits = bits.astype(np.uint8, copy=False)
-        if len(set(map(bytes, np.packbits(bits, axis=1)))) != len(bits):
+        if not _all_distinct(bits):
             raise ValidationError("concept class contains duplicate concepts")
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
@@ -92,6 +92,20 @@ class ConceptClass:
             if hits.size:
                 return int(hits[0])
         raise InputOutsideClass(f"{x} is not a concept in this class")
+
+
+def pattern_keys(bits: np.ndarray) -> np.ndarray:
+    """One numpy void key per 0/1 row; keys compare and sort bytewise, as the rows' words do."""
+    packed = np.packbits(bits, axis=1)
+    keys = np.ones((len(bits), packed.shape[1] + 1), dtype=np.uint8)  # last byte 1: zero-width rows
+    keys[:, :-1] = packed
+    return keys.view(f"V{keys.shape[1]}").ravel()
+
+
+def _all_distinct(bits: np.ndarray) -> bool:
+    """True iff no two rows are equal: the sorted keys have no two equal neighbours."""
+    keys = np.sort(pattern_keys(bits))
+    return not (keys[1:] == keys[:-1]).any()
 
 
 def _count(v: int) -> str:
@@ -149,57 +163,43 @@ def _columns(c: ConceptClass, indices: Iterable[int]) -> np.ndarray:
 
 def is_distinguishing(c: ConceptClass, indices: Iterable[int]) -> bool:
     """True iff every pair of concepts differs on at least one queried position."""
-    sub = np.packbits(c.bits[:, _columns(c, sorted(set(indices)))], axis=1)
-    return len(set(map(bytes, sub))) == c.m
+    return _all_distinct(c.bits[:, _columns(c, sorted(set(indices)))])
 
 
-def min_distinguishing_set(c: ConceptClass, mode: str = "exact") -> tuple[int, ...]:
-    """Smallest (exact) or greedily built set of positions distinguishing the class.
+def min_distinguishing_set(c: ConceptClass) -> tuple[int, ...]:
+    """A smallest set of positions distinguishing the class, by exact search.
 
-    Exact mode enumerates subsets by increasing size, ties broken by the
-    lexicographically smallest set; it refuses beyond n = 24, and stops with
-    a ValidationError once its subset tests times m pass MAX_EXACT_CELLS.
-    It tests a block of subsets at once: a subset distinguishes the class
-    when the concepts' masked codes, sorted, have no two equal neighbours.
-    Greedy mode repeatedly adds the index separating the most still-colliding
-    pairs, ties to the lowest index.
+    Subsets go by increasing size, ties to the lexicographically smallest; the
+    search refuses beyond n = 24, and stops with a ValidationError once its subset
+    tests times m pass MAX_EXACT_CELLS.  It tests a block of subsets at once: a subset
+    distinguishes the class when the concepts' masked codes, sorted, have no two
+    equal neighbours.
     """
     if c.m == 1:
         return ()
-    if mode == "exact":
-        if c.n > 24:
-            raise ValidationError(
-                f"exact search enumerates subsets of [{c.n}]; n <= 24 required, use greedy"
-            )
-        codes = (c.bits.astype(np.int64) << np.arange(c.n)).sum(axis=1)
-        budget = MAX_EXACT_CELLS // c.m  # subsets tested before the cells pass the limit
-        block = max(1, EXACT_BLOCK_CELLS // c.m)
-        # s positions separate at most 2^s concepts
-        for size in range((c.m - 1).bit_length(), c.n + 1):
-            subsets = combinations(range(c.n), size)
-            while True:
-                # the full index set always distinguishes, so an untested subset remains
-                if budget == 0:
-                    raise ValidationError(
-                        f"exact search passed {MAX_EXACT_CELLS} subset-test cells; use greedy"
-                    )
-                chosen = np.fromiter(
-                    chain.from_iterable(islice(subsets, min(block, budget))), dtype=np.int64
-                ).reshape(-1, size)
-                if not len(chosen):
-                    break
-                budget -= len(chosen)
-                masked = np.sort(codes & (1 << chosen).sum(axis=1)[:, None], axis=1)
-                ok = (masked[:, 1:] != masked[:, :-1]).all(axis=1)
-                if ok.any():
-                    return tuple((chosen[np.argmax(ok)] + 1).tolist())
-        raise RuntimeError("unreachable: the full index set always distinguishes")
-    if mode == "greedy":
-        chosen = _greedy_over_support(c, range(1, c.n + 1))
-        if chosen is None:
-            raise ValidationError("no index separates the remaining pairs")
-        return chosen
-    raise ContractViolation(f"mode must be 'exact' or 'greedy', got {mode!r}")
+    if c.n > 24:
+        raise ValidationError(f"exact search enumerates subsets of [{c.n}]; n <= 24 required")
+    codes = (c.bits.astype(np.int64) << np.arange(c.n)).sum(axis=1)
+    budget = MAX_EXACT_CELLS // c.m  # subsets tested before the cells pass the limit
+    block = max(1, EXACT_BLOCK_CELLS // c.m)
+    # s positions separate at most 2^s concepts
+    for size in range((c.m - 1).bit_length(), c.n + 1):
+        subsets = combinations(range(c.n), size)
+        while True:
+            # the full index set always distinguishes, so an untested subset remains
+            if budget == 0:
+                raise ValidationError(f"exact search passed {MAX_EXACT_CELLS} subset-test cells")
+            chosen = np.fromiter(
+                chain.from_iterable(islice(subsets, min(block, budget))), dtype=np.int64
+            ).reshape(-1, size)
+            if not len(chosen):
+                break
+            budget -= len(chosen)
+            masked = np.sort(codes & (1 << chosen).sum(axis=1)[:, None], axis=1)
+            ok = (masked[:, 1:] != masked[:, :-1]).all(axis=1)
+            if ok.any():
+                return tuple((chosen[np.argmax(ok)] + 1).tolist())
+    raise RuntimeError("unreachable: the full index set always distinguishes")
 
 
 # --- k-fold tensor view ---------------------------------------------------
@@ -456,38 +456,43 @@ def _greedy_over_support(c: ConceptClass, candidates: Iterable[int]) -> tuple[in
 
 @dataclass(frozen=True)
 class QueryPlan:
-    """A nonadaptive classical learner: fixed query positions plus a decoder."""
+    """A nonadaptive classical learner: fixed query positions plus a sorted-key decoder."""
 
     base_queries: tuple[int, ...]
     concepts: ConceptClass
-    decoder: dict[tuple[int, ...], int] = field(compare=False)
+    keys: np.ndarray = field(compare=False)  # the concepts' pattern keys at the positions, sorted
+    decoder: np.ndarray = field(compare=False)  # the concept index of each key
 
-    def decode(self, pattern: tuple[int, ...]) -> int:
-        idx = self.decoder.get(tuple(pattern))
-        if idx is None:
+    def decode(self, rows: np.ndarray) -> np.ndarray:
+        keys = pattern_keys(rows)  # one 0/1 row per observation, one column per base query
+        at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+        if not (found := self.keys[at] == keys).all():
+            pattern = tuple(rows[np.argmin(found)].tolist())
             raise InputOutsideClass(f"observed pattern {pattern} matches no concept in the class")
-        return idx
+        return self.decoder[at]
 
 
 def make_plan(c: ConceptClass, base_queries: Iterable[int]) -> QueryPlan:
+    """The plan on the sorted positions; a collision names j, the first concept whose
+    pattern an earlier one has, and i, the first such earlier concept.
+    """
     base = tuple(sorted(set(base_queries)))
-    decoder: dict[tuple[int, ...], int] = {}
-    for idx, row in enumerate(c.bits[:, _columns(c, base)].tolist()):
-        pattern = tuple(row)
-        if pattern in decoder:
-            raise ValidationError(
-                f"positions {base} do not distinguish concepts {decoder[pattern]} and {idx}"
-            )
-        decoder[pattern] = idx
-    return QueryPlan(base, c, decoder)
+    keys = pattern_keys(c.bits[:, _columns(c, base)])
+    order = np.argsort(keys, kind="stable")  # equal keys stay in concept order
+    ranked = keys[order]
+    if (repeat := ranked[1:] == ranked[:-1]).any():
+        j = int(order[1:][repeat].min())
+        i = int(np.argmax(keys == keys[j]))
+        raise ValidationError(f"positions {base} do not distinguish concepts {i} and {j}")
+    return QueryPlan(base, c, ranked, order)
 
 
 def classical_learn(plan: QueryPlan, oracle: ClassicalOracle):
     """Query exactly the plan's positions, decode, and report the query count."""
     if oracle.x.n != plan.concepts.n:
         raise ContractViolation(f"oracle string has n={oracle.x.n}, plan expects {plan.concepts.n}")
-    pattern = tuple(oracle.query(i) for i in plan.base_queries)
-    idx = plan.decode(pattern)
+    row = np.array([[oracle.query(i) for i in plan.base_queries]], dtype=np.uint8)
+    idx = int(plan.decode(row)[0])
     return LearnResult(idx, plan.concepts.concepts[idx], len(plan.base_queries))
 
 
@@ -574,19 +579,21 @@ def build_classical_plan(learner, concepts: ConceptClass, eps: float) -> PlanRes
 
 
 def plan_to_dict(plan: QueryPlan) -> dict:
-    patterns = np.array(list(plan.decoder), dtype=np.uint8)  # (m, len(base_queries))
+    key_bytes = plan.keys.view(np.uint8).reshape(len(plan.keys), -1)
+    patterns = np.unpackbits(key_bytes, axis=1, count=len(plan.base_queries))
     return {
         "base_queries": list(plan.base_queries),
         "concepts": encode_bits(plan.concepts.bits),
-        "decoder_table": dict(zip(encode_bits(patterns), plan.decoder.values())),
+        "decoder_table": dict(zip(encode_bits(patterns), plan.decoder.tolist())),
     }
 
 
 def plan_from_dict(data: dict) -> QueryPlan:
     """Rebuild a plan from its record; the plan is derived, then its table compared.
 
-    base_queries must be a list of plain ints and decoder_table a mapping of
-    0/1 pattern strings to plain ints; nothing is coerced.
+    base_queries must be a strictly increasing list of plain ints and
+    decoder_table a mapping of 0/1 pattern strings to plain ints; nothing is
+    coerced.
     """
     try:
         base, words, table = data["base_queries"], data["concepts"], data["decoder_table"]
@@ -606,6 +613,8 @@ def plan_from_dict(data: dict) -> QueryPlan:
         raise ParseError(f"expected a nonempty 0/1 string, got {words[np.argmax(bad)]!r}")
     if lengths[r := np.argmax(lengths != n)] != n:  # a ragged class
         raise ValidationError(f"concept {words[r]} has length {lengths[r]}, not {n}")
+    if any(a >= b for a, b in zip(base, base[1:])):
+        raise ValidationError(f"base_queries {base} are not strictly increasing")
     plan = make_plan(ConceptClass(n, bits.reshape(len(words), n)), base)
     if table != plan_to_dict(plan)["decoder_table"]:
         raise ValidationError("decoder_table differs from the one its base_queries induce")

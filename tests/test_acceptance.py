@@ -170,7 +170,7 @@ def test_one_query_learner_certainty(capsys):
         # the greedy plan meets the information bound: b queries for 2^b concepts
         result = build_classical_plan(alg, concepts, eps=0.0)
         plan_size, exact_min = len(result.plan.base_queries), len(
-            min_distinguishing_set(concepts, "exact")
+            min_distinguishing_set(concepts)
         )
         if not plan_size == exact_min == b:
             bad.append(("plan-size", b, plan_size, exact_min))

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
 from nonadapt import (
@@ -15,7 +16,7 @@ from nonadapt import (
     save_function,
     save_state,
 )
-from nonadapt import algorithms, learning, qstate
+from nonadapt import algorithms, cli, learning, qstate
 from nonadapt.cli import build_parser, main
 from nonadapt.learning import (
     ClassicalOracle,
@@ -345,31 +346,39 @@ class TestLearnCommand:
 
     @staticmethod
     def patch_decoder(monkeypatch, edit):
-        """Make build_classical_plan return plans whose decoder dict went through edit."""
+        """Make build_classical_plan return plans whose (keys, decoder) arrays went through edit."""
         make_plan = learning.make_plan
 
         def edited(c, base):
             plan = make_plan(c, base)
-            decoder = dict(plan.decoder)
-            edit(decoder)
-            return dataclasses.replace(plan, decoder=decoder)
+            keys, decoder = edit(plan.keys.copy(), plan.decoder.copy())
+            return dataclasses.replace(plan, keys=keys, decoder=decoder)
 
         monkeypatch.setattr(learning, "make_plan", edited)
 
     def test_verification_catches_swapped_indices(self, capsys, monkeypatch):
-        def swap(decoder):
-            a, b = (pattern for pattern, idx in decoder.items() if idx in (0, 1))
-            decoder[a], decoder[b] = decoder[b], decoder[a]
+        def swap(keys, decoder):
+            a, b = np.flatnonzero(decoder < 2)  # the keys of concepts 0 and 1
+            decoder[[a, b]] = decoder[[b, a]]
+            return keys, decoder
 
         self.patch_decoder(monkeypatch, swap)
         code, out, _ = run_cli(
             capsys, "learn", "--learner", "vandam", "--n", "3", "--k", "2", "--eps", "0.0625"
         )
         assert code == 1
-        assert json.loads(out)["verified_all_concepts"] is False
+        payload = json.loads(out)
+        assert payload["verified_all_concepts"] is False
+        # the printed table is the tampered one
+        assert payload["plan"]["decoder_table"]["000"] == 1
 
     def test_verification_catches_missing_pattern(self, capsys, monkeypatch):
-        self.patch_decoder(monkeypatch, lambda decoder: decoder.pop((1, 0, 1)))
+        def drop(keys, decoder):
+            keep = keys != learning.pattern_keys(np.array([[1, 0, 1]], dtype=np.uint8))[0]
+            assert keep.sum() == len(keys) - 1
+            return keys[keep], decoder[keep]
+
+        self.patch_decoder(monkeypatch, drop)
         code, out, err = run_cli(
             capsys, "learn", "--learner", "vandam", "--n", "3", "--k", "2", "--eps", "0.0625"
         )
@@ -496,6 +505,27 @@ class TestExtractSet:
             capsys, "extract-set", "--concepts", concepts, "--k", "5", "--trials", "0",
         )
         assert code == 2
+
+    def test_draw_count_refused_before_any_draw(self, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("a refused run drew")
+
+        monkeypatch.setattr(cli, "sample_index_set", never)
+        concepts = write_concepts(tmp_path, 2, ["00", "01"])
+        limit = cli.MAX_EXTRACT_DRAWS
+        code, out, err = run_cli(
+            capsys, "extract-set", "--concepts", concepts, "--k", "513", "--trials", "512",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: --k 513 times --trials 512 is 262656 draws; refusing beyond {limit}\n"
+        assert 513 * 512 > limit
+
+    def test_draw_count_at_the_limit_runs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_EXTRACT_DRAWS", 12)
+        concepts = write_concepts(tmp_path, 2, ["00", "01"])
+        argv = ("extract-set", "--concepts", concepts, "--k", "4")
+        assert run_cli(capsys, *argv, "--trials", "3")[0] == 0
+        assert run_cli(capsys, *argv, "--trials", "4")[0] == 2
 
 
 class TestEntrypointPlumbing:

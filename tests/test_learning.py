@@ -2,6 +2,7 @@
 import functools
 import json
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -83,6 +84,16 @@ class TestConceptClass:
         with pytest.raises(ValidationError):
             ConceptClass(2, ((0, 2), (1, 1)))
 
+    @pytest.mark.parametrize("entry", [0.5, 0.999])
+    def test_fractional_entries_refused(self, entry):
+        with pytest.raises(ValidationError, match="concept entries must be 0 or 1"):
+            ConceptClass(1, [[entry], [1]])
+
+    def test_bool_matrix_loads(self):
+        c = ConceptClass(2, np.array([[False, True], [True, True]]))
+        assert c.bits.dtype == np.uint8
+        assert c.bits.tolist() == [[0, 1], [1, 1]]
+
     def test_bits_matrix(self):
         assert THREE.bits.dtype == np.uint8
         assert THREE.bits.tolist() == [[0, 0, 0], [0, 1, 1], [1, 0, 1]]
@@ -153,21 +164,21 @@ class TestDistinguishingSets:
                 make_plan(THREE, (1, 2, index))
 
     def test_exact_minimum(self):
-        assert min_distinguishing_set(THREE, mode="exact") == (1, 2)
+        assert min_distinguishing_set(THREE) == (1, 2)
 
     def test_full_class_needs_everything(self):
-        assert min_distinguishing_set(full_concept_class(3), mode="exact") == (1, 2, 3)
+        assert min_distinguishing_set(full_concept_class(3)) == (1, 2, 3)
 
     def test_hadamard_class_minimum_is_b(self):
         for b in (1, 2, 3):
-            got = min_distinguishing_set(hadamard_concept_class(b), mode="exact")
+            got = min_distinguishing_set(hadamard_concept_class(b))
             assert len(got) == b
 
     def test_exact_is_minimal(self):
         rng = np.random.default_rng(11)
         words = sorted({"".join(str(b) for b in rng.integers(0, 2, 5)) for _ in range(6)})
         c = concept_class(5, tuple(words))
-        best = min_distinguishing_set(c, mode="exact")
+        best = min_distinguishing_set(c)
         assert is_distinguishing(c, best)
         for i in best:
             rest = tuple(j for j in best if j != i)
@@ -178,19 +189,19 @@ class TestDistinguishingSets:
             rng = np.random.default_rng(seed)
             words = sorted({"".join(str(b) for b in rng.integers(0, 2, 6)) for _ in range(7)})
             c = concept_class(6, tuple(words))
-            greedy = min_distinguishing_set(c, mode="greedy")
-            exact = min_distinguishing_set(c, mode="exact")
+            greedy = learning._greedy_over_support(c, range(1, 7))
+            exact = min_distinguishing_set(c)
             assert is_distinguishing(c, greedy)
             assert len(greedy) >= len(exact)
 
     def test_exact_search_stops_past_its_budget(self, monkeypatch):
         c = full_concept_class(4)  # one subset test of 16 concepts finds [1, 2, 3, 4]
         monkeypatch.setattr(learning, "MAX_EXACT_CELLS", 16)
-        assert min_distinguishing_set(c, "exact") == (1, 2, 3, 4)
+        assert min_distinguishing_set(c) == (1, 2, 3, 4)
         monkeypatch.setattr(learning, "MAX_EXACT_CELLS", 15)
         with pytest.raises(ValidationError, match="exact search passed 15"):
-            min_distinguishing_set(c, "exact")
-        assert min_distinguishing_set(c, "greedy") == (1, 2, 3, 4)
+            min_distinguishing_set(c)
+        assert learning._greedy_over_support(c, range(1, 5)) == (1, 2, 3, 4)
 
     @pytest.mark.parametrize("seed", range(16))
     def test_block_search_matches_scalar(self, monkeypatch, seed):
@@ -199,7 +210,7 @@ class TestDistinguishingSets:
             # one subset per block only where the search is short, a few, and the default
             for block_cells in ([c.m] if cells // c.m <= 3000 else []) + [7 * c.m, default]:
                 monkeypatch.setattr(learning, "EXACT_BLOCK_CELLS", block_cells)
-                assert min_distinguishing_set(c, "exact") == want
+                assert min_distinguishing_set(c) == want
 
     @pytest.mark.parametrize("seed", range(16))
     def test_block_search_refuses_where_scalar_does(self, monkeypatch, seed):
@@ -214,16 +225,12 @@ class TestDistinguishingSets:
                 monkeypatch.setattr(learning, "MAX_EXACT_CELLS", cap)
                 if refused:
                     with pytest.raises(ValidationError, match=f"exact search passed {cap} "):
-                        min_distinguishing_set(c, "exact")
+                        min_distinguishing_set(c)
                 else:
-                    assert min_distinguishing_set(c, "exact") == want
+                    assert min_distinguishing_set(c) == want
 
     def test_single_concept_needs_nothing(self):
-        assert min_distinguishing_set(concept_class(2, ("10",)), mode="exact") == ()
-
-    def test_unknown_mode(self):
-        with pytest.raises(ContractViolation):
-            min_distinguishing_set(THREE, mode="magic")
+        assert min_distinguishing_set(concept_class(2, ("10",))) == ()
 
 
 def scalar_exact_search(c, cap):
@@ -611,6 +618,12 @@ class TestQueryPlan:
         with pytest.raises(error):
             plan_from_dict(data)
 
+    @pytest.mark.parametrize("base", [[2, 1, 1], [2, 1], [1, 1, 2]])
+    def test_base_queries_must_increase(self, base):
+        # the table is the one positions (1, 2) induce, so only the order is wrong
+        with pytest.raises(ValidationError, match="not strictly increasing"):
+            plan_from_dict({**RECORD, "base_queries": base})
+
 
 RECORD = {"base_queries": [1, 2], "concepts": ["00", "01", "11"],
           "decoder_table": {"00": 0, "01": 1, "11": 2}}
@@ -669,8 +682,71 @@ def test_plan_record_fuzz(record):
         return
     # json.dumps tells 1 from True and 1.0, so an accepted record is exactly the plan's own
     record = json.loads(json.dumps(record))
-    record["base_queries"] = sorted(set(record["base_queries"]))
     assert json.dumps(plan_to_dict(plan), sort_keys=True) == json.dumps(record, sort_keys=True)
+
+
+def tuple_plan(c, base):
+    """The tuple-keyed decoder the plan's arrays replace: (colliding pair, None) or (None, dict)."""
+    decoder = {}
+    for idx, row in enumerate(c.bits[:, [q - 1 for q in base]].tolist()):
+        if tuple(row) in decoder:
+            return (decoder[tuple(row)], idx), None
+        decoder[tuple(row)] = idx
+    return None, decoder
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from([0, 1, 7, 8, 9, 64, 70]), st.integers(1, 12), st.integers(1, 12),
+       st.integers(0, 2**32 - 1))
+@example(0, 1, 1, 0)
+@example(70, 12, 12, 1)
+def test_plan_matches_tuple_decoder(width, m, patterns, seed):
+    """Collision pair, decoded indices and decoder_table agree with the tuple-keyed decoder."""
+    rng = np.random.default_rng(seed)
+    # rows draw their queried bits from a few patterns, so some classes collide; the
+    # unqueried columns hold the row index, which keeps every class distinct
+    n = width + 4
+    cols = rng.permutation(n)
+    bits = np.zeros((m, n), dtype=np.uint8)
+    bits[:, cols[:width]] = rng.integers(0, 2, (patterns, width))[rng.integers(0, patterns, m)]
+    bits[:, cols[width:]] = (np.arange(m)[:, None] >> np.arange(4)) & 1
+    c = ConceptClass(n, bits)
+    base = tuple(sorted((cols[:width] + 1).tolist()))
+    pair, decoder = tuple_plan(c, base)
+    if pair is not None:
+        with pytest.raises(ValidationError, match=f"concepts {pair[0]} and {pair[1]}$"):
+            make_plan(c, base)
+        return
+    plan = make_plan(c, base)
+    observed = c.bits[:, [q - 1 for q in base]]
+    assert plan.decode(observed).tolist() == list(range(m))
+    assert plan_to_dict(plan)["decoder_table"] == {
+        "".join(map(str, p)): i for p, i in decoder.items()
+    }
+    rows = rng.integers(0, 2, (4, width)).astype(np.uint8)
+    unknown = [tuple(r) for r in rows.tolist() if tuple(r) not in decoder]
+    if unknown:
+        with pytest.raises(InputOutsideClass, match=re.escape(f"pattern {unknown[0]} ")):
+            plan.decode(rows)
+    else:
+        assert plan.decode(rows).tolist() == [decoder[tuple(r)] for r in rows.tolist()]
+
+
+def test_pattern_keys_sort_as_words():
+    rng = np.random.default_rng(5)
+    for width in (0, 1, 7, 8, 9, 64, 70):
+        rows = rng.integers(0, 2, (40, width)).astype(np.uint8)
+        words = encode_bits(rows)
+        order = np.argsort(learning.pattern_keys(rows), kind="stable")
+        assert order.tolist() == sorted(range(40), key=lambda i: words[i])
+
+
+def test_full_n16_plan_round_trip():
+    n = 16
+    c = ConceptClass(n, (np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    plan = make_plan(c, range(1, n + 1))
+    assert plan_from_dict(plan_to_dict(plan)) == plan
+    assert np.array_equal(plan.decode(c.bits), np.arange(1 << n))
 
 
 class TestBuildClassicalPlan:
