@@ -125,9 +125,12 @@ def _exact_slices(z: np.ndarray) -> list[np.ndarray]:
     product is an integer of at most 2^53 in its unit: BLAS computes it exactly,
     whatever its summation order, blocking or thread count.  Enough slices are
     kept that the dropped tail is of the order of one rounding, 2^(2e - 53),
-    per Gram entry.
+    per Gram entry.  All-zero rows add an exact 0 to every product, so they
+    are dropped, but only after K is counted: beta and the slices stay those
+    of the whole matrix.
     """
     bits = (len(z) - 1).bit_length()  # K <= 2^bits
+    z = z[z.any(axis=1)]
     beta = (53 - bits) // 2
     e = int(np.frexp(np.max(np.abs(z), initial=0.0))[1])
     parts = []

@@ -578,13 +578,18 @@ def build_classical_plan(learner, concepts: ConceptClass, eps: float) -> PlanRes
 # --- plan serialization -----------------------------------------------------
 
 
-def plan_to_dict(plan: QueryPlan) -> dict:
+def _decoder_table(plan: QueryPlan) -> dict[str, int]:
+    """The plan's decoder as {0/1 pattern: concept index}, in sorted pattern order."""
     key_bytes = plan.keys.view(np.uint8).reshape(len(plan.keys), -1)
     patterns = np.unpackbits(key_bytes, axis=1, count=len(plan.base_queries))
+    return dict(zip(encode_bits(patterns), plan.decoder.tolist()))
+
+
+def plan_to_dict(plan: QueryPlan) -> dict:
     return {
         "base_queries": list(plan.base_queries),
         "concepts": encode_bits(plan.concepts.bits),
-        "decoder_table": dict(zip(encode_bits(patterns), plan.decoder.tolist())),
+        "decoder_table": _decoder_table(plan),
     }
 
 
@@ -616,7 +621,7 @@ def plan_from_dict(data: dict) -> QueryPlan:
     if any(a >= b for a, b in zip(base, base[1:])):
         raise ValidationError(f"base_queries {base} are not strictly increasing")
     plan = make_plan(ConceptClass(n, bits.reshape(len(words), n)), base)
-    if table != plan_to_dict(plan)["decoder_table"]:
+    if table != _decoder_table(plan):
         raise ValidationError("decoder_table differs from the one its base_queries induce")
     return plan
 

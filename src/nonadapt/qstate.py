@@ -172,16 +172,25 @@ def parity(v):
 def fwht(v: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform of the last axis: sum_y (-1)^parity(x & y) v[y].
 
-    Returns a new array, real or complex as v is; the butterflies run in place on it.
+    The last axis must have a power-of-two length N.  Returns a new array,
+    real or complex as v is.  The stages run in constant geometry (Pease
+    1968): each writes the sums of the even and odd entries to the first half
+    of a second buffer and their differences to the second half, then the
+    buffers swap.  Stage s thus pairs the entries that differ in bit s, and
+    after log2 N stages the order is natural again.  Every output is the same
+    a + b or a - b of the same operands, in the same stage order (span 1, 2,
+    4, ...), as the in-place radix-2 butterflies, so it has the same bits.
     """
     v = np.array(v, dtype=np.result_type(v, np.float64))
-    h = 1
-    while h < v.shape[-1]:  # a stage of span h < the row length stays within each row
-        pairs = v.reshape(-1, 2, h)
-        top = pairs[:, 0].copy()
-        pairs[:, 0] += pairs[:, 1]
-        np.subtract(top, pairs[:, 1], out=pairs[:, 1])
-        h *= 2
+    size = v.shape[-1]
+    if size < 1 or size & (size - 1):
+        raise ContractViolation(f"fwht needs a power-of-two length, got {size}")
+    half, out = size // 2, np.empty_like(v)
+    for _ in range(size.bit_length() - 1):
+        even, odd = v[..., 0::2], v[..., 1::2]
+        np.add(even, odd, out=out[..., :half])
+        np.subtract(even, odd, out=out[..., half:])
+        v, out = out, v
     return v
 
 

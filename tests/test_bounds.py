@@ -368,7 +368,40 @@ print(json.dumps(profiles))
 """
 
 
+def slices_keeping_zero_rows(z):
+    """_exact_slices without dropping all-zero rows: the reference for its Gram."""
+    bits = (len(z) - 1).bit_length()
+    beta = (53 - bits) // 2
+    e = int(np.frexp(np.max(np.abs(z), initial=0.0))[1])
+    parts = []
+    for j in range(1, -(-(53 + bits) // beta) + 1):
+        scale = math.ldexp(1.0, j * beta - e)
+        parts.append(np.rint(z * scale) / scale)
+        z = z - parts[-1]
+    return parts
+
+
 class TestGramSlices:
+    @pytest.mark.parametrize("rows", [128, 129, 200])
+    def test_zero_rows_change_no_gram_bit(self, rows):
+        # 128 and 129 rows fall on either side of a beta boundary, and at most 100 rows are
+        # nonzero: a K counted after the drop would pick another beta at 129 and 200 rows
+        rng = np.random.default_rng(rows)
+        z = np.zeros((rows, 24))
+        nonzero = rng.permutation(rows)[: min(100, rows - 28)]
+        z[nonzero] = rng.normal(size=(len(nonzero), 24)) * 2.0 ** rng.integers(-30, 3, size=24)
+        z[rng.permutation(np.setdiff1d(np.arange(rows), nonzero))[:5]] = -0.0
+        parts = bounds._exact_slices(z)
+        assert all(len(p) == len(nonzero) for p in parts)
+        for cols in (slice(None), slice(5, 11)):
+            want = bounds._gram_rows(slices_keeping_zero_rows(z), cols)
+            assert np.array_equal(bounds._gram_rows(parts, cols), want)
+
+    def test_all_zero_matrix_gives_a_zero_gram(self):
+        parts = bounds._exact_slices(np.zeros((6, 4)))
+        gram = bounds._gram_rows(parts, slice(None))
+        assert all(p.shape == (0, 4) for p in parts) and np.array_equal(gram, np.zeros((4, 4)))
+
     def test_projective_sweep_within_a_few_roundings(self):
         # one slice fewer than the exact-product count leaves errors near 3e-14 here
         rng = np.random.default_rng(53)
@@ -393,15 +426,18 @@ class TestGramSlices:
 
 
 # Loads the instances pickled by the test below and prints, for each, the projective
-# and POVM error profiles as hex and the POVM outcome probabilities.
+# and POVM error profiles as hex and the POVM outcome probabilities; then the parity
+# sweeps for n = 3..8 (real, so the Gram drops its zero imaginary rows) and the
+# transform of the pickled matrix, as hex.
 CPU_SWEEP = """
 import json, pickle, sys
 from nonadapt import (PovmMeasurement, ProjectiveMeasurement, QueryState, TotalFunction,
-                      error_profile, measure)
-from nonadapt.qstate import key_tuples
+                      build_function, error_profile, measure)
+from nonadapt.algorithms import build_parity_algorithm, decision_measurement
+from nonadapt.qstate import fwht, key_tuples
 out = []
 with open(sys.argv[1], "rb") as fh:
-    instances = pickle.load(fh)
+    instances, matrix = pickle.load(fh)
 for n, k, keys, amps, q, labels, elements, table in instances:
     psi = QueryState.from_arrays(n, k, keys, amps)
     f = TotalFunction(n, table)
@@ -410,12 +446,17 @@ for n, k, keys, amps, q, labels, elements, table in instances:
     povm = PovmMeasurement(n, k, tuple(key_tuples(keys)), tuple(zip(labels, elements)))
     out += [error_profile(psi, m, f).tobytes().hex() for m in (proj, povm)]
     out.append(repr(sorted(measure(psi, povm).items())))
+for n in range(3, 9):
+    alg = build_parity_algorithm(n)
+    f = build_function("parity", n)
+    out.append(error_profile(alg.psi, decision_measurement(alg), f).tobytes().hex())
+out.append(fwht(matrix).tobytes().hex())
 print(json.dumps(out))
 """
 
 
 def test_sweep_and_povm_measure_independent_of_cpu_features(tmp_path):
-    """The complex products round the same with and without numpy's fused multiply-add."""
+    """Sweeps, POVM outcomes and fwht keep their bits with and without numpy's SIMD loops."""
     umath = pytest.importorskip("numpy._core._multiarray_umath")
     simd = [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)]
     if not simd:
@@ -431,7 +472,8 @@ def test_sweep_and_povm_measure_independent_of_cpu_features(tmp_path):
         elements = [np.outer(q[:, c], q[:, c].conj()) for c in range(d)]
         table = tuple(int(b) for b in rng.integers(0, 2, size=1 << n))
         instances.append((n, k, psi.keys, psi.amps, q, labels, elements, table))
-    (tmp_path / "instances.pkl").write_bytes(pickle.dumps(instances))
+    matrix = rng.normal(size=(2, 1 << 12)) * 2.0 ** rng.integers(-20, 20, size=(2, 1 << 12))
+    (tmp_path / "instances.pkl").write_bytes(pickle.dumps((instances, matrix)))
     src = Path(__file__).resolve().parent.parent / "src"
     runs = []
     for disabled in ("", " ".join(simd)):
@@ -439,7 +481,7 @@ def test_sweep_and_povm_measure_independent_of_cpu_features(tmp_path):
         proc = subprocess.run([sys.executable, "-c", CPU_SWEEP, str(tmp_path / "instances.pkl")],
                               env=env, capture_output=True, text=True, check=True)
         runs.append(json.loads(proc.stdout))
-    assert len(runs[0]) == 36 and runs[0] == runs[1]
+    assert len(runs[0]) == 43 and runs[0] == runs[1]
 
 
 class TestBoundReport:

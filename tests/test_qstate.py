@@ -28,7 +28,7 @@ from nonadapt import (
 from nonadapt.bounds import oracle_pair_overlap, query_weight, weight_profile
 from nonadapt.learning import amplitude_profile, load_plan, tuple_to_position
 from nonadapt.qstate import (
-    decode_bits, decode_words, encode_bits, odd_mask, overlap_terms, parity,
+    decode_bits, decode_words, encode_bits, fwht, odd_mask, overlap_terms, parity,
 )
 from tests.conftest import k1_state, random_projective, random_two_outcome_povm, uniform_k1
 
@@ -503,6 +503,61 @@ def test_overlap_terms_match_python_complex_product():
     want = np.array([x.conjugate() * y for x, y in zip(a.tolist(), b.tolist())])
     re, im = overlap_terms(a, b)
     assert re.tobytes() == want.real.tobytes() and im.tobytes() == want.imag.tobytes()
+
+
+def inplace_fwht(v):
+    """The in-place radix-2 butterflies, span 1, 2, 4, ...: the reference fwht must match."""
+    v = np.array(v, dtype=np.result_type(v, np.float64))
+    h = 1
+    while h < v.shape[-1]:
+        pairs = v.reshape(-1, 2, h)
+        top = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        np.subtract(top, pairs[:, 1], out=pairs[:, 1])
+        h *= 2
+    return v
+
+
+class TestFwht:
+    @pytest.mark.parametrize("bits", range(17))
+    def test_bit_identical_to_inplace_butterflies(self, bits):
+        rng = np.random.default_rng(bits)
+        for shape in ((1 << bits,), (3, 1 << bits)):
+            # mixed magnitudes, so sums round; signed zeros, so -0.0 + -0.0 must stay -0.0
+            x = rng.normal(size=shape) * 2.0 ** rng.integers(-40, 40, size=shape)
+            x[rng.uniform(size=shape) < 0.2] = 0.0
+            x[rng.uniform(size=shape) < 0.2] = -0.0
+            z = x + 1j * x[..., ::-1]
+            for a in (x, z):
+                got = fwht(a)
+                assert got.dtype == a.dtype and got.shape == a.shape
+                assert got.tobytes() == inplace_fwht(a).tobytes()
+
+    def test_all_negative_zeros_keep_their_sign(self):
+        assert fwht(np.full(8, -0.0)).tobytes() == inplace_fwht(np.full(8, -0.0)).tobytes()
+
+    @pytest.mark.parametrize("bits", range(9))
+    def test_matches_sylvester_hadamard_matrix(self, bits):
+        hadamard = np.ones((1, 1))
+        for _ in range(bits):
+            hadamard = np.block([[hadamard, hadamard], [hadamard, -hadamard]])
+        rng = np.random.default_rng(100 + bits)
+        x = rng.normal(size=(2, 1 << bits)) + 1j * rng.normal(size=(2, 1 << bits))
+        np.testing.assert_allclose(fwht(x), x @ hadamard.T, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(fwht(x.real[0]), hadamard @ x.real[0], rtol=0, atol=1e-9)
+
+    def test_integer_input_is_transformed_as_float(self):
+        assert fwht(np.array([1, 0, 0, 0])).tolist() == [1.0, 1.0, 1.0, 1.0]
+
+    def test_input_left_unchanged(self):
+        x = np.arange(8.0)
+        fwht(x)
+        assert x.tolist() == list(range(8))
+
+    @pytest.mark.parametrize("size", [0, 3, 6, 12, 24, 1000])
+    def test_refuses_length_not_a_power_of_two(self, size):
+        with pytest.raises(ContractViolation, match=f"power-of-two length, got {size}$"):
+            fwht(np.ones((2, size)))
 
 
 @pytest.mark.parametrize("seed", range(4))
