@@ -32,7 +32,7 @@ from .qstate import (
 )
 
 MAX_POVM_CELLS = 1 << 24
-MAX_PARITY_N = 20  # 2^10 effects of 2^10 entries; building them, not the sweep, then dominates
+MAX_PARITY_N = 20  # 2^10 effects of 2^10 entries; the error_profile sweep then dominates
 
 
 def _identity(label: Hashable) -> Hashable:
@@ -50,12 +50,12 @@ def _hadamard_basis(
     """
     d = len(index)
     r = d.bit_length() - 1
-    amp = complex(2.0 ** (-r / 2.0))
+    amp = 2.0 ** (-r / 2.0)
     codes = np.arange(d)
     rows = amp * (1.0 - 2.0 * parity(codes[:, None] & codes))
     keys = np.column_stack([index, np.zeros(d, np.int64)])
     psi = QueryState.from_arrays(n, index.shape[1], keys, np.full(d, amp))
-    effects = tuple((label, psi.with_amps(row)) for label, row in zip(labels, rows))
+    effects = tuple(zip(labels, psi.with_rows(rows)))
     return psi, ProjectiveMeasurement(effects)
 
 

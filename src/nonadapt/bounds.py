@@ -185,7 +185,8 @@ def error_profile(psi: QueryState, meas: Measurement, f: TotalFunction) -> np.nd
 
     def fold(a: np.ndarray, axis: int) -> np.ndarray:
         """Sum a's basis axis within each odd mask, in basis order."""
-        return np.add.reduceat(a.take(order, axis=axis), starts, axis=axis)
+        a = a.take(order, axis=axis)
+        return a if len(starts) == len(raw) else np.add.reduceat(a, starts, axis=axis)
 
     if projective:
         re, im = (fold(w, 1) for w in overlap_terms(meas.V, v0))  # (R, u): split by mask
@@ -210,7 +211,10 @@ def error_profile(psi: QueryState, meas: Measurement, f: TotalFunction) -> np.nd
         rows = slice(start, start + step)
         at = masks[rows, None] ^ masks[None, :]
         for h_row, g in zip(h, gram(rows)):
-            np.add.at(h_row, at, g)
+            if start:  # onto the sums of the earlier blocks, one entry at a time
+                np.add.at(h_row, at, g)
+            else:  # from the same zeros, in the same order as np.add.at: the same bits
+                h_row[:] = np.bincount(at.ravel(), weights=g.ravel(), minlength=len(h_row))
     p1, total = fwht(h)
     if not np.max(np.abs(total - 1.0)) <= ATOL:  # written so that NaN fails
         raise ContractViolation(

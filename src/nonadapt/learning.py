@@ -578,18 +578,14 @@ def build_classical_plan(learner, concepts: ConceptClass, eps: float) -> PlanRes
 # --- plan serialization -----------------------------------------------------
 
 
-def _decoder_table(plan: QueryPlan) -> dict[str, int]:
-    """The plan's decoder as {0/1 pattern: concept index}, in sorted pattern order."""
+def plan_to_dict(plan: QueryPlan) -> dict:
+    """The plan's record; decoder_table maps each 0/1 pattern, in sorted order, to its concept."""
     key_bytes = plan.keys.view(np.uint8).reshape(len(plan.keys), -1)
     patterns = np.unpackbits(key_bytes, axis=1, count=len(plan.base_queries))
-    return dict(zip(encode_bits(patterns), plan.decoder.tolist()))
-
-
-def plan_to_dict(plan: QueryPlan) -> dict:
     return {
         "base_queries": list(plan.base_queries),
         "concepts": encode_bits(plan.concepts.bits),
-        "decoder_table": _decoder_table(plan),
+        "decoder_table": dict(zip(encode_bits(patterns), plan.decoder.tolist())),
     }
 
 
@@ -608,7 +604,8 @@ def plan_from_dict(data: dict) -> QueryPlan:
             if type(v) is not int:
                 raise TypeError(f"{v!r} is not an integer")
         patterns = list(table)
-        if (bad := decode_words(patterns)[2]).any():
+        pattern_bits, pattern_lengths, bad = decode_words(patterns)
+        if bad.any():
             raise TypeError(f"decoder pattern {patterns[np.argmax(bad)]!r} is not a 0/1 string")
         n = len(words[0])
     except (KeyError, IndexError, TypeError) as exc:
@@ -621,9 +618,21 @@ def plan_from_dict(data: dict) -> QueryPlan:
     if any(a >= b for a, b in zip(base, base[1:])):
         raise ValidationError(f"base_queries {base} are not strictly increasing")
     plan = make_plan(ConceptClass(n, bits.reshape(len(words), n)), base)
-    if table != _decoder_table(plan):
+    if not _same_decoder(plan, pattern_bits, pattern_lengths, list(table.values())):
         raise ValidationError("decoder_table differs from the one its base_queries induce")
     return plan
+
+
+def _same_decoder(plan: QueryPlan, bits: np.ndarray, lengths: np.ndarray, indices: list) -> bool:
+    """Whether decoded {pattern: index} rows (bits end to end, lengths) are the plan's decoder."""
+    q = len(plan.base_queries)
+    if len(indices) != len(plan.keys) or (lengths != q).any():
+        return False
+    keys = pattern_keys(bits.reshape(len(indices), q))
+    order = np.argsort(keys)  # distinct: the patterns were distinct strings of one length
+    if not (keys[order] == plan.keys).all():
+        return False
+    return [indices[i] for i in order.tolist()] == plan.decoder.tolist()
 
 
 def save_plan(plan: QueryPlan, path) -> None:

@@ -181,6 +181,7 @@ def fwht(v: np.ndarray) -> np.ndarray:
     a + b or a - b of the same operands, in the same stage order (span 1, 2,
     4, ...), as the in-place radix-2 butterflies, so it has the same bits.
     """
+    v = np.asarray(v)
     v = np.array(v, dtype=np.result_type(v, np.float64))
     size = v.shape[-1]
     if size < 1 or size & (size - 1):
@@ -310,6 +311,27 @@ class QueryState:
         psi._freeze(self.n, self.k, self.keys, amps, self.ancilla_dim)
         return psi
 
+    def with_rows(self, rows) -> list["QueryState"]:
+        """The states on self.keys whose amplitudes are the rows of one (R, d) matrix.
+
+        The matrix is copied once, made read-only and scanned once for zeros;
+        a row holding a zero goes through with_amps, which drops it.
+        """
+        rows = np.array(rows, dtype=np.complex128)
+        if rows.ndim != 2 or rows.shape[1] != len(self.keys):
+            raise ContractViolation(f"{rows.shape} amplitude rows for {len(self.keys)} keys")
+        rows.flags.writeable = False
+        states = []
+        for row, has_zero in zip(rows, (rows == 0).any(axis=1).tolist()):
+            if has_zero:
+                states.append(self.with_amps(row))
+                continue
+            psi = type(self).__new__(type(self))
+            vars(psi).update(n=self.n, k=self.k, keys=self.keys, amps=row,
+                             ancilla_dim=self.ancilla_dim)
+            states.append(psi)
+        return states
+
     def _freeze(self, n, k, keys, amps, ancilla_dim) -> None:
         """Store checked keys and their amplitudes read-only, zero amplitudes dropped."""
         amps = np.asarray(amps, dtype=np.complex128)
@@ -431,8 +453,10 @@ class ProjectiveMeasurement:
 
     Construction derives basis, the sorted union of the effect supports,
     basis_keys, its (d, k + 1) key matrix, and V, the (R, d) matrix whose
-    row r is effect r's amplitudes over basis; orthonormality is the single
-    check |conj(V) V^T - I| <= ATOL.
+    row r is effect r's amplitudes over basis; effects that share one key
+    matrix, as QueryState.with_rows builds them, give V as one stack of
+    their amplitudes.  Orthonormality is the single check
+    |conj(V) V^T - I| <= ATOL, on the float64 Gram V V^T when V is real.
     """
 
     effects: tuple[tuple[Outcome, QueryState], ...]
@@ -451,15 +475,21 @@ class ProjectiveMeasurement:
         shared = all(s.keys is first.keys for s in states)  # one support, as a Hadamard basis
         keys = first.keys if shared else np.vstack([s.keys for s in states])
         first, rank = group_keys(keys)
-        if shared:
-            rank = np.tile(rank, len(states))
-        vecs = np.zeros((len(states), len(first)), dtype=complex)
-        effect = np.repeat(np.arange(len(states)), [len(s.amps) for s in states])
-        vecs[effect, rank] = np.concatenate([s.amps for s in states])
+        if shared:  # first orders the distinct keys, so column j is entry first[j]
+            vecs = np.stack([s.amps for s in states])
+            if not np.array_equal(first, np.arange(len(first))):
+                vecs = vecs[:, first]
+        else:
+            vecs = np.zeros((len(states), len(first)), dtype=complex)
+            effect = np.repeat(np.arange(len(states)), [len(s.amps) for s in states])
+            vecs[effect, rank] = np.concatenate([s.amps for s in states])
         if not (finite := np.isfinite(vecs).all(axis=1)).all():
             i = np.argmin(finite)  # the first offender
             raise ValidationError(f"measurement state {i} has a non-finite amplitude")
-        gram = vecs.conj() @ vecs.T
+        if vecs.imag.any():
+            gram = vecs.conj() @ vecs.T
+        else:  # a real family, as a Hadamard basis: the same test on a float64 Gram
+            gram = vecs.real @ vecs.real.T
         bad = np.triu(np.abs(gram - np.eye(len(states))) > ATOL)
         if bad.any():
             # the first offender in row-major order: state i's norm precedes its pairs (i, j > i)

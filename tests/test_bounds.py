@@ -240,6 +240,20 @@ class TestErrorProfile:
                 monkeypatch.setattr(bounds, "SWEEP_CELLS", rows * len(meas.basis))
                 assert np.array_equal(error_profile(psi, meas, f), whole)
 
+    def test_projective_sweep_bit_identical_across_chunk_sizes(self, monkeypatch):
+        # the first row block is scattered by np.bincount, later ones by np.add.at
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            n, k = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            psi = random_state(rng, n, k, support_size=int(rng.integers(1, 7)))
+            meas = random_projective(rng, psi)
+            f = TotalFunction(n, tuple(int(b) for b in rng.integers(0, 2, size=1 << n)))
+            monkeypatch.setattr(bounds, "SWEEP_CELLS", 1 << 18)
+            whole = error_profile(psi, meas, f)
+            for rows in (2, 4, 8, 16, 32):
+                monkeypatch.setattr(bounds, "SWEEP_CELLS", rows * len(meas.basis))
+                assert np.array_equal(error_profile(psi, meas, f), whole)
+
     def test_chunking_leaves_parity_profile_bit_identical(self, monkeypatch):
         alg = build_parity_algorithm(10)
         args = (alg.psi, decision_measurement(alg), build_function("parity", 10))

@@ -618,6 +618,22 @@ class TestQueryPlan:
         with pytest.raises(error):
             plan_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "table",
+        [
+            {"00": 1, "01": 0, "11": 2},
+            {"00": 0, "01": 1},
+            {"00": 0, "01": 1, "11": 2, "10": 2},
+            {"00": 0, "01": 1, "110": 2},
+            {"00": 0, "01": 1, "1": 2},
+        ],
+        ids=["swapped-indices", "missing-pattern", "extra-pattern", "long-pattern",
+             "short-pattern"],
+    )
+    def test_tampered_decoder_table(self, table):
+        with pytest.raises(ValidationError, match="decoder_table differs"):
+            plan_from_dict({**RECORD, "decoder_table": table})
+
     @pytest.mark.parametrize("base", [[2, 1, 1], [2, 1], [1, 1, 2]])
     def test_base_queries_must_increase(self, base):
         # the table is the one positions (1, 2) induce, so only the order is wrong

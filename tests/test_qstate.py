@@ -330,12 +330,17 @@ class TestMeasurementValidation:
         assert meas.basis == (((0,), 0), ((2,), 0))
         assert np.array_equal(meas.V, [[0, 1], [-1j, 0]])
 
-    @pytest.mark.parametrize("orthogonal", [True, False])
-    def test_projective_shared_keys_match_copies(self, orthogonal):
-        # effects sharing one key matrix take the one-support path; copies take the stacked one
-        keys = np.array([[3, 0], [1, 0], [2, 0], [0, 0]])
-        rows = 0.5 * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1],
-                               [1, -1, -1, 1 if orthogonal else -1]])
+    @pytest.mark.parametrize("orthogonal, in_order, phase", [
+        pytest.param(o, s, p, id=str(o) + "-sorted" * s + "-complex" * isinstance(p, complex))
+        for s in (False, True) for p in (1.0, np.exp(0.7j)) for o in (True, False)
+    ])
+    def test_projective_shared_keys_match_copies(self, orthogonal, in_order, phase):
+        # effects sharing one key matrix take the one-support path; copies take the scattered
+        # one; a unit phase on every row moves the orthonormality Gram from float64 to complex
+        keys = np.array([[0, 0], [1, 0], [2, 0], [3, 0]] if in_order else
+                        [[3, 0], [1, 0], [2, 0], [0, 0]])
+        rows = 0.5 * phase * np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1],
+                                       [1, -1, -1, 1 if orthogonal else -1]])
 
         def build(copy):
             return ProjectiveMeasurement(tuple(
@@ -352,6 +357,7 @@ class TestMeasurementValidation:
         assert shared.basis == copied.basis == tuple(((i,), 0) for i in range(4))
         assert np.array_equal(shared.basis_keys, copied.basis_keys)
         assert np.array_equal(shared.V, copied.V)
+        assert np.array_equal(shared.V, rows[:, np.argsort(keys[:, 0])])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_projective_rejects_non_finite(self, bad):
@@ -494,6 +500,33 @@ class TestWithAmps:
         assert psi.normalized().keys is psi.keys
 
 
+class TestWithRows:
+    def test_shares_the_checked_keys_read_only(self):
+        psi = random_state(np.random.default_rng(2), 4, 2, ancilla_dim=2)
+        rows = np.stack([psi.amps, -psi.amps, 1j * psi.amps])
+        states = psi.with_rows(rows)
+        assert len(states) == 3
+        for phi, row in zip(states, rows):
+            assert phi.keys is psi.keys and (phi.n, phi.k, phi.ancilla_dim) == (4, 2, 2)
+            assert phi == psi.with_amps(row) and np.array_equal(phi.amps, row)
+            with pytest.raises(ValueError):
+                phi.amps[0] = 0
+        rows[0] = 0  # the states hold a copy
+        assert np.array_equal(states[0].amps, psi.amps)
+
+    def test_row_with_a_zero_drops_it(self):
+        psi = uniform_k1(3, [1, 2, 3])
+        dense, sparse = psi.with_rows([[1.0, 2.0, 3.0], [0.0, 1.0, 0.0]])
+        assert dense.keys is psi.keys
+        assert sparse == psi.with_amps([0.0, 1.0, 0.0])
+        assert sparse.amplitudes == {((2,), 0): 1.0} and len(sparse.keys) == 1
+
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (1, 2, 2)])
+    def test_refuses_a_matrix_of_the_wrong_shape(self, shape):
+        with pytest.raises(ContractViolation, match="amplitude rows for 2 keys"):
+            uniform_k1(3, [1, 2]).with_rows(np.ones(shape))
+
+
 def test_overlap_terms_match_python_complex_product():
     # numpy's own conj(a) * b fuses multiply-add on some CPUs and then differs in the last bit
     rng = np.random.default_rng(17)
@@ -548,6 +581,9 @@ class TestFwht:
 
     def test_integer_input_is_transformed_as_float(self):
         assert fwht(np.array([1, 0, 0, 0])).tolist() == [1.0, 1.0, 1.0, 1.0]
+
+    def test_plain_list_input(self):
+        assert fwht([1, 0, 0, 0]).tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_input_left_unchanged(self):
         x = np.arange(8.0)
