@@ -23,6 +23,7 @@ from .qstate import (
     ProjectiveMeasurement,
     QueryState,
     apply_oracle,
+    encode_bits,
     fwht,
     group_keys,
     key_tuples,
@@ -214,17 +215,12 @@ def build_subset_algorithm(n: int, k: int) -> NonadaptiveAlgorithm:
         )
     keys = psi.keys[group_keys(psi.keys)[0]]  # the support in canonical order
     basis = tuple(key_tuples(keys))
-    masks = odd_masks(keys[:, :-1])
-    scale = 2.0 ** (-n / 2.0)
-    elements = []
-    total = np.zeros((d, d), dtype=complex)
-    for y in range(1 << n):
-        vec = scale * (1.0 - 2.0 * parity(y & masks))
-        eff = np.outer(vec, vec.conj())
-        total += eff
-        elements.append((str(OracleString.from_int(n, y)), eff))
-    elements.append(("fail", np.eye(d, dtype=complex) - total))
-    meas = PovmMeasurement(n=n, k=psi.k, basis=basis, elements=tuple(elements))
+    ys = np.arange(1 << n)
+    vecs = 2.0 ** (-n / 2.0) * (1.0 - 2.0 * parity(ys[:, None] & odd_masks(keys[:, :-1])))
+    effects = vecs[:, :, None] * vecs[:, None, :]  # every outer product, real
+    labels = encode_bits(((ys[:, None] >> np.arange(n)) & 1).astype(np.uint8))
+    elements = (*zip(labels, effects), ("fail", np.eye(d) - effects.sum(axis=0)))
+    meas = PovmMeasurement(n=n, k=psi.k, basis=basis, elements=elements)
     return NonadaptiveAlgorithm(f"subset-fourier-{k}", psi, meas)
 
 

@@ -142,11 +142,17 @@ def _exact_slices(z: np.ndarray) -> list[np.ndarray]:
 
 
 def _gram_rows(parts: list[np.ndarray], rows: slice) -> np.ndarray:
-    """Rows of z^T z from z's exact slices: the products above the tail, in a fixed order."""
-    gram = 0.0
+    """Rows of z^T z from z's exact slices: the products above the tail, in a fixed order.
+
+    The sum starts from +0.0, so a product with an all-zero slice, which adds
+    only signed zeros, cannot change a bit of it and is skipped.
+    """
+    live = [part.any() for part in parts]  # NaN counts as nonzero
+    gram = np.zeros((parts[0][:, rows].shape[1], parts[0].shape[1]))
     for i, left in enumerate(parts):
-        for right in parts[: len(parts) - i]:
-            gram = gram + left[:, rows].T @ right
+        for j, right in enumerate(parts[: len(parts) - i]):
+            if live[i] and live[j]:
+                gram += left[:, rows].T @ right
     return gram
 
 
@@ -188,17 +194,16 @@ def error_profile(psi: QueryState, meas: Measurement, f: TotalFunction) -> np.nd
         a = a.take(order, axis=axis)
         return a if len(starts) == len(raw) else np.add.reduceat(a, starts, axis=axis)
 
+    ones = np.array([label == 1 for label in labels], dtype=bool)
     if projective:
         re, im = (fold(w, 1) for w in overlap_terms(meas.V, v0))  # (R, u): split by mask
-        ones = np.array([label == 1 for label in labels], dtype=bool)
         slices = [_exact_slices(np.concatenate([re[s], im[s]])) for s in (ones, ~ones)]
 
         def gram(rows: slice) -> tuple[np.ndarray, np.ndarray]:
             g1 = _gram_rows(slices[0], rows)
             return g1, g1 + _gram_rows(slices[1], rows)
     else:
-        sums = (sum(m for label, m in meas.elements if label == 1),
-                sum(m for _, m in meas.elements))
+        sums = meas.M[ones].sum(0), meas.M.sum(0)  # each adds the elements in order
         terms = (overlap_terms(v0[:, None], m) for m in sums)  # conj(v0_a) m_ab
         g1, g_all = (fold(fold(re * v0.real - im * v0.imag, 0), 1) for re, im in terms)
 
@@ -215,6 +220,7 @@ def error_profile(psi: QueryState, meas: Measurement, f: TotalFunction) -> np.nd
                 np.add.at(h_row, at, g)
             else:  # from the same zeros, in the same order as np.add.at: the same bits
                 h_row[:] = np.bincount(at.ravel(), weights=g.ravel(), minlength=len(h_row))
+    slices = None  # drop the exact slices before fwht's two buffers stack on them
     p1, total = fwht(h)
     if not np.max(np.abs(total - 1.0)) <= ATOL:  # written so that NaN fails
         raise ContractViolation(

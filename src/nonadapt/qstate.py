@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from typing import Callable, Hashable, Iterator, Mapping, Sequence, Union
@@ -253,8 +253,18 @@ def _key_arrays(keys, n: int, k: int, ancilla_dim: int) -> np.ndarray:
 
 
 def _checked_keys(n, k, ancilla_dim, keys, what="state entry") -> np.ndarray:
-    """The key validator: ranges over the whole matrix and no repeated (tuple, ancilla) key."""
+    """The key validator: integer entries, ranges over the whole matrix and no repeated key.
+
+    An array must have an integer dtype.  Anything else is read entry by
+    entry, since numpy reads True beside ints as 1.
+    """
     validate_dims(n, k, ancilla_dim)
+    if not isinstance(keys, np.ndarray):
+        for x in np.array(keys, dtype=object).flat:
+            if type(x) is bool or not isinstance(x, (int, np.integer)):
+                raise ContractViolation(f"key entry {x!r} is not an integer")
+    elif keys.dtype.kind not in "iu":
+        raise ContractViolation(f"key matrix of dtype {keys.dtype} is not integer")
     keys = np.asarray(keys, dtype=np.int64)
     if keys.ndim != 2 or keys.shape[1] != k + 1:
         raise ContractViolation(f"key matrix of shape {keys.shape} needs k + 1 = {k + 1} columns")
@@ -512,8 +522,11 @@ class PovmMeasurement:
 
     The basis is a sequence of (index tuple, ancilla) labels, checked by the
     state key validator and kept as basis_keys, its (d, k + 1) key matrix;
-    matrices are indexed against it.  Elements must be PSD within tolerance
-    and sum to the identity on the declared basis.
+    matrices are indexed against it.  Construction checks each element in
+    turn (shape, finite, Hermitian, then PSD within tolerance) and writes it
+    into M, one read-only complex (R, d, d) stack; elements then holds the
+    pairs (outcome, M[r]).  The stack must sum to the identity on the
+    declared basis.
     """
 
     n: int
@@ -522,15 +535,15 @@ class PovmMeasurement:
     elements: tuple[tuple[Outcome, np.ndarray], ...]
     ancilla_dim: int = 1
     basis_keys: np.ndarray = field(init=False, compare=False, repr=False)
+    M: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         keys = _key_arrays(self.basis, self.n, self.k, self.ancilla_dim)
         keys = _checked_keys(self.n, self.k, self.ancilla_dim, keys, what="basis label")
         object.__setattr__(self, "basis_keys", keys)
         d = len(self.basis)
-        total = np.zeros((d, d), dtype=complex)
-        frozen = []
-        for outcome, mat in self.elements:
+        stack = np.empty((len(self.elements), d, d), dtype=complex)
+        for r, (outcome, mat) in enumerate(self.elements):
             mat = np.asarray(mat, dtype=complex)
             if mat.shape != (d, d):
                 raise ValidationError(
@@ -543,20 +556,16 @@ class PovmMeasurement:
                 raise ValidationError(f"element for outcome {outcome!r} is not Hermitian")
             if np.linalg.eigvalsh(mat)[0] < -ATOL:
                 raise ValidationError(f"element for outcome {outcome!r} is not PSD")
-            total += mat
-            frozen.append((outcome, mat))
-        if not np.max(np.abs(total - np.eye(d))) <= ATOL:  # written so that NaN fails
+            stack[r] = mat
+        # the sum adds the elements in order; written so that NaN fails
+        if not np.max(np.abs(stack.sum(axis=0) - np.eye(d))) <= ATOL:
             raise ValidationError("POVM elements do not sum to the identity")
-        object.__setattr__(self, "elements", tuple(frozen))
+        stack.setflags(write=False)
+        object.__setattr__(self, "M", stack)
+        object.__setattr__(self, "elements", tuple(zip([o for o, _ in self.elements], stack)))
 
     def relabel(self, fn: Callable[[Outcome], Outcome]) -> "PovmMeasurement":
-        return PovmMeasurement(
-            self.n,
-            self.k,
-            self.basis,
-            tuple((fn(o), m) for o, m in self.elements),
-            self.ancilla_dim,
-        )
+        return replace(self, elements=tuple((fn(o), m) for o, m in self.elements))
 
 
 Measurement = Union[ProjectiveMeasurement, PovmMeasurement]
@@ -600,21 +609,21 @@ def measure(psi: QueryState, meas: Measurement) -> dict[Outcome, float]:
     No BLAS call and a fixed summation order: the same bits on every machine.
     """
     v = _state_vector(psi, meas)
-    if isinstance(meas, ProjectiveMeasurement):
-        # <s_r|psi>: the terms summed in basis order
-        re, im = np.cumsum(np.stack(overlap_terms(meas.V, v)), axis=2)[:, :, -1].tolist()
-        ps = [abs(complex(a, b)) ** 2 for a, b in zip(re, im)]
-        outcomes = [outcome for outcome, _ in meas.effects]
+    projective = isinstance(meas, ProjectiveMeasurement)
+    X, pairs = (meas.V, meas.effects) if projective else (meas.M, meas.elements)
+    # effect r's <s_r|psi>, or element r's w_ra = sum_b conj(M_rba) v_b: terms summed in basis order
+    re = im = 0.0
+    for b, vb in enumerate(v):
+        tr, ti = overlap_terms(X[:, b], vb)
+        re, im = re + tr, im + ti
+    if projective:
+        ps = [abs(complex(a, b)) ** 2 for a, b in zip(re.tolist(), im.tolist())]
     else:
-        # Re <psi|M|psi> = Re <psi|M^dagger|psi> for any M: w_a = sum_b conj(M_ba) v_b, each
-        # summed in basis order, then Re sum_a conj(v_a) w_a, so errors grow with d, not d^2
-        ps = []
-        for _, mat in meas.elements:
-            wr, wi = (np.cumsum(t, axis=0)[-1] for t in overlap_terms(mat, v[:, None]))
-            ps.append(max(ordered_sum(v.real * wr + v.imag * wi), 0.0))
-        outcomes = [outcome for outcome, _ in meas.elements]
+        # Re <psi|M|psi> = Re <psi|M^dagger|psi> = Re sum_a conj(v_a) w_a for any M, summed in
+        # basis order, so errors grow with d, not d^2
+        ps = [max(ordered_sum(t), 0.0) for t in v.real * re + v.imag * im]
     probs: dict[Outcome, float] = {}
-    for outcome, p in zip(outcomes, ps):  # summed per label in effect order
+    for (outcome, _), p in zip(pairs, ps):  # summed per label in effect order
         probs[outcome] = probs.get(outcome, 0.0) + p
     total = sum(probs.values())
     if not abs(total - 1.0) <= ATOL:  # written so that NaN fails

@@ -208,6 +208,25 @@ class TestSubsetAlgorithm:
         with pytest.raises(ContractViolation):
             build_subset_algorithm(3, 0)
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_elements_match_per_outcome_outer_products(self, n):
+        # the stacked build against one np.outer per outcome y, summed into "fail" in order
+        for k in range(1, n + 1):
+            alg = build_subset_algorithm(n, k)
+            masks = np.array([sum(1 << (i - 1) for i in t if i) for t, _ in alg.meas.basis])
+            d = len(masks)
+            total = np.zeros((d, d), dtype=complex)
+            want = []
+            for y in range(1 << n):
+                vec = 2.0 ** (-n / 2.0) * (1.0 - 2.0 * parity(y & masks))
+                eff = np.outer(vec, vec.conj())
+                total += eff
+                want.append((str(OracleString.from_int(n, y)), eff))
+            want.append(("fail", np.eye(d, dtype=complex) - total))
+            assert [o for o, _ in alg.meas.elements] == [o for o, _ in want]
+            for (_, got), (_, eff) in zip(alg.meas.elements, want):
+                assert got.dtype == complex and got.tobytes() == eff.astype(complex).tobytes()
+
 
 class TestHadamardLearner:
     def test_concept_class_shape(self):

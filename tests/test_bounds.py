@@ -411,6 +411,23 @@ class TestGramSlices:
             want = bounds._gram_rows(slices_keeping_zero_rows(z), cols)
             assert np.array_equal(bounds._gram_rows(parts, cols), want)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_all_zero_slices_change_no_gram_bit(self, seed):
+        # coarse dyadic values plus a tail 2^-55 below them: the middle slice is all zero
+        rng = np.random.default_rng(seed)
+        z = rng.integers(-8, 9, size=(8, 6)) / 8.0
+        z[:, ::2] += rng.normal(size=(8, 3)) * 2.0 ** -55
+        z[3] = -0.0
+        parts = bounds._exact_slices(z)
+        assert [bool(p.any()) for p in parts] == [True, False, True]
+        for cols in (slice(None), slice(1, 4)):
+            want = 0.0
+            for i, left in enumerate(parts):  # every product above the tail, zero slices too
+                for right in parts[: len(parts) - i]:
+                    want = want + left[:, cols].T @ right
+            got = bounds._gram_rows(parts, cols)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_all_zero_matrix_gives_a_zero_gram(self):
         parts = bounds._exact_slices(np.zeros((6, 4)))
         gram = bounds._gram_rows(parts, slice(None))
@@ -441,13 +458,15 @@ class TestGramSlices:
 
 # Loads the instances pickled by the test below and prints, for each, the projective
 # and POVM error profiles as hex and the POVM outcome probabilities; then the parity
-# sweeps for n = 3..8 (real, so the Gram drops its zero imaginary rows) and the
-# transform of the pickled matrix, as hex.
+# sweeps for n = 3..8 (real, so the Gram drops its zero imaginary rows), the transform
+# of the pickled matrix, as hex, and the subset learner's POVM outcomes at n = 3, k = 2
+# on all eight inputs.
 CPU_SWEEP = """
 import json, pickle, sys
-from nonadapt import (PovmMeasurement, ProjectiveMeasurement, QueryState, TotalFunction,
-                      build_function, error_profile, measure)
-from nonadapt.algorithms import build_parity_algorithm, decision_measurement
+from nonadapt import (OracleString, PovmMeasurement, ProjectiveMeasurement, QueryState,
+                      TotalFunction, build_function, error_profile, measure)
+from nonadapt.algorithms import (build_parity_algorithm, build_subset_algorithm,
+                                 decision_measurement, run_algorithm)
 from nonadapt.qstate import fwht, key_tuples
 out = []
 with open(sys.argv[1], "rb") as fh:
@@ -465,6 +484,8 @@ for n in range(3, 9):
     f = build_function("parity", n)
     out.append(error_profile(alg.psi, decision_measurement(alg), f).tobytes().hex())
 out.append(fwht(matrix).tobytes().hex())
+alg = build_subset_algorithm(3, 2)
+out.append(repr([sorted(run_algorithm(alg, OracleString.from_int(3, y)).items()) for y in range(8)]))
 print(json.dumps(out))
 """
 
@@ -495,7 +516,7 @@ def test_sweep_and_povm_measure_independent_of_cpu_features(tmp_path):
         proc = subprocess.run([sys.executable, "-c", CPU_SWEEP, str(tmp_path / "instances.pkl")],
                               env=env, capture_output=True, text=True, check=True)
         runs.append(json.loads(proc.stdout))
-    assert len(runs[0]) == 43 and runs[0] == runs[1]
+    assert len(runs[0]) == 44 and runs[0] == runs[1]
 
 
 class TestBoundReport:

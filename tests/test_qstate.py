@@ -387,6 +387,30 @@ class TestMeasurementValidation:
         with pytest.raises(ValidationError):
             PovmMeasurement(n=1, k=1, basis=basis, elements=((0, e0), (1, e1)))
 
+    @pytest.mark.parametrize("first", ["skew", "nan"])
+    def test_povm_reports_the_first_bad_element(self, first):
+        # a non-Hermitian element and a non-finite one: the first in element order is named
+        bad = {"skew": (np.array([[0.5, 0.3], [0.0, 0.5]]), "is not Hermitian"),
+               "nan": (np.diag([math.nan, 0.5]), "has a non-finite entry")}
+        elements = tuple((name, bad[name][0]) for name in sorted(bad, key=lambda o: o != first))
+        with pytest.raises(ValidationError, match=f"outcome '{first}' {bad[first][1]}"):
+            PovmMeasurement(n=1, k=1, basis=(((0,), 0), ((1,), 0)), elements=elements)
+
+    def test_povm_stack_is_read_only_and_backs_the_elements(self):
+        basis = (((0,), 0), ((1,), 0))
+        e0 = [[0.5, 0.25j], [-0.25j, 0.5]]
+        meas = PovmMeasurement(n=1, k=1, basis=basis, elements=(("a", e0), ("b", np.eye(2) - e0)))
+        assert meas.M.shape == (2, 2, 2) and meas.M.dtype == complex
+        assert np.array_equal(meas.M[0], e0) and np.array_equal(meas.M[1], np.eye(2) - e0)
+        assert [o for o, _ in meas.elements] == ["a", "b"]
+        for r, (_, m) in enumerate(meas.elements):
+            assert np.shares_memory(m, meas.M) and np.array_equal(m, meas.M[r])
+        with pytest.raises(ValueError):
+            meas.M[0, 0, 0] = 0
+        relabeled = meas.relabel(str.upper)
+        assert [o for o, _ in relabeled.elements] == ["A", "B"]
+        assert np.array_equal(relabeled.M, meas.M) and relabeled.basis == meas.basis
+
     def test_povm_rejects_bad_sum(self):
         basis = (((0,), 0), ((1,), 0))
         half = 0.5 * np.eye(2)
@@ -460,6 +484,18 @@ class TestQueryStateValidation:
         # the same tuple under another ancilla label is another key
         psi = QueryState.from_arrays(2, 2, [[1, 2, 0], [1, 2, 1]], [0.6, 0.8], ancilla_dim=2)
         assert psi.amplitudes == {((1, 2), 0): 0.6, ((1, 2), 1): 0.8}
+
+    @pytest.mark.parametrize("keys", [
+        [[1.5, 0]], np.array([[1.7, 0.0]]), [["1", 0]], [[True, 0]], np.array([[True, False]]),
+    ], ids=["float-list", "float-array", "str-list", "bool-list", "bool-array"])
+    def test_array_path_refuses_non_integer_keys(self, keys):
+        # an int64 cast would read each as the key ((1,), 0); the dict path refuses 1.0 and True
+        with pytest.raises(ContractViolation, match="not an integer|is not integer"):
+            QueryState.from_arrays(2, 1, keys, [1.0])
+
+    def test_array_path_takes_integer_keys(self):
+        for keys in ([[1, 0]], [(1, 0)], [[np.int32(1), 0]], np.array([[1, 0]], dtype=np.uint8)):
+            assert QueryState.from_arrays(2, 1, keys, [1.0]).amplitudes == {((1,), 0): 1.0}
 
     def test_arrays_are_read_only(self):
         psi = QueryState(2, 2, {((2, 1), 0): 0.6, ((1, 1), 0): 0.8j})
