@@ -203,7 +203,7 @@ def error_profile(psi: QueryState, meas: Measurement, f: TotalFunction) -> np.nd
             g1 = _gram_rows(slices[0], rows)
             return g1, g1 + _gram_rows(slices[1], rows)
     else:
-        sums = meas.M[ones].sum(0), meas.M.sum(0)  # each adds the elements in order
+        sums = meas.M.sum(0, where=ones[:, None, None]), meas.M.sum(0)  # in element order, no copy
         terms = (overlap_terms(v0[:, None], m) for m in sums)  # conj(v0_a) m_ab
         g1, g_all = (fold(fold(re * v0.real - im * v0.imag, 0), 1) for re, im in terms)
 

@@ -609,19 +609,21 @@ def measure(psi: QueryState, meas: Measurement) -> dict[Outcome, float]:
     No BLAS call and a fixed summation order: the same bits on every machine.
     """
     v = _state_vector(psi, meas)
-    projective = isinstance(meas, ProjectiveMeasurement)
-    X, pairs = (meas.V, meas.effects) if projective else (meas.M, meas.elements)
-    # effect r's <s_r|psi>, or element r's w_ra = sum_b conj(M_rba) v_b: terms summed in basis order
-    re = im = 0.0
-    for b, vb in enumerate(v):
-        tr, ti = overlap_terms(X[:, b], vb)
-        re, im = re + tr, im + ti
-    if projective:
-        ps = [abs(complex(a, b)) ** 2 for a, b in zip(re.tolist(), im.tolist())]
+    if isinstance(meas, ProjectiveMeasurement):
+        # <s_r|psi>: the terms summed in basis order
+        re, im = np.cumsum(np.stack(overlap_terms(meas.V, v)), axis=2)[:, :, -1].tolist()
+        ps = [abs(complex(a, b)) ** 2 for a, b in zip(re, im)]
+        pairs = meas.effects
     else:
-        # Re <psi|M|psi> = Re <psi|M^dagger|psi> = Re sum_a conj(v_a) w_a for any M, summed in
-        # basis order, so errors grow with d, not d^2
-        ps = [max(ordered_sum(t), 0.0) for t in v.real * re + v.imag * im]
+        # Re <psi|M|psi> = Re <psi|M^dagger|psi> for any M: w_ra = sum_b conj(M_rba) v_b, one
+        # loop over b so each temporary is (R, d), not stack-sized, then Re sum_a conj(v_a) w_ra,
+        # each summed in basis order, so errors grow with d, not d^2
+        wr = wi = 0.0
+        for b, vb in enumerate(v):
+            tr, ti = overlap_terms(meas.M[:, b], vb)
+            wr, wi = wr + tr, wi + ti
+        ps = [max(ordered_sum(t), 0.0) for t in v.real * wr + v.imag * wi]
+        pairs = meas.elements
     probs: dict[Outcome, float] = {}
     for (outcome, _), p in zip(pairs, ps):  # summed per label in effect order
         probs[outcome] = probs.get(outcome, 0.0) + p
