@@ -257,7 +257,7 @@ def cmd_learn(args: argparse.Namespace) -> int:
         worst = report.worst()
         margins = [{"i": worst.i, "j": worst.j, "overlap_sq": worst.overlap_sq,
                     "margin": report.bound - worst.overlap_sq, "ok": worst.ok}]
-        pairs_checked = len(report.pairs)
+        pairs_checked = report.m * (report.m - 1) // 2
 
     payload = {
         "command": "learn",

@@ -334,10 +334,12 @@ class PairOverlap:
 
 @dataclass(frozen=True, eq=False)
 class OverlapReport:
-    """Checked pairs as rows (i, j), i < j, in pair order; ok = overlap_sq <= bound + 1e-12."""
+    """The m(m-1)/2 pairs (i, j), i < j, in pair order: overlap_sq and ok (overlap_sq <= bound
+    + 1e-12) per pair; the (P, 2) ``pairs`` rows are built only when read.
+    """
 
     bound: float
-    pairs: np.ndarray
+    m: int
     overlap_sq: np.ndarray
     ok: np.ndarray
 
@@ -345,12 +347,23 @@ class OverlapReport:
     def passed(self) -> bool:
         return bool(self.ok.all())
 
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        return np.stack(np.triu_indices(self.m, 1), axis=1)
+
+    def _pair_rows(self, r: np.ndarray) -> np.ndarray:
+        """The (i, j) rows of pair-order positions r: row i starts at position i(2m - i - 1)/2."""
+        i = np.arange(self.m)
+        starts = i * (2 * self.m - i - 1) // 2
+        row = np.searchsorted(starts, r, side="right") - 1
+        return np.stack([row, r - starts[row] + row + 1], axis=1)
+
     def violations(self, limit: int | None = None) -> tuple[PairOverlap, ...]:
         """The pairs over the bound in pair order; only the first limit when given."""
         bad = np.flatnonzero(~self.ok)[:limit]
         return tuple(
             PairOverlap(i, j, s, False)
-            for (i, j), s in zip(self.pairs[bad].tolist(), self.overlap_sq[bad].tolist())
+            for (i, j), s in zip(self._pair_rows(bad).tolist(), self.overlap_sq[bad].tolist())
         )
 
     def worst(self) -> PairOverlap:
@@ -358,8 +371,10 @@ class OverlapReport:
 
         ok only turns false as overlap_sq grows, so it is ok iff every pair is.
         """
+        if not len(self.overlap_sq):
+            raise ContractViolation(f"no concept pair was checked (m = {self.m})")
         r = int(np.argmax(self.overlap_sq))
-        i, j = self.pairs[r].tolist()
+        i, j = self._pair_rows(np.array([r]))[0].tolist()
         return PairOverlap(i, j, float(self.overlap_sq[r]), bool(self.ok[r]))
 
 
@@ -379,11 +394,12 @@ def check_pairwise_overlaps(
         raise ContractViolation(f"eps must be in [0, 1/2], got {eps}")
     p = profile.values
     supp = np.flatnonzero(p[1:] > 0.0)  # columns of c.bits; position 0 never differs
-    signs = 1.0 - 2.0 * c.bits[:, supp]
-    gram = p[0] + (signs * p[1:][supp]) @ signs.T
-    i, j = np.triu_indices(c.m, 1)
-    bound, sq = 4.0 * eps * (1.0 - eps), np.square(gram[i, j])
-    return OverlapReport(bound, np.stack([i, j], axis=1), sq, sq <= bound + 1e-12)
+    signs = np.where(c.bits[:, supp], -1.0, 1.0)
+    gram = (signs * p[1:][supp]) @ signs.T
+    gram += p[0]  # in place: the same bits as p[0] + the product
+    upper = np.arange(c.m)[:, None] < np.arange(c.m)  # row-major: the pairs in pair order
+    bound, sq = 4.0 * eps * (1.0 - eps), np.square(gram[upper])
+    return OverlapReport(bound, c.m, sq, sq <= bound + 1e-12)
 
 
 def classical_query_bound(m: int, eps: float) -> float:
@@ -425,8 +441,10 @@ def _greedy_over_support(c: ConceptClass, candidates: Iterable[int]) -> tuple[in
 
     Repeatedly takes the candidate separating the most still-colliding pairs,
     ties to the earliest candidate; None when the candidates cannot separate
-    every pair.  Colliding pairs are kept as groups of concepts that agree on
-    every chosen position, so a position separates ones * zeros pairs per group.
+    every pair.  Colliding pairs are kept as groups of two or more concepts
+    that agree on every chosen position, so a position separates ones * zeros
+    pairs per group; each step splits every group on the chosen position and
+    counts the ones of the half reading 1, the other half's by subtraction.
     If some distribution over the candidates separates every pair with
     probability at least delta, the best candidate separates at least delta of
     the pairs left (an average is at most the maximum), so the cover of
@@ -435,20 +453,31 @@ def _greedy_over_support(c: ConceptClass, candidates: Iterable[int]) -> tuple[in
     """
     candidates = list(candidates)
     cols = c.bits[:, _columns(c, candidates)]
-    label = np.zeros(c.m, dtype=np.intp)  # concepts agreeing on every chosen position
+    weights = cols.astype(np.float32)  # counts below 2^24 add exactly in any BLAS order
+    rows = np.arange(c.m)  # the colliding concepts, group by group
+    sizes = np.array([c.m])
+    ones = cols.sum(axis=0, dtype=np.int64)[None]  # per group, the concepts reading 1 per column
     chosen: list[int] = []
-    while True:
-        _, label, sizes = np.unique(label, return_inverse=True, return_counts=True)
-        if sizes.max() == 1:
-            return tuple(sorted(chosen))
-        by_group = cols[np.argsort(label, kind="stable")]
-        ones = np.add.reduceat(by_group, np.cumsum(sizes) - sizes, axis=0, dtype=np.int64)
+    while len(rows) > 1:  # false only for one concept: later steps end at the break
         gain = (ones * (sizes[:, None] - ones)).sum(axis=0)
         if not gain.any():
             return None
         best = int(np.argmax(gain))  # first maximum: ties to the earliest candidate
         chosen.append(candidates[best])
-        label = 2 * label + cols[:, best]
+        bit = cols[rows, best] == 1
+        group = np.repeat(np.arange(len(sizes)), sizes)[bit]  # the group of each row reading 1
+        n1 = np.bincount(group, minlength=len(sizes))
+        sizes = np.concatenate([sizes - n1, n1])  # each group's 0 half, then its 1 half
+        keep = sizes > 1  # a group of one collides with nothing
+        if not keep.any():
+            break
+        member = np.zeros((len(n1), len(group)), dtype=np.float32)
+        member[group, np.arange(len(group))] = 1.0
+        ones1 = (member @ weights[rows[bit]]).astype(np.int64)  # the 1 halves, counted
+        rows = np.concatenate([rows[~bit], rows[bit]])[np.repeat(keep, sizes)]
+        ones = np.concatenate([ones - ones1, ones1])[keep]
+        sizes = sizes[keep]
+    return tuple(sorted(chosen))
 
 
 # --- classical query plans --------------------------------------------------

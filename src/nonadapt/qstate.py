@@ -265,7 +265,11 @@ def _checked_keys(n, k, ancilla_dim, keys, what="state entry") -> np.ndarray:
                 raise ContractViolation(f"key entry {x!r} is not an integer")
     elif keys.dtype.kind not in "iu":
         raise ContractViolation(f"key matrix of dtype {keys.dtype} is not integer")
-    keys = np.asarray(keys, dtype=np.int64)
+    try:
+        keys = np.asarray(keys, dtype=np.int64)
+    except OverflowError:  # a Python int beyond int64 is in no key range
+        big = next(x for x in np.array(keys, dtype=object).flat if not -(1 << 63) <= x < 1 << 63)
+        raise ContractViolation(f"key entry {big!r} is beyond the int64 range") from None
     if keys.ndim != 2 or keys.shape[1] != k + 1:
         raise ContractViolation(f"key matrix of shape {keys.shape} needs k + 1 = {k + 1} columns")
     bad = (keys < 0) | (keys > n)

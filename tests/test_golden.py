@@ -40,6 +40,8 @@ CASES = {
                            "--eps", "0.0625"],
     "learn-vandam-n3-k2": ["learn", "--learner", "vandam", "--n", "3", "--k", "2",
                            "--eps", "0.0625"],
+    "learn-vandam-n8-k4": ["learn", "--learner", "vandam", "--n", "8", "--k", "4",
+                           "--eps", "0.0625"],
     "learn-state": ["learn", "--learner", "state", "--in", "random-n4-k2.json",
                     "--concepts", "concepts.txt", "--eps", "0.25"],
     "extract-set-json": ["extract-set", "--concepts", "concepts.txt", "--k", "6",
@@ -152,7 +154,7 @@ def test_learn_golden_under_blas_threads(threads):
     )
     result = json.loads(proc.stdout)
     exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
-    assert len(result["runs"]) == 5
+    assert len(result["runs"]) == 6
     for name, (code, out) in result["runs"].items():
         assert code == exit_codes[name], name
         assert out == (GOLDEN / f"{name}.stdout").read_text(), name

@@ -48,6 +48,7 @@ from nonadapt import (
     tuple_to_position,
 )
 from nonadapt import learning
+from nonadapt.errors import LONG_LEAF, render_json
 from nonadapt.qstate import encode_bits, odd_mask, parity, random_state
 from nonadapt.rng import stream
 
@@ -476,6 +477,90 @@ class TestPairwiseOverlaps:
         assert sq.count(sq[r]) > 1
         i, j = report.pairs[r].tolist()
         assert report.worst() == learning.PairOverlap(i, j, sq[r], bool(report.ok[r]))
+
+    @pytest.mark.parametrize("m", range(2, 41))
+    def test_pair_positions_match_eager_pairs(self, m):
+        # pairs is built on demand; worst() and violations() map positions by arithmetic
+        rng = np.random.default_rng([m, 7])
+        n = max(6, (m - 1).bit_length())
+        words = rng.choice(1 << n, size=m, replace=False)
+        c = ConceptClass(n, (words[:, None] >> np.arange(n)) & 1)
+        p = rng.uniform(size=n + 1)
+        report = check_pairwise_overlaps(AmplitudeProfile(p / p.sum()), c, eps=0.05 + 0.4 * rng.uniform())
+        i, j = np.triu_indices(m, 1)
+        assert report.pairs.tolist() == np.stack([i, j], axis=1).tolist()
+        r = int(np.argmax(report.overlap_sq))
+        want = learning.PairOverlap(int(i[r]), int(j[r]), float(report.overlap_sq[r]), bool(report.ok[r]))
+        assert report.worst() == want
+        bad = np.flatnonzero(~report.ok)
+        for limit in (None, 0, 1, 3, len(bad) + 1):
+            assert report.violations(limit) == tuple(
+                learning.PairOverlap(int(i[b]), int(j[b]), float(report.overlap_sq[b]), False)
+                for b in bad[:limit]
+            )
+
+    def test_one_concept_has_no_worst_pair(self):
+        report = check_pairwise_overlaps(AmplitudeProfile.uniform(3), concept_class(2, ("01",)), 0.1)
+        assert report.passed and report.violations() == () and report.pairs.shape == (0, 2)
+        with pytest.raises(ContractViolation, match=r"no concept pair was checked \(m = 1\)"):
+            report.worst()
+
+
+def reference_greedy(c, candidates, ties):
+    """The regrouping-per-step greedy cover that _greedy_over_support refines incrementally.
+
+    Appends to ties each step whose best gain several candidates share.
+    """
+    candidates = list(candidates)
+    cols = c.bits[:, learning._columns(c, candidates)]
+    label = np.zeros(c.m, dtype=np.intp)
+    chosen = []
+    while True:
+        _, label, sizes = np.unique(label, return_inverse=True, return_counts=True)
+        if sizes.max() == 1:
+            return tuple(sorted(chosen))
+        by_group = cols[np.argsort(label, kind="stable")]
+        ones = np.add.reduceat(by_group, np.cumsum(sizes) - sizes, axis=0, dtype=np.int64)
+        gain = (ones * (sizes[:, None] - ones)).sum(axis=0)
+        if not gain.any():
+            return None
+        if (gain == gain.max()).sum() > 1:
+            ties.append(len(chosen))
+        best = int(np.argmax(gain))
+        chosen.append(candidates[best])
+        label = 2 * label + cols[:, best]
+
+
+class TestGreedyCover:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_matches_regrouping_reference(self, seed):
+        rng = np.random.default_rng([seed, 23])
+        results, ties = [], []
+        for k in (1, 2, 3):
+            for _ in range(8):
+                n = int(rng.integers(2, 7))
+                m = int(rng.integers(1, min(1 << n, 48) + 1))
+                words = rng.choice(1 << n, size=m, replace=False)
+                t = tensor_power_class(ConceptClass(n, (words[:, None] >> np.arange(n)) & 1), k)
+                # a random support, sometimes too small to separate, sometimes repeating positions
+                size = int(rng.integers(0, min(t.n, 40) + 1))
+                support = rng.choice(np.arange(1, t.n + 1), size=size, replace=bool(rng.integers(2)))
+                want = reference_greedy(t, support.tolist(), ties)
+                assert learning._greedy_over_support(t, support.tolist()) == want
+                results.append(want)
+        assert None in results and any(results) and ties
+
+    def test_full_tensor_class_ties_to_the_earliest(self):
+        # every base position splits the full class evenly, so each step is a tie
+        t = tensor_power_class(full_concept_class(5), 2)
+        ties = []
+        want = reference_greedy(t, range(1, t.n + 1), ties)
+        assert learning._greedy_over_support(t, range(1, t.n + 1)) == want == (1, 2, 3, 4, 5)
+        assert ties == [0, 1, 2, 3, 4]
+
+    def test_one_concept_and_no_candidates(self):
+        assert learning._greedy_over_support(concept_class(2, ("01",)), []) == ()
+        assert learning._greedy_over_support(concept_class(2, ("01", "10")), []) is None
 
 
 def reference_overlap_sq(profile, c):
@@ -916,3 +1001,24 @@ def test_sampled_plans_within_budget(seed):
     assert result.audit["base_query_count"] == len(result.plan.base_queries) <= budget
     for idx, x in enumerate(concepts.concepts):
         assert classical_learn(result.plan, ClassicalOracle(x)).concept_index == idx
+
+
+JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+LONG = {"min_size": LONG_LEAF, "max_size": LONG_LEAF + 8}
+JSON_TREES = st.recursive(
+    # containers of scalars long enough for the C encoder, and the scalars themselves
+    JSON_LEAVES | st.lists(JSON_LEAVES, **LONG) | st.lists(JSON_LEAVES, **LONG).map(tuple)
+    | st.dictionaries(st.text(), JSON_LEAVES, **LONG),
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(st.text(), kids),
+    max_leaves=12,
+)
+
+
+@given(JSON_TREES)
+@example({"b": [], "a": {}, "c": (), "d": [[], {}, ()]})
+@example({"é": ["ü\n", float("nan"), float("inf"), -float("inf"), None, True, 2**70]})
+@example({"x": {2: [1], 1: {"a": (1,)}}})  # int keys below a str key
+@example({"x": {2: list(range(LONG_LEAF)), 1: {"a": (1,)}}})  # and above a long list
+@example([{"k": [1, {"j": []}]}, ("t", [2.5] * LONG_LEAF), [[]] * LONG_LEAF, {"é": list(range(LONG_LEAF))}])
+def test_render_json_is_the_stdlib_text(value):
+    assert render_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"

@@ -493,6 +493,13 @@ class TestQueryStateValidation:
         with pytest.raises(ContractViolation, match="not an integer|is not integer"):
             QueryState.from_arrays(2, 1, keys, [1.0])
 
+    @pytest.mark.parametrize("keys, big", [([[2**70, 0]], 2**70), ([[1, 0], [1, -(2**64)]], -(2**64))],
+                             ids=["big", "negative"])
+    def test_array_path_refuses_keys_beyond_int64(self, keys, big):
+        # the int64 cast alone raises numpy's bare OverflowError
+        with pytest.raises(ContractViolation, match=f"key entry {big} is beyond the int64 range"):
+            QueryState.from_arrays(3, 1, keys, [1.0] * len(keys))
+
     def test_array_path_takes_integer_keys(self):
         for keys in ([[1, 0]], [(1, 0)], [[np.int32(1), 0]], np.array([[1, 0]], dtype=np.uint8)):
             assert QueryState.from_arrays(2, 1, keys, [1.0]).amplitudes == {((1,), 0): 1.0}
