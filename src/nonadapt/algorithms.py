@@ -25,6 +25,7 @@ from .qstate import (
     apply_oracle,
     encode_bits,
     fwht,
+    fwht_at,
     group_keys,
     key_tuples,
     measure,
@@ -180,7 +181,9 @@ def build_subset_state(n: int, k: int) -> QueryState:
     return QueryState.from_arrays(n, max(k, 1), keys, np.full(len(masks), amp))
 
 
-def subset_outcome_distribution(n: int, k: int, x: OracleString) -> np.ndarray:
+def subset_outcome_distribution(
+    n: int, k: int, x: OracleString, outcomes: Iterable[int] | None = None
+) -> np.ndarray:
     """Distribution of the subset learner's Fourier measurement on input x.
 
     Entry y is the probability of outcome y in the OracleString.to_int
@@ -188,6 +191,9 @@ def subset_outcome_distribution(n: int, k: int, x: OracleString) -> np.ndarray:
     The post-oracle state's Fourier coefficients are built straight from
     the subset masks, with the amplitude build_subset_state uses; they are
     real, so the overlaps are too, and one Walsh-Hadamard transform gives them all.
+    Given outcomes, returns only dist[outcomes], with the same bits, from one
+    pruned transform (qstate.fwht_at) per outcome: 2^n additions each
+    instead of n 2^n.  An outcome must be an integer in [0, 2^n).
     """
     if x.n != n:
         raise ContractViolation(f"oracle string has n={x.n}, expected {n}")
@@ -195,7 +201,11 @@ def subset_outcome_distribution(n: int, k: int, x: OracleString) -> np.ndarray:
     coeff = np.zeros(1 << n)
     amp = 1.0 / math.sqrt(len(masks))
     coeff[masks] = amp * (1.0 - 2.0 * parity(x.to_int() & masks))
-    return np.abs(fwht(coeff) * 2.0 ** (-n / 2.0)) ** 2
+    if outcomes is None:
+        spectrum = fwht(coeff)
+    else:
+        spectrum = np.array([fwht_at(coeff, y) for y in outcomes])
+    return np.abs(spectrum * 2.0 ** (-n / 2.0)) ** 2
 
 
 def build_subset_algorithm(n: int, k: int) -> NonadaptiveAlgorithm:

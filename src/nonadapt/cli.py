@@ -131,7 +131,7 @@ def cmd_vandam(args: argparse.Namespace) -> int:
     for k in ks:
         gen = rng.stream(args.seed, "vandam", f"k={k}")
         x = OracleString.from_int(n, int(gen.integers(0, 1 << n)))
-        sim = float(subset_outcome_distribution(n, k, x)[x.to_int()])
+        sim = float(subset_outcome_distribution(n, k, x, [x.to_int()])[0])
         closed = recovery_success_probability(n, k)
         rows.append(
             {"k": k, "success": sim, "closed_form": closed, "match": abs(sim - closed) <= ATOL}

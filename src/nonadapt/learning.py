@@ -386,7 +386,10 @@ def check_pairwise_overlaps(
     This is the feasibility constraint a one-query learner's squared
     amplitudes must satisfy when it identifies every concept with error at
     most eps.  One Gram product over the profile's support gives every pair,
-    the same for any BLAS thread count.
+    the same for any BLAS thread count but not for every BLAS kernel: the
+    kernel picks the product's summation order, so the last bits of an
+    overlap, and with them the binding pair among near ties, can move
+    (OpenBLAS's Prescott kernel does so on learn vandam n = 8, k = 4).
     """
     if profile.positions != c.n + 1:
         raise ContractViolation(f"profile has {profile.positions} positions, expected {c.n + 1}")

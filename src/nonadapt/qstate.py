@@ -22,8 +22,9 @@ and decode_words give uint8 bits and mark the characters and words that are not
 from __future__ import annotations
 
 import contextlib
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from typing import Callable, Hashable, Iterator, Mapping, Sequence, Union
@@ -126,8 +127,10 @@ def decode_words(words: Sequence) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def encode_bits(bits: np.ndarray) -> list[str]:
-    """The rows of a 0/1 uint8 matrix as strings of '0' and '1'."""
-    return [row.tobytes().decode() for row in bits + ord("0")]
+    """The rows of a 0/1 uint8 matrix as strings of '0' and '1', cut from one decode of it all."""
+    m, width = bits.shape
+    text = (bits + ord("0")).tobytes().decode()
+    return [text[i:i + width] for i in range(0, len(text), width)] if width else [""] * m
 
 
 def validate_index_tuple(t: Sequence[int], n: int, k: int) -> IndexTuple:
@@ -181,17 +184,45 @@ def fwht(v: np.ndarray) -> np.ndarray:
     a + b or a - b of the same operands, in the same stage order (span 1, 2,
     4, ...), as the in-place radix-2 butterflies, so it has the same bits.
     """
-    v = np.asarray(v)
-    v = np.array(v, dtype=np.result_type(v, np.float64))
+    v = _transform_input(v, copy=True)  # the stages write over it
     size = v.shape[-1]
-    if size < 1 or size & (size - 1):
-        raise ContractViolation(f"fwht needs a power-of-two length, got {size}")
     half, out = size // 2, np.empty_like(v)
     for _ in range(size.bit_length() - 1):
         even, odd = v[..., 0::2], v[..., 1::2]
         np.add(even, odd, out=out[..., :half])
         np.subtract(even, odd, out=out[..., half:])
         v, out = out, v
+    return v
+
+
+def fwht_at(v: np.ndarray, y: int) -> np.ndarray:
+    """Entry y of fwht(v) along the last axis, from the N - 1 butterflies that feed it.
+
+    Stage s of fwht writes the sums of the pairs that differ in bit s to
+    the first half and their differences to the second, and output y comes
+    from the sums where bit s of y is 0 and from the differences where it is
+    1.  Keeping only that half, each stage halves the array: the same
+    additions of the same operands in the same stage order, so the same bits
+    as fwht(v)[..., y], for N - 1 additions instead of N log2 N.  y must be
+    an integer in [0, N).
+    """
+    v = _transform_input(v, copy=None)
+    size = v.shape[-1]
+    if isinstance(y, bool) or not isinstance(y, (int, np.integer)) or not 0 <= y < size:
+        raise ContractViolation(f"fwht_at needs an integer index in [0, {size}), got {y!r}")
+    for s in range(size.bit_length() - 1):
+        even, odd = v[..., 0::2], v[..., 1::2]
+        v = even - odd if y >> s & 1 else even + odd
+    return v[..., 0]
+
+
+def _transform_input(v, copy: bool | None) -> np.ndarray:
+    """v as a real or complex array of at least float64, its last axis a power-of-two long."""
+    v = np.asarray(v)
+    v = np.array(v, dtype=np.result_type(v, np.float64), copy=copy)
+    size = v.shape[-1]
+    if size < 1 or size & (size - 1):
+        raise ContractViolation(f"fwht needs a power-of-two length, got {size}")
     return v
 
 
@@ -569,7 +600,10 @@ class PovmMeasurement:
         object.__setattr__(self, "elements", tuple(zip([o for o, _ in self.elements], stack)))
 
     def relabel(self, fn: Callable[[Outcome], Outcome]) -> "PovmMeasurement":
-        return replace(self, elements=tuple((fn(o), m) for o, m in self.elements))
+        """The same checked M and basis_keys under new labels; nothing is checked or copied again."""
+        new = copy.copy(self)
+        object.__setattr__(new, "elements", tuple((fn(o), m) for o, m in self.elements))
+        return new
 
 
 Measurement = Union[ProjectiveMeasurement, PovmMeasurement]

@@ -192,6 +192,22 @@ class TestSubsetDistribution:
                 want = np.abs(fwht(coeff) * 2.0 ** (-n / 2.0)) ** 2
                 assert np.array_equal(subset_outcome_distribution(n, k, x), want)
 
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_outcomes_match_the_full_distribution(self, n):
+        rng = np.random.default_rng(40 + n)
+        every = np.arange(1 << n)
+        for k in range(n + 1):
+            x = OracleString.from_int(n, int(rng.integers(0, 1 << n)))
+            full = subset_outcome_distribution(n, k, x)
+            got = subset_outcome_distribution(n, k, x, every)
+            assert got.dtype == full.dtype and got.tobytes() == full.tobytes()
+        assert subset_outcome_distribution(n, 1, x, []).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [[64], [-1], [3, 1.0], [True], ["3"], [None]])
+    def test_outcomes_must_be_integers_in_range(self, bad):
+        with pytest.raises(ContractViolation, match=r"integer index in \[0, 64\)"):
+            subset_outcome_distribution(6, 2, S("101010"), bad)
+
 
 class TestSubsetAlgorithm:
     def test_povm_matches_distribution(self):

@@ -28,7 +28,7 @@ from nonadapt import (
 from nonadapt.bounds import oracle_pair_overlap, query_weight, weight_profile
 from nonadapt.learning import amplitude_profile, load_plan, tuple_to_position
 from nonadapt.qstate import (
-    decode_bits, decode_words, encode_bits, fwht, odd_mask, overlap_terms, parity,
+    decode_bits, decode_words, encode_bits, fwht, fwht_at, odd_mask, overlap_terms, parity,
 )
 from tests.conftest import k1_state, random_projective, random_two_outcome_povm, uniform_k1
 
@@ -83,6 +83,14 @@ class TestBitCodec:
         assert not bad.any()
         assert encode_bits(np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)) == ["011", "100"]
         assert encode_bits(np.zeros((2, 0), dtype=np.uint8)) == ["", ""]
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0), (1, 1), (7, 13), (300, 8)])
+    def test_encode_matches_per_row_encoder(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        bits = rng.integers(0, 2, size=shape, dtype=np.uint8)
+        # a transposed copy and a strided view too: the words follow the rows, not the memory
+        for view in (bits, np.asfortranarray(bits), bits[::2], bits[:, ::-1]):
+            assert encode_bits(view) == [row.tobytes().decode() for row in view + ord("0")]
 
     def test_offender_is_counted_in_characters(self):
         # one position per code point: a non-ASCII character or a lone surrogate is one offender
@@ -409,7 +417,12 @@ class TestMeasurementValidation:
             meas.M[0, 0, 0] = 0
         relabeled = meas.relabel(str.upper)
         assert [o for o, _ in relabeled.elements] == ["A", "B"]
-        assert np.array_equal(relabeled.M, meas.M) and relabeled.basis == meas.basis
+        assert [o for o, _ in meas.elements] == ["a", "b"]
+        # the checked stack and key matrix are kept, not checked or copied again
+        assert relabeled.M is meas.M and relabeled.basis_keys is meas.basis_keys
+        assert relabeled.basis == meas.basis
+        for r, (_, m) in enumerate(relabeled.elements):
+            assert np.shares_memory(m, meas.M) and np.array_equal(m, meas.M[r])
 
     def test_povm_rejects_bad_sum(self):
         basis = (((0,), 0), ((1,), 0))
@@ -637,6 +650,39 @@ class TestFwht:
     def test_refuses_length_not_a_power_of_two(self, size):
         with pytest.raises(ContractViolation, match=f"power-of-two length, got {size}$"):
             fwht(np.ones((2, size)))
+
+
+class TestFwhtAt:
+    @pytest.mark.parametrize("bits", range(11))
+    def test_bits_of_every_entry_match_the_full_transform(self, bits):
+        rng = np.random.default_rng(200 + bits)
+        for shape in ((1 << bits,), (3, 1 << bits)):
+            # mixed magnitudes, so sums round; exact and signed zeros, as in fwht's test
+            x = rng.normal(size=shape) * 2.0 ** rng.integers(-40, 40, size=shape)
+            x[rng.uniform(size=shape) < 0.2] = 0.0
+            x[rng.uniform(size=shape) < 0.2] = -0.0
+            for a in (x, x + 1j * x[..., ::-1]):
+                full = fwht(a)
+                for y in range(1 << bits):
+                    got = fwht_at(a, y)
+                    assert np.array_equal(got, full[..., y]) and got.dtype == a.dtype
+                    assert got.tobytes() == full[..., y].tobytes()
+
+    def test_integer_list_input_and_float_input_left_unchanged(self):
+        assert float(fwht_at([1, 0, 0, 0], np.int64(3))) == 1.0
+        x = np.arange(8.0)  # float64 input is read in place, never written
+        assert [float(fwht_at(x, y)) for y in range(8)] == fwht(x).tolist()
+        assert x.tolist() == list(range(8))
+
+    @pytest.mark.parametrize("y", [-1, 8, 2.0, np.float64(1.0), True, "1", None])
+    def test_refuses_an_index_that_is_not_an_entry(self, y):
+        with pytest.raises(ContractViolation, match=r"integer index in \[0, 8\)"):
+            fwht_at(np.ones(8), y)
+
+    @pytest.mark.parametrize("size", [0, 3, 6])
+    def test_refuses_length_not_a_power_of_two(self, size):
+        with pytest.raises(ContractViolation, match=f"power-of-two length, got {size}$"):
+            fwht_at(np.ones(size), 0)
 
 
 @pytest.mark.parametrize("seed", range(4))
