@@ -48,13 +48,16 @@ def _hadamard_basis(
 
     Row c and effect s (both in order, ancilla 0) meet with sign
     (-1)^(parity of c AND s); returns the query state and the projective
-    measurement whose effect s carries the s'th label.
+    measurement whose effect s carries the s'th label.  The state keeps the
+    rows in canonical order, so the measurement's basis is the state's own
+    key matrix, neither sorted again nor aligned per measured state.
     """
     d = len(index)
     r = d.bit_length() - 1
     amp = 2.0 ** (-r / 2.0)
-    codes = np.arange(d)
-    rows = amp * (1.0 - 2.0 * parity(codes[:, None] & codes))
+    codes = np.lexsort(index.T[::-1])  # row c of the sorted matrix is row codes[c] of index
+    index = index[codes]
+    rows = amp * (1.0 - 2.0 * parity(np.arange(d)[:, None] & codes))
     keys = np.column_stack([index, np.zeros(d, np.int64)])
     psi = QueryState.from_arrays(n, index.shape[1], keys, np.full(d, amp))
     effects = tuple(zip(labels, psi.with_rows(rows)))

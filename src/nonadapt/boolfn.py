@@ -57,16 +57,21 @@ class TotalFunction:
         return bool(self.table.min() == self.table.max())
 
     def relevant_variables(self) -> tuple[int, ...]:
-        """Variables j the function actually depends on."""
-        return tuple(j for j in range(1, self.n + 1) if sensitive_witness(self, j) is not None)
+        """Variables j the function actually depends on, each from one comparison of two halves."""
+        return tuple(j for j in range(1, self.n + 1) if _flips(self.table, j).any())
+
+
+def _flips(table: np.ndarray, j: int) -> np.ndarray:
+    """[b, o]: whether input b * 2^j + o flips the value with bit j."""
+    v = table.reshape(-1, 2, 1 << (j - 1))
+    return v[:, 0] != v[:, 1]
 
 
 def sensitive_witness(f: TotalFunction, j: int) -> OracleString | None:
     """Smallest input (by integer encoding) whose value flips with bit j; None if f ignores j."""
     if not 1 <= j <= f.n:
         raise ContractViolation(f"variable index {j} out of range [1, {f.n}]")
-    v = f.table.reshape(-1, 2, 1 << (j - 1))
-    flips = v[:, 0] != v[:, 1]  # [b, o]: input b * 2^j + o flips with bit j
+    flips = _flips(f.table, j)
     first = int(flips.argmax())  # row-major order is the inputs' integer order
     if not flips.flat[first]:
         return None

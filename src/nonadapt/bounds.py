@@ -29,6 +29,7 @@ from .qstate import (
     odd_masks,
     oracle_signs,
     ordered_sum,
+    overlap_parts,
     overlap_terms,
 )
 
@@ -117,7 +118,7 @@ def query_lower_bound(n: int, eps: float) -> float:
     return n / 2.0 * (1.0 - 2.0 * math.sqrt(eps * (1.0 - eps)))
 
 
-def _exact_slices(z: np.ndarray) -> list[np.ndarray]:
+def _exact_slices(z: np.ndarray, K: int) -> list[np.ndarray]:
     """Split a (K, u) real matrix into fixed-point slices whose pairwise Gram products are exact.
 
     Slice j holds integers of magnitude at most 2^beta times 2^(e - j*beta),
@@ -127,9 +128,11 @@ def _exact_slices(z: np.ndarray) -> list[np.ndarray]:
     kept that the dropped tail is of the order of one rounding, 2^(2e - 53),
     per Gram entry.  All-zero rows add an exact 0 to every product, so they
     are dropped, but only after K is counted: beta and the slices stay those
-    of the whole matrix.
+    of the whole matrix.  K counts the rows of that whole matrix: z's own
+    rows and any left out as known to be all zero, as error_profile leaves
+    out the imaginary half of a real family's overlaps with a real state.
     """
-    bits = (len(z) - 1).bit_length()  # K <= 2^bits
+    bits = (K - 1).bit_length()  # K <= 2^bits
     z = z[z.any(axis=1)]
     beta = (53 - bits) // 2
     e = int(np.frexp(np.max(np.abs(z), initial=0.0))[1])
@@ -171,7 +174,8 @@ def error_profile(psi: QueryState, meas: Measurement, f: TotalFunction) -> np.nd
     cost of u^2 * R + n * 2^n instead of 2^n * d * R.  The Gram goes through
     in blocks of at most SWEEP_CELLS cells (at least one row), so peak
     memory does not grow with u^2.  The complex products round as Python's
-    (qstate.overlap_terms), projective Grams are sums of exact slice
+    (qstate.overlap_terms); a float64 family on a real state forms only their
+    real half (qstate.overlap_parts).  Projective Grams are sums of exact slice
     products, and the folds, the scatter and the transform do not use BLAS,
     so the result is bit-identical for any SWEEP_CELLS, any BLAS thread
     count and any CPU.
@@ -196,8 +200,10 @@ def error_profile(psi: QueryState, meas: Measurement, f: TotalFunction) -> np.nd
 
     ones = np.array([label == 1 for label in labels], dtype=bool)
     if projective:
-        re, im = (fold(w, 1) for w in overlap_terms(meas.V, v0))  # (R, u): split by mask
-        slices = [_exact_slices(np.concatenate([re[s], im[s]])) for s in (ones, ~ones)]
+        parts = [fold(w, 1) for w in overlap_parts(meas.V, v0)]  # (R, u) each: split by mask
+        # K counts a real and an imaginary row per effect, even when the imaginary half is left out
+        slices = [_exact_slices(np.concatenate([w[s] for w in parts]), 2 * int(s.sum()))
+                  for s in (ones, ~ones)]
 
         def gram(rows: slice) -> tuple[np.ndarray, np.ndarray]:
             g1 = _gram_rows(slices[0], rows)

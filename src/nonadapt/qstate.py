@@ -488,6 +488,14 @@ def inner_product(a: QueryState, b: QueryState) -> complex:
 Outcome = Hashable
 
 
+def _in_canonical_order(keys: np.ndarray) -> bool:
+    """True if the key rows strictly increase lexicographically, as group_keys would order them."""
+    step = keys[1:] != keys[:-1]
+    col = np.argmax(step, axis=1)  # the first column in which each row leaves the one before
+    rows = np.arange(len(col))
+    return bool(step[rows, col].all() and (keys[1:][rows, col] > keys[:-1][rows, col]).all())
+
+
 @dataclass(frozen=True)
 class ProjectiveMeasurement:
     """An orthonormal family of states, each labeled with an outcome.
@@ -497,11 +505,15 @@ class ProjectiveMeasurement:
     to 1), which measure() enforces.
 
     Construction derives basis, the sorted union of the effect supports,
-    basis_keys, its (d, k + 1) key matrix, and V, the (R, d) matrix whose
-    row r is effect r's amplitudes over basis; effects that share one key
-    matrix, as QueryState.with_rows builds them, give V as one stack of
-    their amplitudes.  Orthonormality is the single check
-    |conj(V) V^T - I| <= ATOL, on the float64 Gram V V^T when V is real.
+    basis_keys, its (d, k + 1) key matrix, and V, the read-only (R, d)
+    matrix whose row r is effect r's amplitudes over basis; effects that
+    share one key matrix, as QueryState.with_rows builds them, give V as one
+    stack of their amplitudes, and basis_keys is that key matrix itself when
+    it is already in canonical order.  V is float64 when no amplitude has a
+    nonzero imaginary part, as in a Hadamard basis, and complex otherwise.
+    Orthonormality is the single check |conj(V) V^T - I| <= ATOL on the
+    whole matrix, after a whole-matrix finite check; the first offender is
+    located only when a check fails.
     """
 
     effects: tuple[tuple[Outcome, QueryState], ...]
@@ -519,32 +531,36 @@ class ProjectiveMeasurement:
                 raise ValidationError("measurement states live in different spaces")
         shared = all(s.keys is first.keys for s in states)  # one support, as a Hadamard basis
         keys = first.keys if shared else np.vstack([s.keys for s in states])
-        first, rank = group_keys(keys)
-        if shared:  # first orders the distinct keys, so column j is entry first[j]
-            vecs = np.stack([s.amps for s in states])
-            if not np.array_equal(first, np.arange(len(first))):
-                vecs = vecs[:, first]
+        if shared:
+            vecs = np.concatenate([s.amps for s in states]).reshape(len(states), len(keys))
+            if not _in_canonical_order(keys):  # order the columns as group_keys orders the keys
+                first = group_keys(keys)[0]
+                keys, vecs = keys[first], vecs[:, first]
         else:
+            first, rank = group_keys(keys)
+            keys = keys[first]
             vecs = np.zeros((len(states), len(first)), dtype=complex)
             effect = np.repeat(np.arange(len(states)), [len(s.amps) for s in states])
             vecs[effect, rank] = np.concatenate([s.amps for s in states])
-        if not (finite := np.isfinite(vecs).all(axis=1)).all():
-            i = np.argmin(finite)  # the first offender
+        if not vecs.imag.any():  # a real family, as a Hadamard basis: kept and checked as float64
+            vecs = vecs.real.copy()
+        if not np.isfinite(vecs).all():
+            i = np.argmin(np.isfinite(vecs).all(axis=1))  # the first offender
             raise ValidationError(f"measurement state {i} has a non-finite amplitude")
-        if vecs.imag.any():
-            gram = vecs.conj() @ vecs.T
-        else:  # a real family, as a Hadamard basis: the same test on a float64 Gram
-            gram = vecs.real @ vecs.real.T
-        bad = np.triu(np.abs(gram - np.eye(len(states))) > ATOL)
-        if bad.any():
-            # the first offender in row-major order: state i's norm precedes its pairs (i, j > i)
-            i, j = divmod(int(np.argmax(bad)), len(states))
-            if i == j:
-                raise ValidationError(f"measurement state {i} is not normalized")
-            raise ValidationError(f"measurement states {i} and {j} are not orthogonal")
+        gram = vecs.conj() @ vecs.T if vecs.dtype == complex else vecs @ vecs.T
+        gram.flat[:: len(states) + 1] -= 1.0
+        gram = np.abs(gram)
+        if not gram.max() <= ATOL:  # then find the offender: the gate reads the upper triangle
+            bad = np.triu(gram > ATOL)
+            if bad.any():
+                # the first in row-major order: state i's norm precedes its pairs (i, j > i)
+                i, j = divmod(int(np.argmax(bad)), len(states))
+                if i == j:
+                    raise ValidationError(f"measurement state {i} is not normalized")
+                raise ValidationError(f"measurement states {i} and {j} are not orthogonal")
         vecs.setflags(write=False)
-        object.__setattr__(self, "basis", tuple(key_tuples(keys[first])))
-        object.__setattr__(self, "basis_keys", keys[first])
+        object.__setattr__(self, "basis", tuple(key_tuples(keys)))
+        object.__setattr__(self, "basis_keys", keys)
         object.__setattr__(self, "V", vecs)
 
     def relabel(self, fn: Callable[[Outcome], Outcome]) -> "ProjectiveMeasurement":
@@ -610,7 +626,10 @@ Measurement = Union[ProjectiveMeasurement, PovmMeasurement]
 
 
 def _state_vector(psi: QueryState, meas: Measurement) -> np.ndarray:
-    """psi's amplitudes over meas's basis; psi must be normalized, in meas's space and basis."""
+    """psi's amplitudes over meas's basis; psi must be normalized, in meas's space and basis.
+
+    A state on the basis's own key matrix gives its read-only amps as they are.
+    """
     if not isinstance(meas, (ProjectiveMeasurement, PovmMeasurement)):
         raise ContractViolation(f"unsupported measurement type {type(meas)!r}")
     if not psi.is_normalized():
@@ -618,6 +637,8 @@ def _state_vector(psi: QueryState, meas: Measurement) -> np.ndarray:
     ref = meas.effects[0][1] if isinstance(meas, ProjectiveMeasurement) else meas
     if (psi.n, psi.k, psi.ancilla_dim) != (ref.n, ref.k, ref.ancilla_dim):
         raise ContractViolation("state and measurement live in different spaces")
+    if psi.keys is meas.basis_keys:  # on the basis's own key matrix, as apply_oracle keeps it
+        return psi.amps
     d = len(meas.basis_keys)
     first, rank = group_keys(np.vstack([meas.basis_keys, psi.keys]))
     pos = first[rank[d:]]  # a stable sort puts a basis row first among equal keys
@@ -641,6 +662,18 @@ def overlap_terms(V: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return V.real * v.real + V.imag * v.imag, V.real * v.imag - V.imag * v.real
 
 
+def overlap_parts(V: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, ...]:
+    """overlap_terms(V, v), or only its real part when V is float64 and v has no imaginary part.
+
+    The imaginary part left out is all zeros, and the real part differs from
+    overlap_terms' at most in the sign of a zero, which neither |.|^2 nor a
+    sum that starts from +0.0 can tell.
+    """
+    if V.dtype.kind == "f" and not v.imag.any():
+        return (V * v.real,)
+    return overlap_terms(V, v)
+
+
 def measure(psi: QueryState, meas: Measurement) -> dict[Outcome, float]:
     """Outcome distribution of measuring psi; probabilities sum to 1 within 1e-9.
 
@@ -648,9 +681,9 @@ def measure(psi: QueryState, meas: Measurement) -> dict[Outcome, float]:
     """
     v = _state_vector(psi, meas)
     if isinstance(meas, ProjectiveMeasurement):
-        # <s_r|psi>: the terms summed in basis order
-        re, im = np.cumsum(np.stack(overlap_terms(meas.V, v)), axis=2)[:, :, -1].tolist()
-        ps = [abs(complex(a, b)) ** 2 for a, b in zip(re, im)]
+        # <s_r|psi>: the terms summed in basis order, the real part alone on a real family and state
+        sums = np.cumsum(np.stack(overlap_parts(meas.V, v)), axis=2)[:, :, -1].tolist()
+        ps = [abs(complex(*z)) ** 2 for z in zip(*sums)]
         pairs = meas.effects
     else:
         # Re <psi|M|psi> = Re <psi|M^dagger|psi> for any M: w_ra = sum_b conj(M_rba) v_b, one

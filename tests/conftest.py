@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from nonadapt import PovmMeasurement, ProjectiveMeasurement, QueryState
+from nonadapt.qstate import group_keys
 
 
 def k1_state(n: int, amps: dict[int, complex], ancilla_dim: int = 1) -> QueryState:
@@ -45,3 +46,49 @@ def random_two_outcome_povm(rng: np.random.Generator, psi: QueryState) -> PovmMe
         elements=((0, e0), (1, e1)),
         ancilla_dim=psi.ancilla_dim,
     )
+
+
+def reference_stack(meas: ProjectiveMeasurement) -> tuple[np.ndarray, np.ndarray]:
+    """The basis keys and the complex (R, d) stack of a projective family, real or not.
+
+    The construction every family went through before a real one kept V as
+    float64: every effect's amplitudes scattered to its keys' canonical ranks.
+    """
+    states = [s for _, s in meas.effects]
+    keys = np.vstack([s.keys for s in states])
+    first, rank = group_keys(keys)
+    V = np.zeros((len(states), len(first)), dtype=complex)
+    effect = np.repeat(np.arange(len(states)), [len(s.amps) for s in states])
+    V[effect, rank] = np.concatenate([s.amps for s in states])
+    return keys[first], V
+
+
+def reference_state_vector(psi: QueryState, basis_keys: np.ndarray) -> np.ndarray:
+    """psi's complex amplitudes over the basis, aligned by key, never read off psi directly."""
+    d = len(basis_keys)
+    first, rank = group_keys(np.vstack([basis_keys, psi.keys]))
+    v = np.zeros(d, dtype=complex)
+    v[first[rank[d:]]] = psi.amps
+    return v
+
+
+def with_negative_zero_imag(psi: QueryState) -> QueryState:
+    """psi with every imaginary part -0.0 instead of +0.0."""
+    amps = np.array(psi.amps)
+    amps.imag = -0.0
+    return QueryState.from_arrays(psi.n, psi.k, psi.keys, amps, psi.ancilla_dim)
+
+
+def real_orthonormal_family(rng: np.random.Generator, psi: QueryState, shared: bool = True):
+    """A random real orthonormal family over psi's keys with random 0/1 labels.
+
+    Shared, every effect sits on psi's key matrix itself; otherwise each on its own copy.
+    """
+    d = len(psi.keys)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    labels = rng.integers(0, 2, size=d).tolist()
+    return ProjectiveMeasurement(tuple(
+        (label, QueryState.from_arrays(psi.n, psi.k, psi.keys if shared else psi.keys.copy(),
+                                       q[:, c], psi.ancilla_dim))
+        for c, label in enumerate(labels)
+    ))

@@ -125,6 +125,25 @@ class TestTotalFunction:
         assert wide["dictator"].relevant_variables() == (1,)
 
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_relevant_variables_match_the_witnesses(self, n):
+        # tables that read a random subset of the variables, so some are ignored
+        rng = np.random.default_rng(n)
+        x = np.arange(1 << n)
+        for _ in range(6):
+            mask = int((rng.integers(0, 2, size=n) << np.arange(n)).sum())
+            f = TotalFunction(n, rng.integers(0, 2, size=1 << n)[x & mask])
+            want = tuple(j for j in range(1, n + 1) if sensitive_witness(f, j) is not None)
+            assert f.relevant_variables() == want
+        constant = TotalFunction(n, np.ones(1 << n, dtype=np.uint8))
+        assert constant.relevant_variables() == ()
+
+    def test_relevant_variables_match_the_witnesses_at_n20(self, wide):
+        for f in wide.values():
+            want = tuple(j for j in range(1, 21) if sensitive_witness(f, j) is not None)
+            assert f.relevant_variables() == want
+
+
 class TestSensitiveWitness:
     def test_parity_smallest_witness(self, wide):
         f = build_function("parity", 2)

@@ -35,9 +35,14 @@ from nonadapt import (
     worst_case_error,
 )
 from nonadapt import bounds
-from nonadapt.algorithms import build_parity_algorithm, decision_measurement
-from nonadapt.qstate import QueryState, odd_masks
-from tests.conftest import k1_state, random_projective, random_two_outcome_povm, uniform_k1
+from nonadapt.algorithms import (
+    build_hadamard_instance, build_parity_algorithm, decision_measurement,
+)
+from nonadapt.qstate import QueryState, fwht, odd_masks, overlap_terms
+from tests.conftest import (
+    k1_state, random_projective, random_two_outcome_povm, real_orthonormal_family,
+    reference_stack, reference_state_vector, uniform_k1, with_negative_zero_imag,
+)
 
 S = OracleString.from_string
 
@@ -358,6 +363,91 @@ class TestMaskCompression:
         assert profile.shape == (1 << 16,) and not profile.any()
 
 
+def reference_error_profile(psi, meas, f):
+    """error_profile's projective sweep on the complex stack, in one Gram block.
+
+    Both parts of every folded overlap are formed and sliced together, so K
+    is their row count, the imaginary half's all-zero rows included.
+    """
+    keys, V = reference_stack(meas)
+    v0 = reference_state_vector(psi, keys)
+    raw = odd_masks(keys[:, :-1])
+    order = np.argsort(raw, kind="stable")
+    starts = np.flatnonzero(np.diff(raw[order], prepend=-1))
+    masks = raw[order[starts]]
+    re, im = (np.add.reduceat(w[:, order], starts, axis=1) for w in overlap_terms(V, v0))
+    ones = np.array([label == 1 for label, _ in meas.effects], dtype=bool)
+    halves = (np.concatenate([re[s], im[s]]) for s in (ones, ~ones))
+    g1, g0 = (bounds._gram_rows(bounds._exact_slices(z, len(z)), slice(None)) for z in halves)
+    at = (masks[:, None] ^ masks[None, :]).ravel()
+    h = [np.bincount(at, weights=g.ravel(), minlength=1 << f.n) for g in (g1, g1 + g0)]
+    p1, _ = fwht(np.stack(h))
+    return np.where(f.table == 1, 1.0 - p1, p1)
+
+
+def assert_profile_matches_reference(psi, meas, f):
+    got = error_profile(psi, meas, f)
+    assert got.tobytes() == reference_error_profile(psi, meas, f).tobytes()
+    return got
+
+
+class TestRealSweep:
+    """A float64 family on a real state forms only the real half of its overlaps: the same bits."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_parity_profile_matches_the_complex_stack(self, n):
+        alg = build_parity_algorithm(n)
+        meas, f = decision_measurement(alg), build_function("parity", n)
+        assert meas.V.dtype == np.float64
+        assert np.max(assert_profile_matches_reference(alg.psi, meas, f)) <= 1e-15
+        rng = np.random.default_rng(n)
+        shifted = apply_oracle(alg.psi, OracleString.from_int(n, int(rng.integers(1 << n))))
+        assert_profile_matches_reference(shifted, meas, random_table(rng, n))
+
+    @pytest.mark.parametrize("b", range(1, 5))
+    def test_bv_profile_matches_the_complex_stack(self, b):
+        concepts, alg = build_hadamard_instance(b)
+        rng = np.random.default_rng(b)
+        n = concepts.n
+        for fn in (lambda s: s & 1, lambda s: int(s == 1 % (1 << b))):
+            meas = alg.meas.relabel(fn)
+            assert meas.V.dtype == np.float64
+            assert_profile_matches_reference(alg.psi, meas, random_table(rng, n))
+            assert_profile_matches_reference(alg.psi, meas, build_function("parity", n))
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "copied"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_real_families_match_the_complex_stack(self, seed, shared):
+        rng = np.random.default_rng(300 + seed)
+        n, k, anc = int(rng.integers(1, 6)), int(rng.integers(1, 4)), 1 + seed % 2
+        keys = random_state(rng, n, k, anc, support_size=int(rng.integers(1, 40))).keys
+        psi = QueryState.from_arrays(n, k, keys, rng.normal(size=len(keys)), anc).normalized()
+        meas = real_orthonormal_family(rng, psi, shared)
+        assert meas.V.dtype == np.float64
+        for f in (random_table(rng, n), build_function("parity", n)):
+            assert_profile_matches_reference(psi, meas, f)
+
+    def test_negative_zero_imaginary_parts(self):
+        # the family and the state read as real; the exact zeros of the profile keep their sign
+        alg = build_parity_algorithm(8)
+        meas = ProjectiveMeasurement(tuple(
+            (o, with_negative_zero_imag(s)) for o, s in decision_measurement(alg).effects))
+        psi, f = with_negative_zero_imag(alg.psi), build_function("parity", 8)
+        assert meas.V.dtype == np.float64
+        for state in (psi, alg.psi):
+            profile = assert_profile_matches_reference(state, meas, f)
+            assert not profile.any() and not np.signbit(profile).any()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_complex_state_on_a_real_family(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        n = int(rng.integers(2, 5))
+        psi = random_state(rng, n, 2, support_size=12)
+        meas = real_orthonormal_family(rng, psi, shared=bool(seed % 2))
+        assert meas.V.dtype == np.float64 and psi.amps.imag.any()
+        assert_profile_matches_reference(psi, meas, random_table(rng, n))
+
+
 # Sweeps projective instances large enough for BLAS to thread its products, at two
 # block sizes, and prints the profiles' bytes as hex.  The bases are Fourier bases
 # with random phases, orthonormal without LAPACK, so every thread count builds the
@@ -405,7 +495,7 @@ class TestGramSlices:
         nonzero = rng.permutation(rows)[: min(100, rows - 28)]
         z[nonzero] = rng.normal(size=(len(nonzero), 24)) * 2.0 ** rng.integers(-30, 3, size=24)
         z[rng.permutation(np.setdiff1d(np.arange(rows), nonzero))[:5]] = -0.0
-        parts = bounds._exact_slices(z)
+        parts = bounds._exact_slices(z, rows)
         assert all(len(p) == len(nonzero) for p in parts)
         for cols in (slice(None), slice(5, 11)):
             want = bounds._gram_rows(slices_keeping_zero_rows(z), cols)
@@ -418,7 +508,7 @@ class TestGramSlices:
         z = rng.integers(-8, 9, size=(8, 6)) / 8.0
         z[:, ::2] += rng.normal(size=(8, 3)) * 2.0 ** -55
         z[3] = -0.0
-        parts = bounds._exact_slices(z)
+        parts = bounds._exact_slices(z, len(z))
         assert [bool(p.any()) for p in parts] == [True, False, True]
         for cols in (slice(None), slice(1, 4)):
             want = 0.0
@@ -429,7 +519,7 @@ class TestGramSlices:
             assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_all_zero_matrix_gives_a_zero_gram(self):
-        parts = bounds._exact_slices(np.zeros((6, 4)))
+        parts = bounds._exact_slices(np.zeros((6, 4)), 6)
         gram = bounds._gram_rows(parts, slice(None))
         assert all(p.shape == (0, 4) for p in parts) and np.array_equal(gram, np.zeros((4, 4)))
 
@@ -458,7 +548,7 @@ class TestGramSlices:
 
 # Loads the instances pickled by the test below and prints, for each, the projective
 # and POVM error profiles as hex and the POVM outcome probabilities; then the parity
-# sweeps for n = 3..8 (real, so the Gram drops its zero imaginary rows), the transform
+# sweeps for n = 3..8 (real, so no imaginary half is formed), the transform
 # of the pickled matrix, as hex, and the subset learner's POVM outcomes at n = 3, k = 2
 # on all eight inputs.
 CPU_SWEEP = """

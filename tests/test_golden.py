@@ -143,21 +143,30 @@ print(json.dumps({"runs": runs, "numpy_ma": "numpy.ma" in sys.modules}))
 """
 
 
+def fresh_runs(cases, **env):
+    """FRESH_RUN's record for the cases, run from INPUTS with env added to this environment."""
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN, json.dumps(cases)],
+        cwd=INPUTS, env=dict(os.environ, PYTHONPATH=str(SRC), **env),
+        capture_output=True, text=True, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def assert_runs_match_golden(runs, count):
+    exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert len(runs) == count
+    for name, (code, out) in runs.items():
+        assert code == exit_codes[name], name
+        assert out == (GOLDEN / f"{name}.stdout").read_text(), name
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_learn_golden_under_blas_threads(threads):
     """learn output must not depend on how many threads BLAS splits a product across."""
     cases = {name: argv for name, argv in CASES.items() if name.startswith("learn")}
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", FRESH_RUN, json.dumps(cases)],
-        cwd=INPUTS, env=env, capture_output=True, text=True, check=True,
-    )
-    result = json.loads(proc.stdout)
-    exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
-    assert len(result["runs"]) == 6
-    for name, (code, out) in result["runs"].items():
-        assert code == exit_codes[name], name
-        assert out == (GOLDEN / f"{name}.stdout").read_text(), name
+    result = fresh_runs(cases, OPENBLAS_NUM_THREADS=threads)
+    assert_runs_match_golden(result["runs"], 6)
     assert not result["numpy_ma"]
 
 
@@ -165,18 +174,23 @@ def test_learn_golden_under_blas_threads(threads):
 def test_sweep_golden_under_blas_threads(threads):
     """The parity sweep, bv, bound reports and subset transform must not depend on BLAS threads."""
     cases = {name: argv for name, argv in CASES.items()
-             if name in ("parity-n5", "parity-n14", "bv-b3") or name.startswith(("verify-bound", "vandam"))}
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-c", FRESH_RUN, json.dumps(cases)],
-        cwd=INPUTS, env=env, capture_output=True, text=True, check=True,
-    )
-    runs = json.loads(proc.stdout)["runs"]
-    exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
-    assert len(runs) == 11
-    for name, (code, out) in runs.items():
-        assert code == exit_codes[name], name
-        assert out == (GOLDEN / f"{name}.stdout").read_text(), name
+             if name in ("parity-n5", "parity-n14", "bv-b3", "bv-b4")
+             or name.startswith(("verify-bound", "vandam"))}
+    assert_runs_match_golden(fresh_runs(cases, OPENBLAS_NUM_THREADS=threads)["runs"], 12)
+
+
+@pytest.mark.parametrize("core", ["Prescott", "Haswell"])
+def test_hadamard_golden_under_blas_kernels(core):
+    """parity and bv output must not depend on the BLAS kernel behind their float64 Gram.
+
+    The Gram only gates orthonormality at 1e-9, so no kernel may move a printed bit.
+    """
+    features = pytest.importorskip("numpy._core._multiarray_umath").__cpu_features__
+    if core == "Haswell" and not (features.get("AVX2") and features.get("FMA3")):
+        pytest.skip("OpenBLAS's Haswell kernels need AVX2 and FMA3")
+    cases = {name: CASES[name] for name in ("parity-n14", "bv-b4")}
+    runs = fresh_runs(cases, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1")["runs"]
+    assert_runs_match_golden(runs, 2)
 
 
 if __name__ == "__main__":

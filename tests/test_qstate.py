@@ -27,10 +27,17 @@ from nonadapt import (
 )
 from nonadapt.bounds import oracle_pair_overlap, query_weight, weight_profile
 from nonadapt.learning import amplitude_profile, load_plan, tuple_to_position
-from nonadapt.qstate import (
-    decode_bits, decode_words, encode_bits, fwht, fwht_at, odd_mask, overlap_terms, parity,
+from nonadapt.algorithms import (
+    build_hadamard_instance, build_parity_algorithm, decision_measurement,
 )
-from tests.conftest import k1_state, random_projective, random_two_outcome_povm, uniform_k1
+from nonadapt.qstate import (
+    _state_vector, decode_bits, decode_words, encode_bits, fwht, fwht_at, odd_mask, overlap_parts,
+    overlap_terms, parity,
+)
+from tests.conftest import (
+    k1_state, random_projective, random_two_outcome_povm, real_orthonormal_family,
+    reference_stack, reference_state_vector, uniform_k1, with_negative_zero_imag,
+)
 
 S = OracleString.from_string
 
@@ -459,6 +466,153 @@ class TestMeasurementValidation:
         p2 = measure(psi, povm)
         for key in p1:
             assert p1[key] == pytest.approx(p2[key], abs=1e-9)
+
+
+def reference_measure(psi, meas):
+    """measure's projective path on the complex stack: both parts of each overlap in basis order."""
+    keys, V = reference_stack(meas)
+    v = reference_state_vector(psi, keys)
+    re, im = np.cumsum(np.stack(overlap_terms(V, v)), axis=2)[:, :, -1].tolist()
+    probs: dict = {}
+    for (label, _), a, b in zip(meas.effects, re, im):
+        probs[label] = probs.get(label, 0.0) + abs(complex(a, b)) ** 2
+    return probs
+
+
+def assert_measure_matches_reference(psi, meas):
+    got = measure(psi, meas)
+    assert repr(got) == repr(reference_measure(psi, meas))  # labels, order and every bit
+
+
+def real_state(rng, n, k, anc, d):
+    """A normalized state with real Gaussian amplitudes on a random support of d keys."""
+    keys = random_state(rng, n, k, anc, support_size=d).keys
+    return QueryState.from_arrays(n, k, keys, rng.normal(size=len(keys)), anc).normalized()
+
+
+def hadamard_rows(edit=None):
+    """The 0.5-scaled Sylvester rows of order 4, real, as edit(rows) leaves them."""
+    rows = 0.5 * (1.0 - 2.0 * parity(np.arange(4)[:, None] & np.arange(4)))
+    return rows if edit is None else edit(rows)
+
+
+def put(*entries):
+    """An edit that writes value at [r, c] for each (r, c, value), complex if one value is."""
+    def edit(rows):
+        rows = rows.astype(np.result_type(rows, *(value for _, _, value in entries)))
+        for r, c, value in entries:
+            rows[r, c] = value
+        return rows
+    return edit
+
+
+def scale_row(r, factor):
+    def edit(rows):
+        rows[r] *= factor
+        return rows
+    return edit
+
+
+class TestRealFamilies:
+    """A family with no nonzero imaginary part keeps V as float64; measure keeps its bits."""
+
+    @pytest.mark.parametrize("build", [
+        *(pytest.param(lambda n=n: build_parity_algorithm(n), id=f"parity{n}") for n in (1, 5, 10)),
+        *(pytest.param(lambda b=b: build_hadamard_instance(b)[1], id=f"bv{b}") for b in (1, 4)),
+    ])
+    def test_hadamard_stack_is_float64_on_the_state_keys(self, build):
+        alg = build()
+        for meas in (alg.meas, decision_measurement(alg)):
+            V = meas.V
+            assert V.dtype == np.float64 and V.flags.c_contiguous and not V.flags.writeable
+            assert meas.basis_keys is alg.psi.keys  # built in canonical order, kept as it is
+            keys, ref = reference_stack(meas)
+            assert np.array_equal(keys, meas.basis_keys) and np.array_equal(ref, V)
+            assert _state_vector(alg.psi, meas) is alg.psi.amps  # no key alignment
+
+    def test_complex_families_keep_a_complex_stack(self):
+        meas = random_projective(np.random.default_rng(3), uniform_k1(3, [0, 1, 2, 3]))
+        assert meas.V.dtype == complex and not meas.V.flags.writeable
+        assert np.array_equal(meas.V, reference_stack(meas)[1])
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_parity_measure_matches_the_complex_stack(self, n):
+        alg = build_parity_algorithm(n)
+        rng = np.random.default_rng(n)
+        inputs = range(1 << n) if n <= 6 else rng.choice(1 << n, size=24, replace=False)
+        for v in inputs:
+            x = OracleString.from_int(n, int(v))
+            assert_measure_matches_reference(apply_oracle(alg.psi, x), alg.meas)
+
+    @pytest.mark.parametrize("b", range(1, 5))
+    def test_bv_measure_matches_the_complex_stack(self, b):
+        concepts, alg = build_hadamard_instance(b)
+        for row in concepts.concepts:
+            assert_measure_matches_reference(apply_oracle(alg.psi, row), alg.meas)
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["shared", "copied"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_real_families_match_the_complex_stack(self, seed, shared):
+        rng = np.random.default_rng(100 + seed)
+        n, k, anc = int(rng.integers(2, 5)), int(rng.integers(1, 4)), 1 + seed % 2
+        psi = real_state(rng, n, k, anc, int(rng.integers(2, 24)))
+        meas = real_orthonormal_family(rng, psi, shared)
+        assert meas.V.dtype == np.float64
+        sub = np.sort(rng.permutation(len(psi.keys))[: max(1, len(psi.keys) // 2)])
+        part = QueryState.from_arrays(n, k, psi.keys[sub], rng.normal(size=len(sub)), anc)
+        for state in (psi, part.normalized(), psi.with_amps(-psi.amps)):
+            assert_measure_matches_reference(state, meas)
+
+    def test_negative_zero_imaginary_parts(self):
+        # -0.0 is no nonzero imaginary part: V is float64, and no probability changes a bit
+        alg = build_parity_algorithm(6)
+        psi = with_negative_zero_imag(alg.psi)
+        effects = tuple((o, with_negative_zero_imag(s)) for o, s in alg.meas.effects)
+        meas = ProjectiveMeasurement(effects)
+        assert np.signbit(effects[0][1].amps.imag).all() and meas.V.dtype == np.float64
+        for v in range(1 << 6):
+            x = OracleString.from_int(6, v)
+            assert_measure_matches_reference(apply_oracle(psi, x), meas)
+            assert_measure_matches_reference(apply_oracle(alg.psi, x), meas)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_complex_state_on_a_real_family_takes_the_complex_path(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        psi = random_state(rng, 3, 2, support_size=10)  # complex amplitudes
+        meas = real_orthonormal_family(rng, psi, shared=bool(seed % 2))
+        assert meas.V.dtype == np.float64
+        assert len(overlap_parts(meas.V, _state_vector(psi, meas))) == 2
+        assert_measure_matches_reference(psi, meas)
+
+    @pytest.mark.parametrize("edit, message", [
+        (put((2, 1, math.nan)), "state 2 has a non-finite amplitude"),
+        (put((3, 0, math.inf), (1, 2, math.nan)), "state 1 has a non-finite amplitude"),
+        (put((1, 3, complex(0.5, math.nan))), "state 1 has a non-finite amplitude"),
+        (put((3, 3, 0.25)), "states 0 and 3 are not orthogonal"),
+        (put((1, 2, 0.0)), "states 0 and 1 are not orthogonal"),
+        (put((2, 0, 0.5 + 1e-8)), "states 0 and 2 are not orthogonal"),
+        (put((2, 0, 0.6), (2, 1, 0.4)), "states 1 and 2 are not orthogonal"),
+        (scale_row(1, 1 + 1e-8), "state 1 is not normalized"),
+        (scale_row(3, 1 + 1e-9), "state 3 is not normalized"),
+        (put((3, 3, 0.5j)), "states 0 and 3 are not orthogonal"),
+    ])
+    def test_first_offender_messages(self, edit, message):
+        # the whole-matrix checks fail first; the offender is then found in row-major order
+        rows = hadamard_rows(edit)
+        keys = np.array([[i, 0] for i in range(4)])
+        for copy in (False, True):  # the one-support stack and the scattered one
+            with pytest.raises(ValidationError, match=f"measurement {message}"):
+                ProjectiveMeasurement(tuple(
+                    (s, QueryState.from_arrays(3, 1, keys.copy() if copy else keys, row))
+                    for s, row in enumerate(rows)))
+
+    @pytest.mark.parametrize("edit", [scale_row(3, 1 + 4e-10), put((0, 0, 0.5 + 5e-10))])
+    def test_deviations_within_tolerance_pass(self, edit):
+        rows = hadamard_rows(edit)  # every |G - I| entry at most about 1e-9
+        meas = ProjectiveMeasurement(tuple(
+            (s, QueryState.from_arrays(3, 1, np.array([[i, 0] for i in range(4)]), row))
+            for s, row in enumerate(rows)))
+        assert meas.V.dtype == np.float64 and np.array_equal(meas.V, rows)
 
 
 class TestQueryStateValidation:
