@@ -25,7 +25,6 @@ from .qstate import (
     apply_oracle,
     encode_bits,
     fwht,
-    fwht_at,
     group_keys,
     key_tuples,
     measure,
@@ -157,12 +156,16 @@ def recovery_success_probability(n: int, k: int) -> float:
     return subset_count(n, k) / float(1 << n)
 
 
-def _subset_masks(n: int, k: int) -> np.ndarray:
-    """The masks of [n] with at most k bits set, ascending; checks the range first."""
+def _check_subset_range(n: int, k: int, max_n: int, what: str) -> None:
     if n < 1 or not 0 <= k <= n:
         raise ContractViolation(f"require n >= 1 and 0 <= k <= n, got n={n}, k={k}")
-    if n > 16:
-        raise ValidationError(f"subset state enumerates 2^{n} masks; n <= 16 required")
+    if n > max_n:
+        raise ValidationError(f"{what}; n <= {max_n} required")
+
+
+def _subset_masks(n: int, k: int) -> np.ndarray:
+    """The masks of [n] with at most k bits set, ascending; checks the range first."""
+    _check_subset_range(n, k, 16, f"subset state enumerates 2^{n} masks")
     masks = np.arange(1 << n, dtype=np.int64)
     return masks[np.bitwise_count(masks) <= k]
 
@@ -194,21 +197,53 @@ def subset_outcome_distribution(
     The post-oracle state's Fourier coefficients are built straight from
     the subset masks, with the amplitude build_subset_state uses; they are
     real, so the overlaps are too, and one Walsh-Hadamard transform gives them all.
-    Given outcomes, returns only dist[outcomes], with the same bits, from one
-    pruned transform (qstate.fwht_at) per outcome: 2^n additions each
-    instead of n 2^n.  An outcome must be an integer in [0, 2^n).
+    Given outcomes, returns only dist[outcomes], with the same bits, from
+    _subset_transform_at per outcome: n (k + 1) additions each, no 2^n
+    array, for n up to 63.  An outcome must be an integer index in [0, 2^n).
     """
     if x.n != n:
         raise ContractViolation(f"oracle string has n={x.n}, expected {n}")
-    masks = _subset_masks(n, k)
-    coeff = np.zeros(1 << n)
-    amp = 1.0 / math.sqrt(len(masks))
-    coeff[masks] = amp * (1.0 - 2.0 * parity(x.to_int() & masks))
     if outcomes is None:
+        masks = _subset_masks(n, k)
+        coeff = np.zeros(1 << n)
+        amp = 1.0 / math.sqrt(len(masks))
+        coeff[masks] = amp * (1.0 - 2.0 * parity(x.to_int() & masks))
         spectrum = fwht(coeff)
     else:
-        spectrum = np.array([fwht_at(coeff, y) for y in outcomes])
+        _check_subset_range(n, k, 63, f"outcomes index [0, 2^{n}) as int64")
+        amp, xi, spectrum = 1.0 / math.sqrt(subset_count(n, k)), x.to_int(), []
+        for y in outcomes:
+            if isinstance(y, bool) or not isinstance(y, (int, np.integer)) or not 0 <= y < 1 << n:
+                raise ContractViolation(
+                    f"an outcome must be an integer index in [0, {1 << n}), got {y!r}"
+                )
+            spectrum.append(_subset_transform_at(n, k, amp, xi ^ int(y)))
+        spectrum = np.array(spectrum, dtype=float)
     return np.abs(spectrum * 2.0 ** (-n / 2.0)) ** 2
+
+
+def _subset_transform_at(n: int, k: int, amp: float, z: int) -> float:
+    """Entry y of fwht on the subset learner's coefficients for input x, given z = x XOR y.
+
+    Coefficient m is +-amp if m has at most k bits set and 0 otherwise, so
+    after s stages of fwht every entry is +-F(w), w the popcount of its
+    bits s and up, with F(w) = amp for w <= k and 0 above.  Stage s pairs
+    the entries of weight w and w + 1 into F(w) + F(w + 1), or F(w) -
+    F(w + 1) exactly where bit s of z is 1.  Rounding to nearest is
+    symmetric in sign, so these are the same additions of the same operands
+    as in fwht, with the same bits (the sign of a zero aside, which the
+    square drops).  The one entry left after n stages has w = 0 and sign +1.
+    """
+    f = [amp] * (k + 1) + [0.0]
+    weights = range(k + 1)
+    for s in range(n):
+        if z >> s & 1:
+            for w in weights:
+                f[w] -= f[w + 1]
+        else:
+            for w in weights:
+                f[w] += f[w + 1]
+    return f[0]
 
 
 def build_subset_algorithm(n: int, k: int) -> NonadaptiveAlgorithm:

@@ -122,8 +122,10 @@ def cmd_vandam(args: argparse.Namespace) -> int:
     n = _require(args.n, "--n")
     if n < 1:
         raise ContractViolation(f"--n must be >= 1, got {n}")
-    if n > 16:
-        raise ValidationError(f"n = {n} enumerates 2^{n} subsets; refusing beyond n = 16")
+    if n > 63:
+        raise ValidationError(
+            f"n = {n} draws its input from [0, 2^{n}) as an int64; refusing beyond n = 63"
+        )
     if args.k is not None and not 0 <= args.k <= n:
         raise ContractViolation(f"--k must be in [0, {n}], got {args.k}")
     ks = [args.k] if args.k is not None else range(n + 1)

@@ -184,45 +184,17 @@ def fwht(v: np.ndarray) -> np.ndarray:
     a + b or a - b of the same operands, in the same stage order (span 1, 2,
     4, ...), as the in-place radix-2 butterflies, so it has the same bits.
     """
-    v = _transform_input(v, copy=True)  # the stages write over it
+    v = np.asarray(v)
+    v = np.array(v, dtype=np.result_type(v, np.float64))  # a copy: the stages write over it
     size = v.shape[-1]
+    if size < 1 or size & (size - 1):
+        raise ContractViolation(f"fwht needs a power-of-two length, got {size}")
     half, out = size // 2, np.empty_like(v)
     for _ in range(size.bit_length() - 1):
         even, odd = v[..., 0::2], v[..., 1::2]
         np.add(even, odd, out=out[..., :half])
         np.subtract(even, odd, out=out[..., half:])
         v, out = out, v
-    return v
-
-
-def fwht_at(v: np.ndarray, y: int) -> np.ndarray:
-    """Entry y of fwht(v) along the last axis, from the N - 1 butterflies that feed it.
-
-    Stage s of fwht writes the sums of the pairs that differ in bit s to
-    the first half and their differences to the second, and output y comes
-    from the sums where bit s of y is 0 and from the differences where it is
-    1.  Keeping only that half, each stage halves the array: the same
-    additions of the same operands in the same stage order, so the same bits
-    as fwht(v)[..., y], for N - 1 additions instead of N log2 N.  y must be
-    an integer in [0, N).
-    """
-    v = _transform_input(v, copy=None)
-    size = v.shape[-1]
-    if isinstance(y, bool) or not isinstance(y, (int, np.integer)) or not 0 <= y < size:
-        raise ContractViolation(f"fwht_at needs an integer index in [0, {size}), got {y!r}")
-    for s in range(size.bit_length() - 1):
-        even, odd = v[..., 0::2], v[..., 1::2]
-        v = even - odd if y >> s & 1 else even + odd
-    return v[..., 0]
-
-
-def _transform_input(v, copy: bool | None) -> np.ndarray:
-    """v as a real or complex array of at least float64, its last axis a power-of-two long."""
-    v = np.asarray(v)
-    v = np.array(v, dtype=np.result_type(v, np.float64), copy=copy)
-    size = v.shape[-1]
-    if size < 1 or size & (size - 1):
-        raise ContractViolation(f"fwht needs a power-of-two length, got {size}")
     return v
 
 
@@ -504,8 +476,8 @@ class ProjectiveMeasurement:
     family must be complete on any state it measures (probabilities must sum
     to 1), which measure() enforces.
 
-    Construction derives basis, the sorted union of the effect supports,
-    basis_keys, its (d, k + 1) key matrix, and V, the read-only (R, d)
+    Construction derives basis_keys, the (d, k + 1) key matrix of the sorted
+    union of the effect supports, and V, the read-only (R, d)
     matrix whose row r is effect r's amplitudes over basis; effects that
     share one key matrix, as QueryState.with_rows builds them, give V as one
     stack of their amplitudes, and basis_keys is that key matrix itself when
@@ -517,7 +489,6 @@ class ProjectiveMeasurement:
     """
 
     effects: tuple[tuple[Outcome, QueryState], ...]
-    basis: tuple[AmplitudeKey, ...] = field(init=False, compare=False, repr=False)
     basis_keys: np.ndarray = field(init=False, compare=False, repr=False)
     V: np.ndarray = field(init=False, compare=False, repr=False)
 
@@ -559,9 +530,13 @@ class ProjectiveMeasurement:
                     raise ValidationError(f"measurement state {i} is not normalized")
                 raise ValidationError(f"measurement states {i} and {j} are not orthogonal")
         vecs.setflags(write=False)
-        object.__setattr__(self, "basis", tuple(key_tuples(keys)))
         object.__setattr__(self, "basis_keys", keys)
         object.__setattr__(self, "V", vecs)
+
+    @cached_property
+    def basis(self) -> tuple[AmplitudeKey, ...]:
+        """basis_keys as (index tuple, ancilla) labels, built on first read."""
+        return tuple(key_tuples(self.basis_keys))
 
     def relabel(self, fn: Callable[[Outcome], Outcome]) -> "ProjectiveMeasurement":
         return ProjectiveMeasurement(tuple((fn(o), s) for o, s in self.effects))

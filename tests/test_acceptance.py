@@ -155,6 +155,17 @@ def test_subset_learner_closed_form(capsys):
             if abs(sim - closed) > 1e-9 or sim < prev - 1e-12:
                 bad.append((n, k, sim, closed))
             prev = sim
+    # past the full transform's n <= 16, the one-outcome path that vandam reads; relative
+    # error, since 2^-n sum_{j<=k} C(n, j) falls far below 1e-9 at small k
+    for n in (13, 16, 17, 32, 48, 62, 63):
+        prev = -1.0
+        for k in range(n + 1):
+            x = OracleString.from_int(n, int(rng.integers(0, 1 << n)))
+            sim = float(subset_outcome_distribution(n, k, x, [x.to_int()])[0])
+            closed = recovery_success_probability(n, k)
+            if abs(sim - closed) > 1e-12 * closed or sim < prev:
+                bad.append((n, k, sim, closed))
+            prev = sim
     elapsed = time.perf_counter() - t0
     assert verdict(capsys, "subset-learner-closed-form", not bad, elapsed, 60.0), bad
 

@@ -192,16 +192,31 @@ class TestSubsetDistribution:
                 want = np.abs(fwht(coeff) * 2.0 ** (-n / 2.0)) ** 2
                 assert np.array_equal(subset_outcome_distribution(n, k, x), want)
 
-    @pytest.mark.parametrize("n", range(1, 12))
+    @pytest.mark.parametrize("n", range(1, 17))
     def test_outcomes_match_the_full_distribution(self, n):
         rng = np.random.default_rng(40 + n)
-        every = np.arange(1 << n)
         for k in range(n + 1):
             x = OracleString.from_int(n, int(rng.integers(0, 1 << n)))
             full = subset_outcome_distribution(n, k, x)
-            got = subset_outcome_distribution(n, k, x, every)
-            assert got.dtype == full.dtype and got.tobytes() == full.tobytes()
+            # every outcome up to n = 11; past it, 256 sampled ones and x itself
+            ys = np.arange(1 << n)
+            if n > 11:
+                ys = [*rng.integers(0, 1 << n, 256).tolist(), x.to_int()]
+            got = subset_outcome_distribution(n, k, x, ys)
+            assert got.dtype == full.dtype and got.tobytes() == full[ys].tobytes()
         assert subset_outcome_distribution(n, 1, x, []).shape == (0,)
+
+    def test_size_guards(self):
+        # the full distribution enumerates 2^n masks; the outcomes path indexes 2^n as int64
+        with pytest.raises(ValidationError, match="n <= 16 required"):
+            subset_outcome_distribution(17, 2, OracleString.zeros(17))
+        with pytest.raises(ValidationError, match="n <= 63 required"):
+            subset_outcome_distribution(64, 2, OracleString.zeros(64), [])
+        with pytest.raises(ContractViolation, match="0 <= k <= n"):
+            subset_outcome_distribution(64, 65, OracleString.zeros(64), [])
+        x = OracleString.from_int(63, (1 << 63) - 1)
+        got = subset_outcome_distribution(63, 63, x, [x.to_int(), np.uint64(0)])
+        assert got.tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("bad", [[64], [-1], [3, 1.0], [True], ["3"], [None]])
     def test_outcomes_must_be_integers_in_range(self, bad):

@@ -149,9 +149,9 @@ class TestVandam:
         assert json.loads(out)["rows"][0]["success"] == pytest.approx(1.0)
 
     def test_refuses_large_n(self, capsys):
-        code, _, err = run_cli(capsys, "vandam", "--n", "17")
+        code, _, err = run_cli(capsys, "vandam", "--n", "64")
         assert code == 2
-        assert "16" in err
+        assert "63" in err
 
     def test_k_out_of_range(self, capsys):
         code, _, _ = run_cli(capsys, "vandam", "--n", "4", "--k", "5")

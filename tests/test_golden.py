@@ -31,6 +31,7 @@ CASES = {
     "vandam-n6-json": ["vandam", "--n", "6", "--seed", "5"],
     "vandam-n6-csv": ["vandam", "--n", "6", "--format", "csv"],
     "vandam-n16-k8": ["vandam", "--n", "16", "--k", "8"],
+    "vandam-n62": ["vandam", "--n", "62"],
     "bv-b3": ["bv", "--b", "3"],
     "bv-b4": ["bv", "--b", "4"],
     "verify-bound-parity4": ["verify-bound", "--in", "parity4.json", "--table", "parity4.txt"],
@@ -50,7 +51,7 @@ CASES = {
                         "--k", "5", "--trials", "3", "--format", "csv"],
     "exit1-infeasible-eps": ["learn", "--learner", "vandam", "--n", "4", "--k", "2",
                              "--eps", "0"],
-    "exit2-vandam-too-large": ["vandam", "--n", "17"],
+    "exit2-vandam-too-large": ["vandam", "--n", "64"],
     "exit2-profile-mismatch": ["extract-set", "--concepts", "concepts.txt", "--in",
                                "random-n4-k2.json", "--k", "5"],
     "exit3-missing-file": ["verify-bound", "--in", "missing.json", "--table", "parity4.txt"],
@@ -176,7 +177,7 @@ def test_sweep_golden_under_blas_threads(threads):
     cases = {name: argv for name, argv in CASES.items()
              if name in ("parity-n5", "parity-n14", "bv-b3", "bv-b4")
              or name.startswith(("verify-bound", "vandam"))}
-    assert_runs_match_golden(fresh_runs(cases, OPENBLAS_NUM_THREADS=threads)["runs"], 12)
+    assert_runs_match_golden(fresh_runs(cases, OPENBLAS_NUM_THREADS=threads)["runs"], 13)
 
 
 @pytest.mark.parametrize("core", ["Prescott", "Haswell"])

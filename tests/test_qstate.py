@@ -31,7 +31,7 @@ from nonadapt.algorithms import (
     build_hadamard_instance, build_parity_algorithm, decision_measurement,
 )
 from nonadapt.qstate import (
-    _state_vector, decode_bits, decode_words, encode_bits, fwht, fwht_at, odd_mask, overlap_parts,
+    _state_vector, decode_bits, decode_words, encode_bits, fwht, odd_mask, overlap_parts,
     overlap_terms, parity,
 )
 from tests.conftest import (
@@ -804,39 +804,6 @@ class TestFwht:
     def test_refuses_length_not_a_power_of_two(self, size):
         with pytest.raises(ContractViolation, match=f"power-of-two length, got {size}$"):
             fwht(np.ones((2, size)))
-
-
-class TestFwhtAt:
-    @pytest.mark.parametrize("bits", range(11))
-    def test_bits_of_every_entry_match_the_full_transform(self, bits):
-        rng = np.random.default_rng(200 + bits)
-        for shape in ((1 << bits,), (3, 1 << bits)):
-            # mixed magnitudes, so sums round; exact and signed zeros, as in fwht's test
-            x = rng.normal(size=shape) * 2.0 ** rng.integers(-40, 40, size=shape)
-            x[rng.uniform(size=shape) < 0.2] = 0.0
-            x[rng.uniform(size=shape) < 0.2] = -0.0
-            for a in (x, x + 1j * x[..., ::-1]):
-                full = fwht(a)
-                for y in range(1 << bits):
-                    got = fwht_at(a, y)
-                    assert np.array_equal(got, full[..., y]) and got.dtype == a.dtype
-                    assert got.tobytes() == full[..., y].tobytes()
-
-    def test_integer_list_input_and_float_input_left_unchanged(self):
-        assert float(fwht_at([1, 0, 0, 0], np.int64(3))) == 1.0
-        x = np.arange(8.0)  # float64 input is read in place, never written
-        assert [float(fwht_at(x, y)) for y in range(8)] == fwht(x).tolist()
-        assert x.tolist() == list(range(8))
-
-    @pytest.mark.parametrize("y", [-1, 8, 2.0, np.float64(1.0), True, "1", None])
-    def test_refuses_an_index_that_is_not_an_entry(self, y):
-        with pytest.raises(ContractViolation, match=r"integer index in \[0, 8\)"):
-            fwht_at(np.ones(8), y)
-
-    @pytest.mark.parametrize("size", [0, 3, 6])
-    def test_refuses_length_not_a_power_of_two(self, size):
-        with pytest.raises(ContractViolation, match=f"power-of-two length, got {size}$"):
-            fwht_at(np.ones(size), 0)
 
 
 @pytest.mark.parametrize("seed", range(4))
