@@ -70,7 +70,6 @@ from .learning import (
 )
 from .qstate import (
     ATOL,
-    OracleString,
     PovmMeasurement,
     ProjectiveMeasurement,
     QueryState,

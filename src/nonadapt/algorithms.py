@@ -18,11 +18,11 @@ from .errors import ContractViolation, ValidationError
 from .learning import ConceptClass
 from .qstate import (
     Measurement,
-    OracleString,
     PovmMeasurement,
     ProjectiveMeasurement,
     QueryState,
     apply_oracle,
+    check_input,
     encode_bits,
     fwht,
     group_keys,
@@ -85,10 +85,8 @@ class NonadaptiveAlgorithm:
         return self.psi.k
 
 
-def run_algorithm(alg: NonadaptiveAlgorithm, x: OracleString) -> dict:
-    """Outcome distribution of the algorithm on hidden string x, after postprocessing."""
-    if x.n != alg.n:
-        raise ContractViolation(f"oracle string has n={x.n}, algorithm expects {alg.n}")
+def run_algorithm(alg: NonadaptiveAlgorithm, x: int) -> dict:
+    """Outcome distribution of the algorithm on hidden input x, after postprocessing."""
     raw = measure(apply_oracle(alg.psi, x), alg.meas)
     out: dict = {}
     for label, p in raw.items():
@@ -188,36 +186,35 @@ def build_subset_state(n: int, k: int) -> QueryState:
 
 
 def subset_outcome_distribution(
-    n: int, k: int, x: OracleString, outcomes: Iterable[int] | None = None
+    n: int, k: int, x: int, outcomes: Iterable[int] | None = None
 ) -> np.ndarray:
     """Distribution of the subset learner's Fourier measurement on input x.
 
-    Entry y is the probability of outcome y in the OracleString.to_int
-    encoding; the mass outside the measured family, 1 - sum, is failure.
-    The post-oracle state's Fourier coefficients are built straight from
-    the subset masks, with the amplitude build_subset_state uses; they are
-    real, so the overlaps are too, and one Walsh-Hadamard transform gives them all.
+    Entry y is the probability of outcome y, read as an input; the mass
+    outside the measured family, 1 - sum, is failure.  The post-oracle
+    state's Fourier coefficients are built straight from the subset masks,
+    with the amplitude build_subset_state uses; they are real, so the
+    overlaps are too, and one Walsh-Hadamard transform gives them all.
     Given outcomes, returns only dist[outcomes], with the same bits, from
     _subset_transform_at per outcome: n (k + 1) additions each, no 2^n
     array, for n up to 63.  An outcome must be an integer index in [0, 2^n).
     """
-    if x.n != n:
-        raise ContractViolation(f"oracle string has n={x.n}, expected {n}")
+    check_input(x, n)
     if outcomes is None:
         masks = _subset_masks(n, k)
         coeff = np.zeros(1 << n)
         amp = 1.0 / math.sqrt(len(masks))
-        coeff[masks] = amp * (1.0 - 2.0 * parity(x.to_int() & masks))
+        coeff[masks] = amp * (1.0 - 2.0 * parity(x & masks))
         spectrum = fwht(coeff)
     else:
         _check_subset_range(n, k, 63, f"outcomes index [0, 2^{n}) as int64")
-        amp, xi, spectrum = 1.0 / math.sqrt(subset_count(n, k)), x.to_int(), []
+        amp, spectrum = 1.0 / math.sqrt(subset_count(n, k)), []
         for y in outcomes:
             if isinstance(y, bool) or not isinstance(y, (int, np.integer)) or not 0 <= y < 1 << n:
                 raise ContractViolation(
                     f"an outcome must be an integer index in [0, {1 << n}), got {y!r}"
                 )
-            spectrum.append(_subset_transform_at(n, k, amp, xi ^ int(y)))
+            spectrum.append(_subset_transform_at(n, k, amp, x ^ int(y)))
         spectrum = np.array(spectrum, dtype=float)
     return np.abs(spectrum * 2.0 ** (-n / 2.0)) ** 2
 

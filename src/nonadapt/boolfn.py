@@ -1,7 +1,7 @@
 """Total boolean functions as truth tables.
 
-table[i] is the value on the string whose j'th bit is (i >> (j-1)) & 1, bit 1 least
-significant.  A truth-table file holds n, then a line of the 2^n values in that order.
+table[x] is the value on input x, the int whose variable j is bit j - 1.  A truth-table
+file holds n, then a line of the 2^n values in that order.
 """
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation, ParseError, ValidationError, read_input
-from .qstate import OracleString, decode_bits, encode_bits, parity
+from .qstate import check_input, decode_bits, encode_bits, parity
 
 MAX_N = 20  # truth tables are dense; larger n is out of scope by design
 
@@ -43,18 +43,8 @@ class TotalFunction:
             return NotImplemented
         return self.n == other.n and np.array_equal(self.table, other.table)
 
-    def value_at(self, x_int: int) -> int:
-        if not 0 <= x_int < (1 << self.n):
-            raise ContractViolation(f"input {x_int} out of range for n={self.n}")
-        return int(self.table[x_int])
-
-    def value(self, x: OracleString) -> int:
-        if x.n != self.n:
-            raise ContractViolation(f"input has n={x.n}, function has n={self.n}")
-        return int(self.table[x.to_int()])
-
-    def is_constant(self) -> bool:
-        return bool(self.table.min() == self.table.max())
+    def value(self, x: int) -> int:
+        return int(self.table[check_input(x, self.n)])
 
     def relevant_variables(self) -> tuple[int, ...]:
         """Variables j the function actually depends on, each from one comparison of two halves."""
@@ -67,8 +57,8 @@ def _flips(table: np.ndarray, j: int) -> np.ndarray:
     return v[:, 0] != v[:, 1]
 
 
-def sensitive_witness(f: TotalFunction, j: int) -> OracleString | None:
-    """Smallest input (by integer encoding) whose value flips with bit j; None if f ignores j."""
+def sensitive_witness(f: TotalFunction, j: int) -> int | None:
+    """Smallest input whose value flips with bit j; None if f ignores j."""
     if not 1 <= j <= f.n:
         raise ContractViolation(f"variable index {j} out of range [1, {f.n}]")
     flips = _flips(f.table, j)
@@ -76,7 +66,7 @@ def sensitive_witness(f: TotalFunction, j: int) -> OracleString | None:
     if not flips.flat[first]:
         return None
     block, offset = divmod(first, flips.shape[1])
-    return OracleString.from_int(f.n, block << j | offset)
+    return block << j | offset
 
 
 def build_function(kind: str, n: int, table=None) -> TotalFunction:

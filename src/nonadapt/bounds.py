@@ -21,10 +21,10 @@ from .errors import ContractViolation, ValidationError
 from .qstate import (
     ATOL,
     Measurement,
-    OracleString,
     ProjectiveMeasurement,
     QueryState,
     _state_vector,
+    check_input,
     fwht,
     odd_masks,
     oracle_signs,
@@ -66,11 +66,10 @@ def weight_profile(psi: QueryState) -> WeightProfile:
     return WeightProfile(psi.n, psi.k, tuple(acc.tolist()))
 
 
-def oracle_pair_overlap(psi: QueryState, x: OracleString, y: OracleString) -> float:
+def oracle_pair_overlap(psi: QueryState, x: int, y: int) -> float:
     """<psi| (O_x O_y)^tensor-k |psi>; real because the operator is diagonal +/-1."""
-    if psi.n != x.n or psi.n != y.n:
-        raise ContractViolation("state and oracle strings must share n")
-    return ordered_sum(oracle_signs(psi, x ^ y) * psi.probs)
+    z = check_input(x, psi.n) ^ check_input(y, psi.n)
+    return ordered_sum(oracle_signs(psi, z) * psi.probs)
 
 
 def discrimination_feasible(overlap_sq: float, eps: float) -> bool:

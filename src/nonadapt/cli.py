@@ -50,7 +50,7 @@ from .learning import (
     sample_index_set,
     save_plan,
 )
-from .qstate import ATOL, OracleString, load_state
+from .qstate import ATOL, encode_bits, load_state
 from . import rng
 
 EXIT_PASS = 0
@@ -132,8 +132,8 @@ def cmd_vandam(args: argparse.Namespace) -> int:
     rows = []
     for k in ks:
         gen = rng.stream(args.seed, "vandam", f"k={k}")
-        x = OracleString.from_int(n, int(gen.integers(0, 1 << n)))
-        sim = float(subset_outcome_distribution(n, k, x, [x.to_int()])[0])
+        x = int(gen.integers(0, 1 << n))
+        sim = float(subset_outcome_distribution(n, k, x, [x])[0])
         closed = recovery_success_probability(n, k)
         rows.append(
             {"k": k, "success": sim, "closed_form": closed, "match": abs(sim - closed) <= ATOL}
@@ -188,9 +188,9 @@ def cmd_bv(args: argparse.Namespace) -> int:
     _json_only(args)
     b = _require(args.b, "--b")
     concepts, alg = build_hadamard_instance(b)
-    success = [
-        run_algorithm(alg, x).get(s, 0.0) for s, x in enumerate(concepts.concepts)
-    ]
+    # each row as an input: its word reversed puts variable 1 in the lowest bit
+    inputs = [int(word[::-1], 2) for word in encode_bits(concepts.bits)]
+    success = [run_algorithm(alg, x).get(s, 0.0) for s, x in enumerate(inputs)]
     # the most overlapping pair sets the floor; at eps = 1/2 the overlap check cannot fail
     w = check_pairwise_overlaps(amplitude_profile(alg.psi), concepts, 0.5).worst()
     floor = helstrom_error(min(math.sqrt(w.overlap_sq), 1.0))

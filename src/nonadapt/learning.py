@@ -23,7 +23,7 @@ from .errors import (
     render_json,
 )
 from .qstate import (
-    IndexTuple, OracleString, QueryState, decode_words, encode_bits, odd_mask, oracle_phase,
+    IndexTuple, QueryState, check_input, decode_words, encode_bits, odd_mask, oracle_phase,
     ordered_sum, parity,
 )
 
@@ -49,8 +49,7 @@ class ConceptClass:
     ``bits`` is a read-only (m, n) uint8 matrix: row i is concept i and
     column j - 1 holds position j.  The constructor accepts any sequence of
     equal-length 0/1 rows and validates it once (at least one concept, every
-    row of length n >= 1, entries 0/1, no duplicate rows).  ``concepts``
-    gives the rows as OracleStrings, built on first use.
+    row of length n >= 1, entries 0/1, no duplicate rows).
     """
 
     n: int
@@ -81,17 +80,6 @@ class ConceptClass:
     @property
     def m(self) -> int:
         return len(self.bits)
-
-    @cached_property
-    def concepts(self) -> tuple[OracleString, ...]:
-        return tuple(OracleString(tuple(row)) for row in self.bits.tolist())
-
-    def index_of(self, x: OracleString) -> int:
-        if x.n == self.n:
-            hits = np.flatnonzero((self.bits == np.array(x.bits)).all(axis=1))
-            if hits.size:
-                return int(hits[0])
-        raise InputOutsideClass(f"{x} is not a concept in this class")
 
 
 def pattern_keys(bits: np.ndarray) -> np.ndarray:
@@ -205,9 +193,9 @@ def min_distinguishing_set(c: ConceptClass) -> tuple[int, ...]:
 # --- k-fold tensor view ---------------------------------------------------
 
 
-def tensor_bit(x: OracleString, t: Sequence[int]) -> int:
-    """XOR of the bits of x addressed by the tuple, with bit 0 always 0."""
-    return (1 - oracle_phase(x, t)) // 2
+def tensor_bit(n: int, x: int, t: Sequence[int]) -> int:
+    """XOR of the bits of input x addressed by the tuple, with bit 0 always 0."""
+    return (1 - oracle_phase(n, x, t)) // 2
 
 
 def tuple_to_position(t: Sequence[int], n: int) -> int:
@@ -230,42 +218,53 @@ def position_to_tuple(pos: int, n: int, k: int) -> IndexTuple:
     return tuple(t)
 
 
-def tensor_power_class(c: ConceptClass, k: int) -> ConceptClass:
-    """The class of k-fold parity extensions x -> (XOR of addressed bits per tuple).
+def tensor_power_class(c: ConceptClass, k: int, positions) -> ConceptClass:
+    """The k-fold parity extensions x -> (XOR of addressed bits per tuple) at the given positions.
 
-    Positions are base-(n+1) encodings of index tuples; position 0 (the
-    all-zero tuple) is the always-0 bit and stays implicit, so the extended
-    class lives on (n+1)^k - 1 visible positions.  Positions 1..n reproduce
-    x itself, which keeps the map injective.
+    A position is the base-(n+1) encoding of an index tuple; position 0 (the
+    all-zero tuple) is the always-0 bit, so positions lie in [1, (n+1)^k).
+    Column i - 1 of the class holds positions[i - 1], the XOR of the k
+    columns its digits address in c.bits with a zero column 0 prepended.
+    The class is not checked again: its rows are distinct only if the
+    positions separate c, as all (n+1)^k - 1 of them do.
     """
     if k < 1:
         raise ContractViolation(f"k must be >= 1, got {k}")
     size = (c.n + 1) ** k
     if size > MAX_TENSOR_POSITIONS:
         raise ValidationError(f"tensor class would have {_count(size)} positions; too large")
-    padded = extended = np.pad(c.bits, ((0, 0), (1, 0)))  # column 0 reads 0
-    for _ in range(k - 1):  # prepend one more significant base-(n+1) digit per pass
-        extended = (padded[:, :, None] ^ extended[:, None, :]).reshape(c.m, -1)
-    # positions 1..n reproduce the checked class, so the rows are distinct 0/1 already
-    bits = extended[:, 1:]
+    digits = np.array(positions, dtype=np.int64)
+    if digits.ndim != 1 or ((digits < 1) | (digits >= size)).any():
+        raise ContractViolation(f"tensor positions must be a list of integers in [1, {size})")
+    padded = np.zeros((c.n + 1, c.m), dtype=np.uint8)  # row j is position j; row 0 reads 0
+    padded[1:] = c.bits.T
+    bits = padded[digits % (c.n + 1)]  # whole rows: one per position and digit
+    for _ in range(k - 1):  # one more base-(n+1) digit per pass, least significant first
+        digits //= c.n + 1
+        bits ^= padded[digits % (c.n + 1)]
+    bits = np.ascontiguousarray(bits.T)
     bits.flags.writeable = False
     tclass = ConceptClass.__new__(ConceptClass)
-    vars(tclass).update(n=size - 1, bits=bits)
+    vars(tclass).update(n=bits.shape[1], bits=bits)
     return tclass
 
 
 @dataclass
 class ClassicalOracle:
-    """Classical membership-query access to a hidden string, with a call counter."""
+    """Classical membership-query access to a hidden n-bit input, with a call counter."""
 
-    x: OracleString
+    n: int
+    x: int
     queries_made: int = 0
 
+    def __post_init__(self):
+        check_input(self.x, self.n)
+
     def query(self, i: int) -> int:
-        if not 1 <= i <= self.x.n:
-            raise ContractViolation(f"query index {i} out of range [1, {self.x.n}]")
+        if not 1 <= i <= self.n:
+            raise ContractViolation(f"query index {i} out of range [1, {self.n}]")
         self.queries_made += 1
-        return self.x.bit(i)
+        return self.x >> (i - 1) & 1
 
 
 def simulate_tensor_query(t: Sequence[int], oracle: ClassicalOracle) -> int:
@@ -521,17 +520,15 @@ def make_plan(c: ConceptClass, base_queries: Iterable[int]) -> QueryPlan:
 
 def classical_learn(plan: QueryPlan, oracle: ClassicalOracle):
     """Query exactly the plan's positions, decode, and report the query count."""
-    if oracle.x.n != plan.concepts.n:
-        raise ContractViolation(f"oracle string has n={oracle.x.n}, plan expects {plan.concepts.n}")
+    if oracle.n != plan.concepts.n:
+        raise ContractViolation(f"oracle has n={oracle.n}, plan expects {plan.concepts.n}")
     row = np.array([[oracle.query(i) for i in plan.base_queries]], dtype=np.uint8)
-    idx = int(plan.decode(row)[0])
-    return LearnResult(idx, plan.concepts.concepts[idx], len(plan.base_queries))
+    return LearnResult(int(plan.decode(row)[0]), len(plan.base_queries))
 
 
 @dataclass(frozen=True)
 class LearnResult:
     concept_index: int
-    concept: OracleString
     queries_used: int
 
 
@@ -550,7 +547,9 @@ def build_classical_plan(learner, concepts: ConceptClass, eps: float) -> PlanRes
     for having verified that it learns the class with error at most eps.
     Steps: check the pairwise overlap constraints on the tensor class, cover
     every pair greedily by the tensor positions where the amplitude profile
-    has mass, and expand the chosen tuples into base query positions.  A
+    has mass, and expand the chosen tuples into base query positions.  The
+    tensor class is built on those positions only: a position without mass
+    adds nothing to an overlap and is never a candidate.  A
     pair within the overlap bound is separated by a profile draw with
     probability at least delta = (1 - c)/2, c = 2 sqrt(eps(1-eps)), so the
     greedy cover takes at most floor(ln P / delta) + 1 <= 4 log2(m) / (1 - c)
@@ -580,9 +579,12 @@ def build_classical_plan(learner, concepts: ConceptClass, eps: float) -> PlanRes
             f"{MAX_TENSOR_BITS} bits or {MAX_OVERLAP_PAIRS} pairs"
         )
 
-    tclass = tensor_power_class(concepts, k)
-    profile = amplitude_profile(psi)
-    report = check_pairwise_overlaps(profile, tclass, eps)
+    profile = amplitude_profile(psi).values
+    support = np.flatnonzero(profile[1:] > 0.0) + 1
+    tclass = tensor_power_class(concepts, k, support)
+    # dropping zeros keeps the profile's sum, so its check, bit for bit
+    reduced = AmplitudeProfile(np.concatenate([profile[:1], profile[support]]))
+    report = check_pairwise_overlaps(reduced, tclass, eps)
     if not report.passed:
         worst = report.worst()
         raise BoundViolation(
@@ -592,13 +594,12 @@ def build_classical_plan(learner, concepts: ConceptClass, eps: float) -> PlanRes
             pairs=report.violations(MAX_REPORTED_VIOLATIONS),
         )
 
-    support = np.flatnonzero(profile.values[1:] > 0.0) + 1
-    selected = _greedy_over_support(tclass, support.tolist())
+    selected = _greedy_over_support(tclass, range(1, len(support) + 1))
     if selected is None:
         raise BoundViolation(
             "profile support cannot separate all concept pairs; the claimed error rate is wrong"
         )
-    tuples = [position_to_tuple(pos, concepts.n, k) for pos in selected]
+    tuples = [position_to_tuple(int(support[i - 1]), concepts.n, k) for i in selected]
     base = sorted({i for t in tuples for i in t if i != 0})
     budget = math.ceil(k * classical_query_bound(m, eps))
     if len(base) > budget:

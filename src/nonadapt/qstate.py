@@ -2,10 +2,10 @@
 
 A query register holds an index in [0, n]; a k-query state is a sparse
 complex amplitude vector over k-tuples of indices, optionally tagged with an
-ancilla label the oracle never touches.  The phase oracle for an n-bit string
-x flips the sign of every basis tuple according to the parity of the
-addressed bits, with index 0 pinned to bit 0 so the all-ones string stays
-distinguishable from the all-zeros string.
+ancilla label the oracle never touches.  An n-bit input x is a plain int in
+[0, 2^n), variable j at bit j - 1.  Its phase oracle flips the sign of every
+basis tuple according to the parity of the addressed bits, with index 0
+reading 0 so the all-ones input stays distinguishable from the all-zeros one.
 
 A state is read-only arrays, validated once: a (d, k + 1) key matrix, each
 row an index tuple and then its ancilla label, and the d nonzero complex
@@ -17,7 +17,8 @@ QueryState.with_amps.  States and measurements are immutable after construction.
 
 Every bit string read or written as 0/1 text goes through one codec: decode_bits
 and decode_words give uint8 bits and mark the characters and words that are not
-0/1, and encode_bits writes uint8 rows back as strings.
+0/1, and encode_bits writes uint8 rows back as strings; input_bits gives an
+input's bits as uint8.
 """
 from __future__ import annotations
 
@@ -37,78 +38,6 @@ ATOL = 1e-9
 
 IndexTuple = tuple[int, ...]
 AmplitudeKey = tuple[IndexTuple, int]  # (index tuple, ancilla label)
-
-
-@dataclass(frozen=True)
-class OracleString:
-    """An n-bit input string, 1-indexed, with the fixed convention bit 0 = 0."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.bits) < 1:
-            raise ValidationError("oracle string must have length >= 1")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValidationError(f"oracle string entries must be 0/1, got {self.bits}")
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
-    def bit(self, i: int) -> int:
-        """Bit at index i; index 0 always reads 0."""
-        if i == 0:
-            return 0
-        if not 1 <= i <= self.n:
-            raise ContractViolation(f"index {i} out of range [0, {self.n}]")
-        return self.bits[i - 1]
-
-    def __xor__(self, other: "OracleString") -> "OracleString":
-        if self.n != other.n:
-            raise ContractViolation(f"length mismatch: {self.n} vs {other.n}")
-        return OracleString(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
-
-    def flip(self, j: int) -> "OracleString":
-        """The string with bit j toggled (XOR with the single-1 string at j)."""
-        if not 1 <= j <= self.n:
-            raise ContractViolation(f"variable index {j} out of range [1, {self.n}]")
-        return OracleString(
-            tuple(b ^ 1 if i == j - 1 else b for i, b in enumerate(self.bits))
-        )
-
-    def complement(self) -> "OracleString":
-        return OracleString(tuple(1 - b for b in self.bits))
-
-    def to_int(self) -> int:
-        """Integer encoding, bit 1 = least significant."""
-        return sum(b << i for i, b in enumerate(self.bits))
-
-    @classmethod
-    def from_int(cls, n: int, value: int) -> "OracleString":
-        if not 0 <= value < (1 << n):
-            raise ContractViolation(f"value {value} out of range for n={n}")
-        return cls(tuple((value >> i) & 1 for i in range(n)))
-
-    @classmethod
-    def from_string(cls, text: str) -> "OracleString":
-        bits, _, bad = decode_words([text])
-        if not text or bad[0]:
-            raise ParseError(f"expected a nonempty 0/1 string, got {text!r}")
-        return cls(tuple(bits.tolist()))
-
-    @classmethod
-    def zeros(cls, n: int) -> "OracleString":
-        return cls((0,) * n)
-
-    @classmethod
-    def single_one(cls, n: int, j: int) -> "OracleString":
-        """The string with a single 1 at position j."""
-        if not 1 <= j <= n:
-            raise ContractViolation(f"variable index {j} out of range [1, {n}]")
-        return cls(tuple(1 if i == j - 1 else 0 for i in range(n)))
-
-    def __str__(self) -> str:
-        return encode_bits(np.array([self.bits], dtype=np.uint8))[0]
 
 
 def decode_bits(text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -133,6 +62,19 @@ def encode_bits(bits: np.ndarray) -> list[str]:
     return [text[i:i + width] for i in range(0, len(text), width)] if width else [""] * m
 
 
+def input_bits(x: int, n: int) -> np.ndarray:
+    """The n bits of input x as uint8, variable j at entry j - 1, for any n."""
+    raw = np.frombuffer(x.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little")
+
+
+def check_input(x, n: int) -> int:
+    """x, if it is an n-bit input: a plain int (not a bool) in [0, 2^n)."""
+    if type(x) is not int or x < 0 or x.bit_length() > n:
+        raise ContractViolation(f"input {x!r} is not an integer in [0, 2^{n})")
+    return x
+
+
 def validate_index_tuple(t: Sequence[int], n: int, k: int) -> IndexTuple:
     t = tuple(t)
     if len(t) != k:
@@ -155,7 +97,7 @@ def odd_mask(t: Sequence[int]) -> int:
     """Bitmask of the nonzero indices occurring an odd number of times in t.
 
     Index i sets bit i - 1, so the phase oracle for x flips the sign of t
-    exactly when parity(x.to_int() & odd_mask(t)) is 1; index 0 never
+    exactly when parity(x & odd_mask(t)) is 1; index 0 never
     contributes, which is the convention that bit 0 reads 0.
     """
     mask = 0
@@ -419,23 +361,21 @@ class QueryState:
         )
 
 
-def oracle_phase(x: OracleString, t: Sequence[int]) -> int:
+def oracle_phase(n: int, x: int, t: Sequence[int]) -> int:
     """Sign the phase oracle for x puts on the basis tuple t: (-1)^(sum of addressed bits)."""
-    return 1 - 2 * parity(x.to_int() & odd_mask(validate_index_tuple(t, x.n, len(t))))
+    return 1 - 2 * parity(check_input(x, n) & odd_mask(validate_index_tuple(t, n, len(t))))
 
 
-def oracle_signs(psi: QueryState, x: OracleString) -> np.ndarray:
+def oracle_signs(psi: QueryState, x: int) -> np.ndarray:
     """The sign, 1.0 or -1.0, that the phase oracle for x puts on each entry of psi."""
     entry, var = psi.odd_incidence
-    bits = np.array(x.bits, dtype=np.float64)[var - 1]
+    bits = input_bits(check_input(x, psi.n), psi.n)[var - 1]
     hits = np.bincount(entry, weights=bits, minlength=len(psi.amps))
     return 1.0 - 2.0 * (hits % 2)
 
 
-def apply_oracle(psi: QueryState, x: OracleString) -> QueryState:
+def apply_oracle(psi: QueryState, x: int) -> QueryState:
     """Apply the k-fold phase oracle for x; ancilla labels are untouched."""
-    if psi.n != x.n:
-        raise ContractViolation(f"state has n={psi.n} but oracle string has n={x.n}")
     return psi.with_amps(psi.amps * oracle_signs(psi, x))
 
 
@@ -478,7 +418,7 @@ class ProjectiveMeasurement:
 
     Construction derives basis_keys, the (d, k + 1) key matrix of the sorted
     union of the effect supports, and V, the read-only (R, d)
-    matrix whose row r is effect r's amplitudes over basis; effects that
+    matrix whose row r is effect r's amplitudes over basis_keys; effects that
     share one key matrix, as QueryState.with_rows builds them, give V as one
     stack of their amplitudes, and basis_keys is that key matrix itself when
     it is already in canonical order.  V is float64 when no amplitude has a
@@ -532,11 +472,6 @@ class ProjectiveMeasurement:
         vecs.setflags(write=False)
         object.__setattr__(self, "basis_keys", keys)
         object.__setattr__(self, "V", vecs)
-
-    @cached_property
-    def basis(self) -> tuple[AmplitudeKey, ...]:
-        """basis_keys as (index tuple, ancilla) labels, built on first read."""
-        return tuple(key_tuples(self.basis_keys))
 
     def relabel(self, fn: Callable[[Outcome], Outcome]) -> "ProjectiveMeasurement":
         return ProjectiveMeasurement(tuple((fn(o), s) for o, s in self.effects))

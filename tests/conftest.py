@@ -4,7 +4,22 @@ from __future__ import annotations
 import numpy as np
 
 from nonadapt import PovmMeasurement, ProjectiveMeasurement, QueryState
-from nonadapt.qstate import group_keys
+from nonadapt.qstate import encode_bits, group_keys, input_bits
+
+
+def S(word: str) -> int:
+    """The input whose variable j is character j of a 0/1 word: "01" is 2."""
+    return int(word[::-1], 2)
+
+
+def word(x: int, n: int) -> str:
+    """The 0/1 word of an n-bit input, variable 1 first: the inverse of S."""
+    return encode_bits(input_bits(x, n)[None])[0]
+
+
+def concept_inputs(c) -> list[int]:
+    """The concepts of a class as inputs, in class order."""
+    return [S(w) for w in encode_bits(c.bits)]
 
 
 def k1_state(n: int, amps: dict[int, complex], ancilla_dim: int = 1) -> QueryState:

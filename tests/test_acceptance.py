@@ -15,7 +15,6 @@ import pytest
 
 from nonadapt import (
     ClassicalOracle,
-    OracleString,
     TotalFunction,
     build_classical_plan,
     build_function,
@@ -45,7 +44,7 @@ from nonadapt import (
 )
 from nonadapt.learning import AmplitudeProfile
 from nonadapt.rng import stream
-from tests.conftest import random_projective, random_two_outcome_povm
+from tests.conftest import concept_inputs, random_projective, random_two_outcome_povm
 
 
 def verdict(capsys, name, ok, elapsed, budget):
@@ -81,8 +80,8 @@ def test_counting_bound(capsys):
             bad += 1
             continue
         j = int(rng.integers(1, n + 1))
-        x = OracleString.from_int(n, int(rng.integers(0, 1 << n)))
-        overlap = oracle_pair_overlap(psi, x, x.flip(j))
+        x = int(rng.integers(0, 1 << n))
+        overlap = oracle_pair_overlap(psi, x, x ^ 1 << (j - 1))
         if abs(overlap - (1.0 - 2.0 * query_weight(psi, j))) > 1e-12:
             bad += 1
     elapsed = time.perf_counter() - t0
@@ -98,9 +97,7 @@ def test_helstrom_saturation(capsys):
         k = int(rng.integers(1, 4))
         psi = random_state(rng, n, k)
         xv, yv = rng.integers(0, 1 << n, size=2)
-        x = OracleString.from_int(n, int(xv))
-        y = OracleString.from_int(n, int(yv))
-        c = abs(oracle_pair_overlap(psi, x, y))
+        c = abs(oracle_pair_overlap(psi, int(xv), int(yv)))
         c = min(c, 1.0)
         eps_star = helstrom_error(c)
         if abs(4.0 * eps_star * (1.0 - eps_star) - c * c) > 1e-12:
@@ -149,8 +146,8 @@ def test_subset_learner_closed_form(capsys):
     for n in range(1, 13):
         prev = -1.0
         for k in range(n + 1):
-            x = OracleString.from_int(n, int(rng.integers(0, 1 << n)))
-            sim = subset_outcome_distribution(n, k, x)[x.to_int()]
+            x = int(rng.integers(0, 1 << n))
+            sim = subset_outcome_distribution(n, k, x)[x]
             closed = recovery_success_probability(n, k)
             if abs(sim - closed) > 1e-9 or sim < prev - 1e-12:
                 bad.append((n, k, sim, closed))
@@ -160,8 +157,8 @@ def test_subset_learner_closed_form(capsys):
     for n in (13, 16, 17, 32, 48, 62, 63):
         prev = -1.0
         for k in range(n + 1):
-            x = OracleString.from_int(n, int(rng.integers(0, 1 << n)))
-            sim = float(subset_outcome_distribution(n, k, x, [x.to_int()])[0])
+            x = int(rng.integers(0, 1 << n))
+            sim = float(subset_outcome_distribution(n, k, x, [x])[0])
             closed = recovery_success_probability(n, k)
             if abs(sim - closed) > 1e-12 * closed or sim < prev:
                 bad.append((n, k, sim, closed))
@@ -175,7 +172,7 @@ def test_one_query_learner_certainty(capsys):
     bad = []
     for b in (2, 3):
         concepts, alg = build_hadamard_instance(b)
-        for s, x in enumerate(concepts.concepts):
+        for s, x in enumerate(concept_inputs(concepts)):
             if run_algorithm(alg, x).get(s, 0.0) < 1.0 - 1e-9:
                 bad.append(("success", b, s))
         # the greedy plan meets the information bound: b queries for 2^b concepts
@@ -185,8 +182,8 @@ def test_one_query_learner_certainty(capsys):
         )
         if not plan_size == exact_min == b:
             bad.append(("plan-size", b, plan_size, exact_min))
-        for idx, x in enumerate(concepts.concepts):
-            if classical_learn(result.plan, ClassicalOracle(x)).concept_index != idx:
+        for idx, x in enumerate(concept_inputs(concepts)):
+            if classical_learn(result.plan, ClassicalOracle(concepts.n, x)).concept_index != idx:
                 bad.append(("decode", b, idx))
     elapsed = time.perf_counter() - t0
     assert verdict(capsys, "one-query-learner-certainty", not bad, elapsed, 10.0), bad
@@ -218,10 +215,10 @@ def test_tensor_query_consistency(capsys):
     for _ in range(10_000):
         n = int(rng.integers(1, 7))
         k = int(rng.integers(1, 4))
-        x = OracleString.from_int(n, int(rng.integers(0, 1 << n)))
+        x = int(rng.integers(0, 1 << n))
         t = tuple(int(v) for v in rng.integers(0, n + 1, size=k))
-        oracle = ClassicalOracle(x)
-        if simulate_tensor_query(t, oracle) != tensor_bit(x, t):
+        oracle = ClassicalOracle(n, x)
+        if simulate_tensor_query(t, oracle) != tensor_bit(n, x, t):
             bad += 1
             continue
         if oracle.queries_made > k:
@@ -229,7 +226,7 @@ def test_tensor_query_consistency(capsys):
             continue
         j = int(rng.integers(0, n + 1))
         embedded = position_to_tuple(j, n, k)
-        if embedded != (j,) + (0,) * (k - 1) or tensor_bit(x, embedded) != x.bit(j):
+        if embedded != (j,) + (0,) * (k - 1) or tensor_bit(n, x, embedded) != x << 1 >> j & 1:
             bad += 1
     elapsed = time.perf_counter() - t0
     assert verdict(capsys, "tensor-query-consistency", bad == 0, elapsed, 5.0), bad

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from nonadapt import (
     ContractViolation,
-    OracleString,
     ValidationError,
     build_function,
     build_hadamard_algorithm,
@@ -27,9 +26,8 @@ from nonadapt import (
 )
 from nonadapt import algorithms
 from nonadapt.algorithms import NonadaptiveAlgorithm, parity_registers
-from nonadapt.qstate import QueryState, fwht, parity
-
-S = OracleString.from_string
+from nonadapt.qstate import QueryState, encode_bits, fwht, parity
+from tests.conftest import S, concept_inputs, word
 
 
 class TestParityRegisters:
@@ -60,8 +58,7 @@ class TestParityAlgorithm:
         for n in (1, 2, 3, 4, 5):
             alg = build_parity_algorithm(n)
             for v in range(1 << n):
-                x = OracleString.from_int(n, v)
-                dist = run_algorithm(alg, x)
+                dist = run_algorithm(alg, v)
                 want = bin(v).count("1") & 1
                 assert dist.get(want, 0.0) == pytest.approx(1.0)
 
@@ -127,33 +124,27 @@ class TestSubsetState:
 class TestSubsetDistribution:
     def test_recovery_examples(self):
         dist = subset_outcome_distribution(4, 3, S("0110"))
-        assert dist[S("0110").to_int()] == pytest.approx(15 / 16)
+        assert dist[S("0110")] == pytest.approx(15 / 16)
         assert 1 - dist.sum() == pytest.approx(0.0, abs=1e-12)
 
     def test_full_budget_is_exact(self):
-        for v in range(8):
-            x = OracleString.from_int(3, v)
+        for x in range(8):
             dist = subset_outcome_distribution(3, 3, x)
-            assert dist[x.to_int()] == pytest.approx(1.0)
+            assert dist[x] == pytest.approx(1.0)
 
     def test_single_variable(self):
-        assert subset_outcome_distribution(1, 1, S("1"))[S("1").to_int()] == pytest.approx(1.0)
+        assert subset_outcome_distribution(1, 1, S("1"))[S("1")] == pytest.approx(1.0)
 
     def test_success_independent_of_input(self):
         for k in range(5):
-            vals = {
-                subset_outcome_distribution(4, k, OracleString.from_int(4, v))[
-                    OracleString.from_int(4, v).to_int()
-                ]
-                for v in range(16)
-            }
+            vals = {subset_outcome_distribution(4, k, v)[v] for v in range(16)}
             assert max(vals) - min(vals) < 1e-12
 
     @staticmethod
     def direct_distribution(n, k, x):
         """The distribution with every overlap summed explicitly over the subsets."""
         masks = algorithms._subset_masks(n, k)
-        amps = (1.0 - 2.0 * parity(x.to_int() & masks)) / math.sqrt(len(masks))
+        amps = (1.0 - 2.0 * parity(x & masks)) / math.sqrt(len(masks))
         signs = 1.0 - 2.0 * parity(np.arange(1 << n)[:, None] & masks[None, :])
         return np.abs(signs @ amps * 2.0 ** (-n / 2.0)) ** 2
 
@@ -161,8 +152,7 @@ class TestSubsetDistribution:
         rng = np.random.default_rng(5)
         for n in (1, 3, 5, 8):
             for k in sorted(set([0, 1, n // 2, n])):
-                v = int(rng.integers(0, 1 << n))
-                x = OracleString.from_int(n, v)
+                x = int(rng.integers(0, 1 << n))
                 fast = subset_outcome_distribution(n, k, x)
                 direct = self.direct_distribution(n, k, x)
                 assert fast == pytest.approx(direct, abs=1e-9)
@@ -175,20 +165,20 @@ class TestSubsetDistribution:
     def test_larger_instances(self):
         # closed form 2^-n * sum_{j<=k} C(n, j) holds at sizes past the POVM range
         for n, k in ((12, 3), (14, 2)):
-            x = OracleString.from_int(n, 0b101)
+            x = 0b101
             dist = subset_outcome_distribution(n, k, x)
-            assert dist[x.to_int()] == pytest.approx(recovery_success_probability(n, k), abs=1e-9)
+            assert dist[x] == pytest.approx(recovery_success_probability(n, k), abs=1e-9)
 
     def test_real_transform_matches_complex_reference(self):
         # the coefficients are real, so transforming them as complex numbers gives the same bits
         rng = np.random.default_rng(29)
         for n in range(1, 11):
-            x = OracleString.from_int(n, int(rng.integers(0, 1 << n)))
+            x = int(rng.integers(0, 1 << n))
             for k in range(n + 1):
                 masks = algorithms._subset_masks(n, k)
                 coeff = np.zeros(1 << n, dtype=complex)
                 amp = complex(1.0 / math.sqrt(len(masks)))
-                coeff[masks] = amp * (1.0 - 2.0 * parity(x.to_int() & masks))
+                coeff[masks] = amp * (1.0 - 2.0 * parity(x & masks))
                 want = np.abs(fwht(coeff) * 2.0 ** (-n / 2.0)) ** 2
                 assert np.array_equal(subset_outcome_distribution(n, k, x), want)
 
@@ -196,12 +186,12 @@ class TestSubsetDistribution:
     def test_outcomes_match_the_full_distribution(self, n):
         rng = np.random.default_rng(40 + n)
         for k in range(n + 1):
-            x = OracleString.from_int(n, int(rng.integers(0, 1 << n)))
+            x = int(rng.integers(0, 1 << n))
             full = subset_outcome_distribution(n, k, x)
             # every outcome up to n = 11; past it, 256 sampled ones and x itself
             ys = np.arange(1 << n)
             if n > 11:
-                ys = [*rng.integers(0, 1 << n, 256).tolist(), x.to_int()]
+                ys = [*rng.integers(0, 1 << n, 256).tolist(), x]
             got = subset_outcome_distribution(n, k, x, ys)
             assert got.dtype == full.dtype and got.tobytes() == full[ys].tobytes()
         assert subset_outcome_distribution(n, 1, x, []).shape == (0,)
@@ -209,13 +199,13 @@ class TestSubsetDistribution:
     def test_size_guards(self):
         # the full distribution enumerates 2^n masks; the outcomes path indexes 2^n as int64
         with pytest.raises(ValidationError, match="n <= 16 required"):
-            subset_outcome_distribution(17, 2, OracleString.zeros(17))
+            subset_outcome_distribution(17, 2, 0)
         with pytest.raises(ValidationError, match="n <= 63 required"):
-            subset_outcome_distribution(64, 2, OracleString.zeros(64), [])
+            subset_outcome_distribution(64, 2, 0, [])
         with pytest.raises(ContractViolation, match="0 <= k <= n"):
-            subset_outcome_distribution(64, 65, OracleString.zeros(64), [])
-        x = OracleString.from_int(63, (1 << 63) - 1)
-        got = subset_outcome_distribution(63, 63, x, [x.to_int(), np.uint64(0)])
+            subset_outcome_distribution(64, 65, 0, [])
+        x = (1 << 63) - 1
+        got = subset_outcome_distribution(63, 63, x, [x, np.uint64(0)])
         assert got.tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("bad", [[64], [-1], [3, 1.0], [True], ["3"], [None]])
@@ -227,12 +217,11 @@ class TestSubsetDistribution:
 class TestSubsetAlgorithm:
     def test_povm_matches_distribution(self):
         alg = build_subset_algorithm(3, 2)
-        for v in range(8):
-            x = OracleString.from_int(3, v)
+        for x in range(8):
             got = run_algorithm(alg, x)
             want = subset_outcome_distribution(3, 2, x)
             for y, p in enumerate(want):
-                assert got.get(str(OracleString.from_int(3, y)), 0.0) == pytest.approx(p, abs=1e-9)
+                assert got.get(word(y, 3), 0.0) == pytest.approx(p, abs=1e-9)
             assert got.get("fail", 0.0) == pytest.approx(1 - want.sum(), abs=1e-9)
 
     def test_requires_positive_budget(self):
@@ -252,7 +241,7 @@ class TestSubsetAlgorithm:
                 vec = 2.0 ** (-n / 2.0) * (1.0 - 2.0 * parity(y & masks))
                 eff = np.outer(vec, vec.conj())
                 total += eff
-                want.append((str(OracleString.from_int(n, y)), eff))
+                want.append((word(y, n), eff))
             want.append(("fail", np.eye(d, dtype=complex) - total))
             assert [o for o, _ in alg.meas.elements] == [o for o, _ in want]
             for (_, got), (_, eff) in zip(alg.meas.elements, want):
@@ -264,17 +253,17 @@ class TestHadamardLearner:
         c = hadamard_concept_class(2)
         assert c.n == 3
         assert c.m == 4
-        assert str(c.concepts[3]) == "110"  # bits are parities of s=3 against 1, 2, 3
+        assert encode_bits(c.bits)[3] == "110"  # bits are parities of s=3 against 1, 2, 3
 
     def test_zero_concept(self):
-        assert str(hadamard_concept_class(2).concepts[0]) == "000"
+        assert encode_bits(hadamard_concept_class(2).bits)[0] == "000"
 
     def test_single_query_certainty(self):
         for b in (1, 2, 3):
             concepts, alg = build_hadamard_instance(b)
             assert alg.k == 1
-            for s, word in enumerate(concepts.concepts):
-                dist = run_algorithm(alg, word)
+            for s, x in enumerate(concept_inputs(concepts)):
+                dist = run_algorithm(alg, x)
                 assert dist.get(s, 0.0) == pytest.approx(1.0)
 
     def test_b_range(self):
@@ -297,17 +286,16 @@ class TestAlgorithmContainer:
     def test_run_requires_matching_length(self):
         alg = build_parity_algorithm(3)
         with pytest.raises(ContractViolation):
-            run_algorithm(alg, S("10"))
+            run_algorithm(alg, S("0001"))
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 10), st.data())
 def test_subset_success_matches_closed_form(n, data):
     k = data.draw(st.integers(0, n))
-    v = data.draw(st.integers(0, (1 << n) - 1))
-    x = OracleString.from_int(n, v)
+    x = data.draw(st.integers(0, (1 << n) - 1))
     dist = subset_outcome_distribution(n, k, x)
-    assert dist[x.to_int()] == pytest.approx(recovery_success_probability(n, k), abs=1e-9)
+    assert dist[x] == pytest.approx(recovery_success_probability(n, k), abs=1e-9)
 
 
 @settings(max_examples=30, deadline=None)

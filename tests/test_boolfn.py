@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from nonadapt import (
     ContractViolation,
-    OracleString,
     ParseError,
     TotalFunction,
     ValidationError,
@@ -16,6 +15,7 @@ from nonadapt import (
     sensitive_witness,
 )
 from nonadapt.boolfn import MAX_N
+from tests.conftest import S
 
 N20 = 1 << 20
 
@@ -82,11 +82,6 @@ class TestBuildFunction:
 
 
 class TestTotalFunction:
-    def test_value_and_value_at_agree(self):
-        f = build_function("majority", 3)
-        for v in range(8):
-            assert f.value_at(v) == f.value(OracleString.from_int(3, v))
-
     def test_table_length_enforced(self):
         with pytest.raises(ValidationError):
             TotalFunction(2, (0, 1, 1))
@@ -108,10 +103,6 @@ class TestTotalFunction:
         assert TotalFunction(2, (0, 1, 1, 0)) == build_function("parity", 2)
         assert TotalFunction(2, (0, 1, 1, 1)) != build_function("parity", 2)
         assert TotalFunction(1, (0, 1)) != TotalFunction(2, (0, 0, 1, 1))
-
-    def test_is_constant(self):
-        assert TotalFunction(1, (0, 0)).is_constant()
-        assert not build_function("or", 2).is_constant()
 
     def test_relevant_variables(self, wide):
         assert build_function("parity", 3).relevant_variables() == (1, 2, 3)
@@ -147,25 +138,25 @@ class TestTotalFunction:
 class TestSensitiveWitness:
     def test_parity_smallest_witness(self, wide):
         f = build_function("parity", 2)
-        assert sensitive_witness(f, 1) == OracleString.from_string("00")
+        assert sensitive_witness(f, 1) == S("00")
         for j in range(1, 21):
-            assert sensitive_witness(wide["parity"], j) == OracleString.from_int(20, 0)
+            assert sensitive_witness(wide["parity"], j) == 0
 
     def test_constant_has_none(self, wide):
         f = TotalFunction(2, (1, 1, 1, 1))
         assert sensitive_witness(f, 1) is None
         assert sensitive_witness(f, 2) is None
         # nor has a variable the n = 20 dictator x1 ignores; x1 itself flips at input 0
-        assert sensitive_witness(wide["dictator"], 1) == OracleString.from_int(20, 0)
+        assert sensitive_witness(wide["dictator"], 1) == 0
         for j in range(2, 21):
             assert sensitive_witness(wide["dictator"], j) is None
 
     def test_and_witness_scans_integer_order(self, wide):
         f = build_function("and", 2)
         # 00 -> 01 leaves AND at 0, so the first witness for j=2 is 10
-        assert sensitive_witness(f, 2) == OracleString.from_string("10")
+        assert sensitive_witness(f, 2) == S("10")
         for j in range(1, 21):  # AND flips only between all-ones and all-ones-but-j
-            want = OracleString.from_int(20, (N20 - 1) ^ (1 << (j - 1)))
+            want = (N20 - 1) ^ (1 << (j - 1))
             assert sensitive_witness(wide["and"], j) == want
 
     def test_out_of_range(self):
@@ -187,9 +178,9 @@ def test_witness_flips_value_and_is_minimal(n, data):
         if w is None:
             assert not flips
         else:
-            v = w.to_int()
-            assert table[v] != table[v ^ mask]
-            assert v == min(flips)
+            assert type(w) is int and table[w] != table[w ^ mask]
+            assert f.value(w) == table[w] and f.value(w ^ mask) == table[w ^ mask]
+            assert w == min(flips)
 
 
 def test_file_round_trip(tmp_path):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from nonadapt import (
     ContractViolation,
-    OracleString,
     PovmMeasurement,
     ProjectiveMeasurement,
     TotalFunction,
@@ -40,11 +39,9 @@ from nonadapt.algorithms import (
 )
 from nonadapt.qstate import QueryState, fwht, odd_masks, overlap_terms
 from tests.conftest import (
-    k1_state, random_projective, random_two_outcome_povm, real_orthonormal_family,
+    S, k1_state, random_projective, random_two_outcome_povm, real_orthonormal_family,
     reference_stack, reference_state_vector, uniform_k1, with_negative_zero_imag,
 )
-
-S = OracleString.from_string
 
 
 def pair_state():
@@ -92,7 +89,7 @@ class TestOraclePairOverlap:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolation):
-            oracle_pair_overlap(pair_state(), S("10"), S("100"))
+            oracle_pair_overlap(pair_state(), S("10"), S("001"))
 
 
 class TestDiscriminationFeasible:
@@ -170,11 +167,10 @@ class TestQueryLowerBound:
 def slow_error_profile(psi, meas, f):
     """Independent per-input sweep through apply_oracle + measure."""
     out = []
-    for v in range(1 << f.n):
-        x = OracleString.from_int(f.n, v)
+    for x in range(1 << f.n):
         probs = measure(apply_oracle(psi, x), meas)
         p1 = probs.get(1, 0.0)
-        out.append(1.0 - p1 if f.value_at(v) == 1 else p1)
+        out.append(1.0 - p1 if f.value(x) == 1 else p1)
     return np.array(out)
 
 
@@ -242,7 +238,7 @@ class TestErrorProfile:
             monkeypatch.setattr(bounds, "SWEEP_CELLS", 1 << 18)
             whole = error_profile(psi, meas, f)
             for rows in (2, 4, 8, 16, 32):
-                monkeypatch.setattr(bounds, "SWEEP_CELLS", rows * len(meas.basis))
+                monkeypatch.setattr(bounds, "SWEEP_CELLS", rows * len(meas.basis_keys))
                 assert np.array_equal(error_profile(psi, meas, f), whole)
 
     def test_projective_sweep_bit_identical_across_chunk_sizes(self, monkeypatch):
@@ -256,7 +252,7 @@ class TestErrorProfile:
             monkeypatch.setattr(bounds, "SWEEP_CELLS", 1 << 18)
             whole = error_profile(psi, meas, f)
             for rows in (2, 4, 8, 16, 32):
-                monkeypatch.setattr(bounds, "SWEEP_CELLS", rows * len(meas.basis))
+                monkeypatch.setattr(bounds, "SWEEP_CELLS", rows * len(meas.basis_keys))
                 assert np.array_equal(error_profile(psi, meas, f), whole)
 
     def test_chunking_leaves_parity_profile_bit_identical(self, monkeypatch):
@@ -323,7 +319,7 @@ class TestMaskCompression:
         f = TotalFunction(3, (0, 1, 1, 0, 1, 0, 0, 1))
         for meas, tol in ((random_projective(rng, psi), 1e-12),
                           (random_two_outcome_povm(rng, psi), 1e-9)):
-            assert distinct_masks(meas) == 4 and len(meas.basis) == 10
+            assert distinct_masks(meas) == 4 and len(meas.basis_keys) == 10
             assert error_profile(psi, meas, f) == pytest.approx(
                 slow_error_profile(psi, meas, f), abs=tol)
 
@@ -335,7 +331,7 @@ class TestMaskCompression:
             psi = random_state(rng, n, k, anc, support_size=int(rng.integers(2, 20)))
             povm = i % 2 == 1
             meas = random_two_outcome_povm(rng, psi) if povm else random_projective(rng, psi)
-            compressed += distinct_masks(meas) < len(meas.basis)
+            compressed += distinct_masks(meas) < len(meas.basis_keys)
             f = random_table(rng, n)
             monkeypatch.setattr(bounds, "SWEEP_CELLS", 1 << 18)
             whole = error_profile(psi, meas, f)
@@ -349,7 +345,7 @@ class TestMaskCompression:
         rng = np.random.default_rng(47)
         psi = random_state(rng, 2, 3, 2, support_size=12)
         meas = ProjectiveMeasurement(random_projective(rng, psi).effects[:-1])
-        assert distinct_masks(meas) < len(meas.basis)
+        assert distinct_masks(meas) < len(meas.basis_keys)
         f = random_table(rng, 2)
         with pytest.raises(ContractViolation, match="not complete"):
             error_profile(psi, meas, f)
@@ -401,7 +397,7 @@ class TestRealSweep:
         assert meas.V.dtype == np.float64
         assert np.max(assert_profile_matches_reference(alg.psi, meas, f)) <= 1e-15
         rng = np.random.default_rng(n)
-        shifted = apply_oracle(alg.psi, OracleString.from_int(n, int(rng.integers(1 << n))))
+        shifted = apply_oracle(alg.psi, int(rng.integers(1 << n)))
         assert_profile_matches_reference(shifted, meas, random_table(rng, n))
 
     @pytest.mark.parametrize("b", range(1, 5))
@@ -553,8 +549,8 @@ class TestGramSlices:
 # on all eight inputs.
 CPU_SWEEP = """
 import json, pickle, sys
-from nonadapt import (OracleString, PovmMeasurement, ProjectiveMeasurement, QueryState,
-                      TotalFunction, build_function, error_profile, measure)
+from nonadapt import (PovmMeasurement, ProjectiveMeasurement, QueryState, TotalFunction,
+                      build_function, error_profile, measure)
 from nonadapt.algorithms import (build_parity_algorithm, build_subset_algorithm,
                                  decision_measurement, run_algorithm)
 from nonadapt.qstate import fwht, key_tuples
@@ -575,7 +571,7 @@ for n in range(3, 9):
     out.append(error_profile(alg.psi, decision_measurement(alg), f).tobytes().hex())
 out.append(fwht(matrix).tobytes().hex())
 alg = build_subset_algorithm(3, 2)
-out.append(repr([sorted(run_algorithm(alg, OracleString.from_int(3, y)).items()) for y in range(8)]))
+out.append(repr([sorted(run_algorithm(alg, y).items()) for y in range(8)]))
 print(json.dumps(out))
 """
 
@@ -653,7 +649,7 @@ def random_state_case(draw):
     j = draw(st.integers(1, n))
     xv = draw(st.integers(0, (1 << n) - 1))
     psi = random_state(np.random.default_rng(seed), n, k)
-    return psi, j, OracleString.from_int(n, xv)
+    return psi, j, xv
 
 
 @settings(max_examples=200, deadline=None)
@@ -667,7 +663,7 @@ def test_counting_inequality(case):
 @given(random_state_case())
 def test_overlap_equals_one_minus_two_weight(case):
     psi, j, x = case
-    overlap = oracle_pair_overlap(psi, x, x.flip(j))
+    overlap = oracle_pair_overlap(psi, x, x ^ 1 << (j - 1))
     assert overlap == pytest.approx(1.0 - 2.0 * query_weight(psi, j), abs=1e-12)
 
 

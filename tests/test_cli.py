@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from nonadapt import (
-    OracleString,
     QueryState,
     build_function,
     build_parity_algorithm,
@@ -24,6 +23,7 @@ from nonadapt.learning import (
     check_pairwise_overlaps,
     classical_learn,
 )
+from tests.conftest import concept_inputs
 
 
 def run_cli(capsys, *argv):
@@ -236,8 +236,8 @@ class TestLearnCommand:
         }]
         plan = load_plan(plan_path)
         assert len(plan.base_queries) == audit["base_query_count"]
-        for idx, x in enumerate(plan.concepts.concepts):
-            assert classical_learn(plan, ClassicalOracle(x)).concept_index == idx
+        for idx, x in enumerate(concept_inputs(plan.concepts)):
+            assert classical_learn(plan, ClassicalOracle(plan.concepts.n, x)).concept_index == idx
 
     def test_vandam_learner_inline_plan(self, capsys):
         code, out, _ = run_cli(
@@ -391,14 +391,15 @@ class TestLearnCommand:
         (["--learner", "vandam", "--n", "6", "--k", "3", "--eps", "0"], 1),
     ])
     def test_no_parser_build_or_oracle_string_per_call(self, capsys, monkeypatch, argv, want):
-        # learn works on bit matrices and reuses the parser built by the first call
+        # learn works on bit matrices and reuses the parser built by the first call; an
+        # input is a plain int, so there is no per-input string object left to build
+        assert not hasattr(qstate, "OracleString")
         run_cli(capsys, "learn", "--learner", "bv", "--b", "2")
 
         def fail(*args, **kwargs):
             raise AssertionError("built on the learn path")
 
         monkeypatch.setattr(argparse.ArgumentParser, "add_argument", fail)
-        monkeypatch.setattr(qstate.OracleString, "__post_init__", fail)
         code, out, err = run_cli(capsys, "learn", *argv)
         assert code == want
         if want == 0:

@@ -17,7 +17,6 @@ from nonadapt import (
     ConceptClass,
     ContractViolation,
     InputOutsideClass,
-    OracleString,
     ParseError,
     QueryState,
     ValidationError,
@@ -51,12 +50,16 @@ from nonadapt import learning
 from nonadapt.errors import LONG_LEAF, render_json
 from nonadapt.qstate import encode_bits, odd_mask, parity, random_state
 from nonadapt.rng import stream
-
-S = OracleString.from_string
+from tests.conftest import S, concept_inputs
 
 
 def concept_class(n, words):
-    return ConceptClass(n, tuple(S(w).bits for w in words))
+    return ConceptClass(n, [[int(ch) for ch in w] for w in words])
+
+
+def all_positions(n, k):
+    """Every visible position of the k-fold tensor class of an n-bit class."""
+    return np.arange(1, (n + 1) ** k)
 
 
 THREE = concept_class(3, ("000", "011", "101"))
@@ -65,11 +68,12 @@ THREE = concept_class(3, ("000", "011", "101"))
 class TestConceptClass:
     def test_lookup(self):
         assert THREE.m == 3
-        assert THREE.index_of(S("011")) == 1
+        plan = make_plan(THREE, (1, 2, 3))
+        assert classical_learn(plan, ClassicalOracle(3, S("011"))).concept_index == 1
 
     def test_unknown_concept(self):
         with pytest.raises(InputOutsideClass):
-            THREE.index_of(S("111"))
+            classical_learn(make_plan(THREE, (1, 2, 3)), ClassicalOracle(3, S("111")))
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValidationError):
@@ -77,7 +81,7 @@ class TestConceptClass:
 
     def test_word_length_checked(self):
         with pytest.raises(ValidationError):
-            ConceptClass(2, (S("00").bits, S("010").bits))
+            ConceptClass(2, ((0, 0), (0, 1, 0)))
         with pytest.raises(ValidationError):
             ConceptClass(0, ((),))
 
@@ -102,12 +106,12 @@ class TestConceptClass:
             THREE.bits[0, 0] = 1
         assert THREE == ConceptClass(3, THREE.bits.copy())
         assert THREE != ConceptClass(3, THREE.bits[::-1])
-        assert THREE.concepts == (S("000"), S("011"), S("101"))
+        assert encode_bits(THREE.bits) == ["000", "011", "101"]
 
     def test_full_class(self):
         c = full_concept_class(3)
         assert c.m == 8
-        assert str(c.concepts[5]) == "101"
+        assert encode_bits(c.bits)[5] == "101"
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "concepts.txt"
@@ -280,9 +284,9 @@ def seeded_classes(seed):
 class TestTensorEncoding:
     def test_tensor_bit_examples(self):
         x = S("10")
-        assert tensor_bit(x, (1, 2)) == 1
-        assert tensor_bit(x, (1, 1)) == 0
-        assert tensor_bit(x, (0, 2)) == 0
+        assert tensor_bit(2, x, (1, 2)) == 1
+        assert tensor_bit(2, x, (1, 1)) == 0
+        assert tensor_bit(2, x, (0, 2)) == 0
 
     def test_position_round_trip(self):
         for pos in range(3**4):
@@ -302,51 +306,60 @@ class TestTensorEncoding:
 
     def test_tensor_power_class(self):
         c = concept_class(2, ("10", "01"))
-        c2 = tensor_power_class(c, 2)
+        c2 = tensor_power_class(c, 2, all_positions(2, 2))
         assert c2.n == 8
         assert c2.m == 2
         pos = tuple_to_position((1, 2), n=2)
-        for word in c2.concepts:
-            assert word.bit(pos) == 1
+        assert c2.bits[:, pos - 1].tolist() == [1, 1]
 
     def test_tensor_power_identity_at_k_one(self):
-        assert tensor_power_class(THREE, 1).concepts == THREE.concepts
+        assert tensor_power_class(THREE, 1, all_positions(3, 1)) == THREE
+
+    def test_tensor_positions_checked(self):
+        for bad in ([0], [16], [[1, 2]]):
+            with pytest.raises(ContractViolation, match=r"integers in \[1, 16\)"):
+                tensor_power_class(THREE, 2, bad)
+        assert tensor_power_class(THREE, 2, []).bits.shape == (3, 0)
 
     def test_tensor_power_class_matches_tensor_bit(self):
         rng = np.random.default_rng(5)
         for fixed in [None] * 20 + [(3, 4)]:  # 20 random (n, k <= 3), then k = 4
             n, k = fixed or (int(rng.integers(1, 5)), int(rng.integers(1, 4)))
             words = rng.choice(1 << n, size=int(rng.integers(1, (1 << n) + 1)), replace=False)
-            c = ConceptClass(n, [OracleString.from_int(n, int(v)).bits for v in words])
-            tc = tensor_power_class(c, k)
+            c = ConceptClass(n, (words[:, None] >> np.arange(n)) & 1)
+            tc = tensor_power_class(c, k, all_positions(n, k))
             assert tc.bits.shape == (c.m, (n + 1) ** k - 1)
             # built without ConceptClass's input checks, so pin what they would assert
             assert not tc.bits.flags.writeable and tc.bits.dtype == np.uint8
             assert len(np.unique(tc.bits, axis=0)) == c.m
-            for x, row in zip(c.concepts, tc.bits.tolist()):
+            for x, row in zip(words.tolist(), tc.bits.tolist()):
                 for pos in range(1, (n + 1) ** k):
-                    assert row[pos - 1] == tensor_bit(x, position_to_tuple(pos, n, k))
+                    assert row[pos - 1] == tensor_bit(n, x, position_to_tuple(pos, n, k))
+            # any positions, in any order and repeated, give the same columns
+            some = rng.integers(1, (n + 1) ** k, size=int(rng.integers(0, 12)))
+            sub = tensor_power_class(c, k, some)
+            assert sub.n == len(some) and np.array_equal(sub.bits, tc.bits[:, some - 1])
 
     def test_simulate_matches_definition(self):
         rng = np.random.default_rng(9)
         c = full_concept_class(3)
         for _ in range(200):
-            x = c.concepts[rng.integers(0, c.m)]
+            x = concept_inputs(c)[rng.integers(0, c.m)]
             t = tuple(int(v) for v in rng.integers(0, 4, size=int(rng.integers(1, 4))))
-            oracle = ClassicalOracle(x)
-            assert simulate_tensor_query(t, oracle) == tensor_bit(x, t)
+            oracle = ClassicalOracle(3, x)
+            assert simulate_tensor_query(t, oracle) == tensor_bit(3, x, t)
             assert oracle.queries_made == len({i for i in t if i != 0})
             assert oracle.queries_made <= len(t)
 
     def test_query_cost_examples(self):
         x = S("101")
-        oracle = ClassicalOracle(x)
+        oracle = ClassicalOracle(3, x)
         assert simulate_tensor_query((1, 2, 1), oracle) == 0
         assert oracle.queries_made == 2
-        oracle = ClassicalOracle(x)
+        oracle = ClassicalOracle(3, x)
         assert simulate_tensor_query((0, 0), oracle) == 0
         assert oracle.queries_made == 0
-        oracle = ClassicalOracle(x)
+        oracle = ClassicalOracle(3, x)
         assert simulate_tensor_query((3,), oracle) == 1
         assert oracle.queries_made == 1
 
@@ -449,7 +462,7 @@ class TestPairwiseOverlaps:
         m = 64 if seed == 0 else int(rng.integers(2, 65))
         n = int(rng.integers(6, 25))
         words = rng.choice(1 << n, size=m, replace=False)
-        c = ConceptClass(n, [OracleString.from_int(n, int(v)).bits for v in words])
+        c = ConceptClass(n, (words[:, None] >> np.arange(n)) & 1)
         p = rng.uniform(size=n + 1) * (rng.uniform(size=n + 1) < 0.6)  # zero-mass positions
         p[0] = 0.0 if seed % 2 else p[0] + 0.1
         profile = AmplitudeProfile(tuple((p / p.sum()).tolist()))
@@ -470,7 +483,7 @@ class TestPairwiseOverlaps:
         rng = np.random.default_rng(seed)
         n, m = 6, 24
         words = rng.choice(1 << n, size=m, replace=False)
-        c = ConceptClass(n, [OracleString.from_int(n, int(v)).bits for v in words])
+        c = ConceptClass(n, (words[:, None] >> np.arange(n)) & 1)
         report = check_pairwise_overlaps(AmplitudeProfile.uniform(n + 1), c, eps=0.2)
         sq = report.overlap_sq.tolist()
         r = sq.index(max(sq))
@@ -541,7 +554,8 @@ class TestGreedyCover:
                 n = int(rng.integers(2, 7))
                 m = int(rng.integers(1, min(1 << n, 48) + 1))
                 words = rng.choice(1 << n, size=m, replace=False)
-                t = tensor_power_class(ConceptClass(n, (words[:, None] >> np.arange(n)) & 1), k)
+                c = ConceptClass(n, (words[:, None] >> np.arange(n)) & 1)
+                t = tensor_power_class(c, k, all_positions(n, k))
                 # a random support, sometimes too small to separate, sometimes repeating positions
                 size = int(rng.integers(0, min(t.n, 40) + 1))
                 support = rng.choice(np.arange(1, t.n + 1), size=size, replace=bool(rng.integers(2)))
@@ -552,7 +566,7 @@ class TestGreedyCover:
 
     def test_full_tensor_class_ties_to_the_earliest(self):
         # every base position splits the full class evenly, so each step is a tie
-        t = tensor_power_class(full_concept_class(5), 2)
+        t = tensor_power_class(full_concept_class(5), 2, all_positions(5, 2))
         ties = []
         want = reference_greedy(t, range(1, t.n + 1), ties)
         assert learning._greedy_over_support(t, range(1, t.n + 1)) == want == (1, 2, 3, 4, 5)
@@ -614,9 +628,8 @@ class TestSampleIndexSet:
 class TestQueryPlan:
     def test_make_plan_decodes(self):
         plan = make_plan(THREE, (1, 2))
-        oracle = ClassicalOracle(S("011"))
+        oracle = ClassicalOracle(3, S("011"))
         res = classical_learn(plan, oracle)
-        assert res.concept == S("011")
         assert res.concept_index == 1
         assert res.queries_used == 2
         assert oracle.queries_made == 2
@@ -624,7 +637,7 @@ class TestQueryPlan:
     def test_outside_class_raises(self):
         plan = make_plan(concept_class(2, ("00", "11")), (1, 2))
         with pytest.raises(InputOutsideClass):
-            classical_learn(plan, ClassicalOracle(S("01")))
+            classical_learn(plan, ClassicalOracle(2, S("01")))
 
     def test_collision_rejected(self):
         with pytest.raises(ValidationError):
@@ -633,7 +646,7 @@ class TestQueryPlan:
     def test_length_mismatch(self):
         plan = make_plan(THREE, (1, 2))
         with pytest.raises(ContractViolation):
-            classical_learn(plan, ClassicalOracle(S("01")))
+            classical_learn(plan, ClassicalOracle(2, S("01")))
 
     def test_serialization_round_trip(self, tmp_path):
         plan = make_plan(THREE, (1, 2))
@@ -860,8 +873,8 @@ class TestBuildClassicalPlan:
         assert audit["bound"] == 12
         assert audit["base_query_count"] <= 12
         assert audit["base_query_count"] == len(result.plan.base_queries)
-        for idx, x in enumerate(concepts.concepts):
-            res = classical_learn(result.plan, ClassicalOracle(x))
+        for idx, x in enumerate(concept_inputs(concepts)):
+            res = classical_learn(result.plan, ClassicalOracle(concepts.n, x))
             assert res.concept_index == idx
 
     def test_subset_learner_pipeline(self):
@@ -871,16 +884,16 @@ class TestBuildClassicalPlan:
         assert result.overlap_report.passed
         budget = math.ceil(3 * classical_query_bound(16, 1 / 16))
         assert len(result.plan.base_queries) <= budget
-        for idx, x in enumerate(concepts.concepts):
-            res = classical_learn(result.plan, ClassicalOracle(x))
+        for idx, x in enumerate(concept_inputs(concepts)):
+            res = classical_learn(result.plan, ClassicalOracle(concepts.n, x))
             assert res.concept_index == idx
 
     def test_trivial_single_concept(self):
         concepts = concept_class(2, ("01",))
         result = build_classical_plan(build_subset_state(2, 1), concepts, eps=0.0)
         assert result.plan.base_queries == ()
-        res = classical_learn(result.plan, ClassicalOracle(S("01")))
-        assert res.concept == S("01")
+        res = classical_learn(result.plan, ClassicalOracle(2, S("01")))
+        assert res.concept_index == 0
         assert res.queries_used == 0
         for eps in (7.0, -1.0, 0.5):  # checked even though one concept needs no queries
             with pytest.raises(ContractViolation):
@@ -902,7 +915,7 @@ class TestBuildClassicalPlan:
         with pytest.raises(BoundViolation) as err:
             build_classical_plan(psi, concepts, eps=0.0)
         report = check_pairwise_overlaps(
-            amplitude_profile(psi), tensor_power_class(concepts, 3), 0.0
+            amplitude_profile(psi), tensor_power_class(concepts, 3, all_positions(6, 3)), 0.0
         )
         worst = report.worst()
         assert len(report.violations()) == 2016
@@ -956,7 +969,7 @@ class TestBuildClassicalPlan:
 @given(st.integers(1, 3), st.integers(0, 2**20 - 1))
 def test_tensor_bit_is_parity_of_odd_multiplicity_entries(k, raw):
     n = 4
-    x = OracleString.from_int(n, raw & 0xF)
+    x = raw & 0xF
     t = []
     v = raw >> 4
     for _ in range(k):
@@ -966,12 +979,12 @@ def test_tensor_bit_is_parity_of_odd_multiplicity_entries(k, raw):
     want, mask = 0, 0
     for i in set(t):
         if i != 0 and t.count(i) % 2 == 1:
-            want ^= x.bit(i)
+            want ^= x >> (i - 1) & 1
             mask |= 1 << (i - 1)
-    assert tensor_bit(x, t) == want
+    assert tensor_bit(n, x, t) == want
     assert odd_mask(t) == mask
-    assert parity(x.to_int() & mask) == want
-    assert parity(np.array([x.to_int() & mask]))[0] == want
+    assert parity(x & mask) == want
+    assert parity(np.array([x & mask]))[0] == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -989,7 +1002,7 @@ def test_sampled_plans_within_budget(seed):
     m = int(rng.integers(2, (1 << n) + 1))
     words = rng.choice(1 << n, size=m, replace=False)
     concepts = ConceptClass(n, (words[:, None] >> np.arange(n)) & 1)
-    tclass = tensor_power_class(concepts, k)
+    tclass = tensor_power_class(concepts, k, all_positions(n, k))
     worst = check_pairwise_overlaps(amplitude_profile(psi), tclass, 0.5).worst().overlap_sq
     assume(worst < 1 - 1e-9)  # the support separates every pair
     eps = helstrom_error(math.sqrt(worst)) + 1e-9
@@ -999,8 +1012,36 @@ def test_sampled_plans_within_budget(seed):
     budget = math.ceil(k * classical_query_bound(m, eps))
     assert result.audit["bound"] == budget
     assert result.audit["base_query_count"] == len(result.plan.base_queries) <= budget
-    for idx, x in enumerate(concepts.concepts):
-        assert classical_learn(result.plan, ClassicalOracle(x)).concept_index == idx
+    for idx, x in enumerate(words.tolist()):
+        assert classical_learn(result.plan, ClassicalOracle(n, x)).concept_index == idx
+
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_plan_on_the_support_matches_the_full_tensor_class(seed):
+    """The class on the profile's support gives the full class's overlaps and cover, bit for bit."""
+    rng = np.random.default_rng([seed, 59])
+    n, k = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+    psi = random_state(rng, n, k, support_size=int(rng.integers(2, 4 * n + 1)))
+    m = int(rng.integers(2, (1 << n) + 1))
+    words = rng.choice(1 << n, size=m, replace=False)
+    concepts = ConceptClass(n, (words[:, None] >> np.arange(n)) & 1)
+    profile, full = amplitude_profile(psi), tensor_power_class(concepts, k, all_positions(n, k))
+    worst = check_pairwise_overlaps(profile, full, 0.5).worst().overlap_sq
+    eps = min(helstrom_error(math.sqrt(min(worst, 1.0))) + 1e-9, 0.25)
+    want = check_pairwise_overlaps(profile, full, eps)
+    if not want.passed:
+        with pytest.raises(BoundViolation) as err:
+            build_classical_plan(psi, concepts, eps)
+        assert err.value.pairs == want.violations(learning.MAX_REPORTED_VIOLATIONS)
+        return
+    got = build_classical_plan(psi, concepts, eps)
+    assert got.overlap_report.overlap_sq.tobytes() == want.overlap_sq.tobytes()
+    assert np.array_equal(got.overlap_report.ok, want.ok)
+    support = np.flatnonzero(profile.values[1:] > 0) + 1
+    chosen = learning._greedy_over_support(full, support.tolist())
+    tuples = [position_to_tuple(pos, n, k) for pos in chosen]
+    assert got.plan.base_queries == tuple(sorted({i for t in tuples for i in t if i}))
 
 
 JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()

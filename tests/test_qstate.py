@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from nonadapt import (
     ContractViolation,
-    OracleString,
     ParseError,
     ProjectiveMeasurement,
     PovmMeasurement,
@@ -25,56 +24,25 @@ from nonadapt import (
     state_from_dict,
     state_to_dict,
 )
+from nonadapt.boolfn import build_function
 from nonadapt.bounds import oracle_pair_overlap, query_weight, weight_profile
-from nonadapt.learning import amplitude_profile, load_plan, tuple_to_position
+from nonadapt.learning import (
+    ClassicalOracle, amplitude_profile, load_plan, tensor_bit, tuple_to_position,
+)
 from nonadapt.algorithms import (
-    build_hadamard_instance, build_parity_algorithm, decision_measurement,
+    build_hadamard_instance, build_parity_algorithm, decision_measurement, run_algorithm,
+    subset_outcome_distribution,
 )
 from nonadapt.qstate import (
-    _state_vector, decode_bits, decode_words, encode_bits, fwht, odd_mask, overlap_parts,
-    overlap_terms, parity,
+    _state_vector, check_input, decode_bits, decode_words, encode_bits, fwht, input_bits,
+    key_tuples,
+    odd_mask, oracle_signs, overlap_parts, overlap_terms, parity,
 )
 from tests.conftest import (
-    k1_state, random_projective, random_two_outcome_povm, real_orthonormal_family,
-    reference_stack, reference_state_vector, uniform_k1, with_negative_zero_imag,
+    S, concept_inputs, k1_state, random_projective, random_two_outcome_povm,
+    real_orthonormal_family, reference_stack, reference_state_vector, uniform_k1,
+    with_negative_zero_imag,
 )
-
-S = OracleString.from_string
-
-
-class TestOracleString:
-    def test_index_zero_reads_zero(self):
-        x = S("101")
-        assert x.bit(0) == 0
-        assert [x.bit(i) for i in range(4)] == [0, 1, 0, 1]
-
-    def test_int_round_trip_lsb_first(self):
-        # bit 1 is the least significant bit of the integer encoding
-        assert S("10").to_int() == 1
-        assert S("01").to_int() == 2
-        assert OracleString.from_int(3, 5) == S("101")
-        for v in range(16):
-            assert OracleString.from_int(4, v).to_int() == v
-
-    def test_xor_flip_complement(self):
-        assert (S("1010") ^ S("0110")) == S("1100")
-        assert S("000").flip(2) == S("010")
-        assert S("101").complement() == S("010")
-        assert OracleString.single_one(4, 3) == S("0010")
-        assert S("10").flip(1) == S("00")
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            OracleString((0, 2))
-        with pytest.raises(ValidationError):
-            OracleString(())
-        for text in ("01x", "", "0\ud8001", "01 ", None, [0, 1]):
-            with pytest.raises(ParseError, match="expected a nonempty 0/1 string"):
-                OracleString.from_string(text)
-        with pytest.raises(ContractViolation):
-            S("01").bit(3)
-        with pytest.raises(ContractViolation):
-            S("01") ^ S("011")
 
 
 # mostly bits and near misses, lone surrogates included, then any code point
@@ -90,6 +58,16 @@ class TestBitCodec:
         assert not bad.any()
         assert encode_bits(np.array([[0, 1, 1], [1, 0, 0]], dtype=np.uint8)) == ["011", "100"]
         assert encode_bits(np.zeros((2, 0), dtype=np.uint8)) == ["", ""]
+
+    def test_input_bits_lsb_first_for_any_n(self):
+        # variable j is bit j - 1 of the int; the word lists variable 1 first
+        assert encode_bits(input_bits(S("01"), 2)[None]) == ["01"]
+        assert input_bits(5, 3).dtype == np.uint8 and input_bits(5, 3).tolist() == [1, 0, 1]
+        assert input_bits(0, 1).tolist() == [0]
+        x = (1 << 99) | (1 << 64) | 1
+        assert np.flatnonzero(input_bits(x, 100)).tolist() == [0, 64, 99]
+        for v in range(16):
+            assert S(encode_bits(input_bits(v, 4)[None])[0]) == v
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 5), (3, 0), (1, 1), (7, 13), (300, 8)])
     def test_encode_matches_per_row_encoder(self, shape):
@@ -129,23 +107,55 @@ class TestBitCodec:
 
 class TestOraclePhase:
     def test_single_index(self):
-        assert oracle_phase(S("01"), (2,)) == -1
-        assert oracle_phase(S("01"), (1,)) == 1
+        assert oracle_phase(2, S("01"), (2,)) == -1
+        assert oracle_phase(2, S("01"), (1,)) == 1
 
     def test_two_phases_cancel(self):
-        assert oracle_phase(S("11"), (1, 2)) == 1
+        assert oracle_phase(2, S("11"), (1, 2)) == 1
         assert odd_mask((1, 2)) == 0b11 and parity(0b11) == 0
         assert odd_mask((2, 1, 2)) == 0b01
 
     def test_zero_index_contributes_nothing(self):
-        assert oracle_phase(S("10"), (0, 1)) == -1
-        assert oracle_phase(S("10"), (0, 0)) == 1
+        assert oracle_phase(2, S("10"), (0, 1)) == -1
+        assert oracle_phase(2, S("10"), (0, 0)) == 1
         assert odd_mask((0, 0)) == 0 and odd_mask((0, 3)) == 0b100
 
     def test_out_of_range(self):
         for t in [(3,), (1.5,), (True,)]:
             with pytest.raises(ContractViolation):
-                oracle_phase(S("01"), t)
+                oracle_phase(2, S("01"), t)
+
+
+# every library call that takes an input, on n = 3
+INPUT_CALLS = {
+    "apply_oracle": lambda x: apply_oracle(uniform_k1(3, [0, 1, 3]), x),
+    "oracle_signs": lambda x: oracle_signs(uniform_k1(3, [0, 1, 3]), x),
+    "oracle_phase": lambda x: oracle_phase(3, x, (1, 2)),
+    "tensor_bit": lambda x: tensor_bit(3, x, (1, 2)),
+    "oracle_pair_overlap-x": lambda x: oracle_pair_overlap(uniform_k1(3, [0, 1, 3]), x, 0),
+    "oracle_pair_overlap-y": lambda x: oracle_pair_overlap(uniform_k1(3, [0, 1, 3]), 0, x),
+    "run_algorithm": lambda x: run_algorithm(build_parity_algorithm(3), x),
+    "subset_outcome_distribution": lambda x: subset_outcome_distribution(3, 1, x),
+    "subset_outcome_distribution-outcomes": lambda x: subset_outcome_distribution(3, 1, x, [0]),
+    "TotalFunction.value": lambda x: build_function("parity", 3).value(x),
+    "ClassicalOracle": lambda x: ClassicalOracle(3, x),
+}
+
+
+@pytest.mark.parametrize("x", [True, 1.0, np.int64(1), -1, 1 << 3], ids=repr)
+@pytest.mark.parametrize("call", INPUT_CALLS)
+def test_every_input_is_a_plain_int_in_range(call, x):
+    for valid in (0, 1, 7):
+        INPUT_CALLS[call](valid)
+    with pytest.raises(ContractViolation, match=r"^input .* is not an integer in \[0, 2\^3\)$"):
+        INPUT_CALLS[call](x)
+
+
+def test_check_input_returns_the_input():
+    assert check_input(5, 3) == 5 and check_input(0, 1) == 0
+    assert check_input((1 << 100) - 1, 100) == (1 << 100) - 1
+    with pytest.raises(ContractViolation, match=r"input 1267650600228229401496703205376 "):
+        check_input(1 << 100, 100)
 
 
 class TestApplyOracle:
@@ -285,7 +295,7 @@ class TestMeasure:
         assert list(got) == list(ref)  # labels in first-appearance order
         assert all(abs(got[label] - ref[label]) <= 1e-12 for label in ref)
         # bit for bit: Python complex arithmetic summed in basis order, with no BLAS
-        v = [psi.amplitudes.get(key, 0j) for key in meas.basis]
+        v = [psi.amplitudes.get(key, 0j) for key in key_tuples(meas.basis_keys)]
         exact: dict = {}
         for (label, _), row in zip(meas.effects, meas.V.tolist()):
             c = 0j
@@ -342,7 +352,7 @@ class TestMeasurementValidation:
         meas = ProjectiveMeasurement(
             (("a", k1_state(2, {2: 1.0})), ("b", k1_state(2, {0: -1j})))
         )
-        assert meas.basis == (((0,), 0), ((2,), 0))
+        assert key_tuples(meas.basis_keys) == [((0,), 0), ((2,), 0)]
         assert np.array_equal(meas.V, [[0, 1], [-1j, 0]])
 
     @pytest.mark.parametrize("orthogonal, in_order, phase", [
@@ -369,7 +379,7 @@ class TestMeasurementValidation:
                     build(copy)
             return
         shared, copied = build(False), build(True)
-        assert shared.basis == copied.basis == tuple(((i,), 0) for i in range(4))
+        assert key_tuples(shared.basis_keys) == [((i,), 0) for i in range(4)]
         assert np.array_equal(shared.basis_keys, copied.basis_keys)
         assert np.array_equal(shared.V, copied.V)
         assert np.array_equal(shared.V, rows[:, np.argsort(keys[:, 0])])
@@ -541,14 +551,13 @@ class TestRealFamilies:
         rng = np.random.default_rng(n)
         inputs = range(1 << n) if n <= 6 else rng.choice(1 << n, size=24, replace=False)
         for v in inputs:
-            x = OracleString.from_int(n, int(v))
-            assert_measure_matches_reference(apply_oracle(alg.psi, x), alg.meas)
+            assert_measure_matches_reference(apply_oracle(alg.psi, int(v)), alg.meas)
 
     @pytest.mark.parametrize("b", range(1, 5))
     def test_bv_measure_matches_the_complex_stack(self, b):
         concepts, alg = build_hadamard_instance(b)
-        for row in concepts.concepts:
-            assert_measure_matches_reference(apply_oracle(alg.psi, row), alg.meas)
+        for x in concept_inputs(concepts):
+            assert_measure_matches_reference(apply_oracle(alg.psi, x), alg.meas)
 
     @pytest.mark.parametrize("shared", [True, False], ids=["shared", "copied"])
     @pytest.mark.parametrize("seed", range(6))
@@ -570,8 +579,7 @@ class TestRealFamilies:
         effects = tuple((o, with_negative_zero_imag(s)) for o, s in alg.meas.effects)
         meas = ProjectiveMeasurement(effects)
         assert np.signbit(effects[0][1].amps.imag).all() and meas.V.dtype == np.float64
-        for v in range(1 << 6):
-            x = OracleString.from_int(6, v)
+        for x in range(1 << 6):
             assert_measure_matches_reference(apply_oracle(psi, x), meas)
             assert_measure_matches_reference(apply_oracle(alg.psi, x), meas)
 
@@ -705,7 +713,7 @@ class TestWithAmps:
     def test_derived_states_keep_the_parent_keys(self):
         rng = np.random.default_rng(1)
         psi = random_state(rng, 5, 3)
-        x = OracleString(tuple(int(b) for b in rng.integers(0, 2, 5)))
+        x = S("".join(map(str, rng.integers(0, 2, 5))))
         assert apply_oracle(psi, x).keys is psi.keys
         assert psi.normalized().keys is psi.keys
 
@@ -891,8 +899,8 @@ def state_and_inputs(draw):
     n = draw(st.integers(1, 4))
     k = draw(st.integers(1, 3))
     seed = draw(st.integers(0, 2**32 - 1))
-    x = OracleString.from_int(n, draw(st.integers(0, (1 << n) - 1)))
-    y = OracleString.from_int(n, draw(st.integers(0, (1 << n) - 1)))
+    x = draw(st.integers(0, (1 << n) - 1))
+    y = draw(st.integers(0, (1 << n) - 1))
     psi = random_state(np.random.default_rng(seed), n, k)
     return psi, x, y
 
@@ -961,7 +969,7 @@ def ref_query_weight(psi, j):
 
 
 def ref_overlap(psi, x, y):
-    z = (x ^ y).to_int()
+    z = x ^ y
     total = 0.0
     for (t, _a), amp in psi.amplitudes.items():
         total += (1 - 2 * parity(z & odd_mask(t))) * abs(amp) ** 2
@@ -976,9 +984,8 @@ def ref_profile(psi):
 
 
 def ref_oracle(psi, x):
-    xi = x.to_int()
     return {
-        (t, a): amp * (1 - 2 * parity(xi & odd_mask(t))) for (t, a), amp in psi.amplitudes.items()
+        (t, a): amp * (1 - 2 * parity(x & odd_mask(t))) for (t, a), amp in psi.amplitudes.items()
     }
 
 
@@ -1016,9 +1023,16 @@ def test_kernels_bit_identical_to_tuple_loops(psi):
     if (psi.n + 1) ** psi.k <= 1 << 20:
         assert same_bits(amplitude_profile(psi).values, ref_profile(psi))
     for _ in range(5):
-        x, y = (OracleString(tuple(int(b) for b in rng.integers(0, 2, psi.n))) for _ in "xy")
+        x, y = (S("".join(map(str, rng.integers(0, 2, psi.n)))) for _ in "xy")
         assert same_bits(oracle_pair_overlap(psi, x, y), ref_overlap(psi, x, y))
         assert same_dict(apply_oracle(psi, x), ref_oracle(psi, x))
+
+
+def test_oracle_signs_on_100_bit_inputs_match_the_entry_loop():
+    psi = random_state(np.random.default_rng(7), 100, 3, ancilla_dim=2, support_size=40)
+    for x in ((1 << 100) - 1, 1 << 99 | 1, S("01" * 50), 0):
+        want = [1 - 2 * parity(x & odd_mask(t)) for t in psi.index.tolist()]
+        assert same_bits(oracle_signs(psi, x), np.array(want, dtype=float))
 
 
 def test_normalized_bit_identical_to_python_division():
