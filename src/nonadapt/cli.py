@@ -192,7 +192,7 @@ def cmd_bv(args: argparse.Namespace) -> int:
     inputs = [int(word[::-1], 2) for word in encode_bits(concepts.bits)]
     success = [run_algorithm(alg, x).get(s, 0.0) for s, x in enumerate(inputs)]
     # the most overlapping pair sets the floor; at eps = 1/2 the overlap check cannot fail
-    w = check_pairwise_overlaps(amplitude_profile(alg.psi), concepts, 0.5).worst()
+    w = check_pairwise_overlaps(alg.psi, concepts, 0.5).worst()
     floor = helstrom_error(min(math.sqrt(w.overlap_sq), 1.0))
     min_size = len(min_distinguishing_set(concepts))
     ok = min(success) >= 1.0 - ATOL

@@ -18,13 +18,14 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .bounds import _exact_slices
 from .errors import (
     BoundViolation, ContractViolation, InputOutsideClass, ParseError, ValidationError, read_input,
     render_json,
 )
 from .qstate import (
-    IndexTuple, QueryState, check_input, decode_words, encode_bits, odd_mask, oracle_phase,
-    ordered_sum, parity,
+    IndexTuple, QueryState, check_input, decode_words, encode_bits, fwht, odd_mask, odd_masks,
+    oracle_phase, ordered_sum, parity,
 )
 
 MAX_TENSOR_POSITIONS = 1 << 20
@@ -34,6 +35,15 @@ MAX_TENSOR_BITS = 1 << 24
 MAX_OVERLAP_PAIRS = 1 << 17
 # violating pairs a BoundViolation carries, the first in pair order
 MAX_REPORTED_VIOLATIONS = 16
+# check_pairwise_overlaps takes the spectrum path, for n <= MAX_SPECTRUM_BITS, when
+# SPECTRUM_STEP_CELLS * n 2^n + SPECTRUM_FIXED_CELLS <= m^2 s.  With one BLAS thread on
+# a 2-vCPU Xeon, a Gram cell costs about 0.12 ns and a transform step 5-13 ns (n = 14
+# to 18: three or four slices and the autocorrelation's two transforms), about 64
+# cells; the spectrum path's fixed work takes about 100 us more than the Gram's, about
+# 2^20 cells.  Past n = 20 each 2^n transform is 8 MB and tens of ms.
+MAX_SPECTRUM_BITS = 20
+SPECTRUM_STEP_CELLS = 64
+SPECTRUM_FIXED_CELLS = 1 << 20
 # min_distinguishing_set's exact-search limit, in subset tests times concepts
 # (about 10 ns each on a 2-CPU Xeon, so under 0.2 s)
 MAX_EXACT_CELLS = 1 << 24
@@ -94,6 +104,11 @@ def _all_distinct(bits: np.ndarray) -> bool:
     """True iff no two rows are equal: the sorted keys have no two equal neighbours."""
     keys = np.sort(pattern_keys(bits))
     return not (keys[1:] == keys[:-1]).any()
+
+
+def _codes(c: ConceptClass) -> np.ndarray:
+    """Each concept as an int64, position j in bit j - 1; only for n <= 62."""
+    return (c.bits.astype(np.int64) << np.arange(c.n)).sum(axis=1)
 
 
 def _count(v: int) -> str:
@@ -167,7 +182,7 @@ def min_distinguishing_set(c: ConceptClass) -> tuple[int, ...]:
         return ()
     if c.n > 24:
         raise ValidationError(f"exact search enumerates subsets of [{c.n}]; n <= 24 required")
-    codes = (c.bits.astype(np.int64) << np.arange(c.n)).sum(axis=1)
+    codes = _codes(c)
     budget = MAX_EXACT_CELLS // c.m  # subsets tested before the cells pass the limit
     block = max(1, EXACT_BLOCK_CELLS // c.m)
     # s positions separate at most 2^s concepts
@@ -334,17 +349,32 @@ class PairOverlap:
 @dataclass(frozen=True, eq=False)
 class OverlapReport:
     """The m(m-1)/2 pairs (i, j), i < j, in pair order: overlap_sq and ok (overlap_sq <= bound
-    + 1e-12) per pair; the (P, 2) ``pairs`` rows are built only when read.
+    + 1e-12) per pair, and the (P, 2) ``pairs`` rows, each built only when read.
+
+    Without ``codes``, ``sq`` is overlap_sq itself (the Gram path).  With ``codes``, the
+    concepts as integers, ``sq`` holds the squared overlap of a pair by the XOR of its
+    codes (the spectrum path), and worst() and passed read it without any pair array.
     """
 
     bound: float
     m: int
-    overlap_sq: np.ndarray
-    ok: np.ndarray
+    sq: np.ndarray
+    codes: np.ndarray | None = None
+
+    @cached_property
+    def overlap_sq(self) -> np.ndarray:
+        if self.codes is None:
+            return self.sq
+        upper = np.arange(self.m)[:, None] < np.arange(self.m)  # row-major: pair order
+        return self.sq[(self.codes[:, None] ^ self.codes)[upper]]
+
+    @cached_property
+    def ok(self) -> np.ndarray:
+        return self.overlap_sq <= self.bound + 1e-12
 
     @property
     def passed(self) -> bool:
-        return bool(self.ok.all())
+        return self.m < 2 or self.worst().ok
 
     @cached_property
     def pairs(self) -> np.ndarray:
@@ -370,38 +400,126 @@ class OverlapReport:
 
         ok only turns false as overlap_sq grows, so it is ok iff every pair is.
         """
-        if not len(self.overlap_sq):
+        if self.m < 2:
             raise ContractViolation(f"no concept pair was checked (m = {self.m})")
-        r = int(np.argmax(self.overlap_sq))
-        i, j = self._pair_rows(np.array([r]))[0].tolist()
-        return PairOverlap(i, j, float(self.overlap_sq[r]), bool(self.ok[r]))
+        if self.codes is None:
+            r = int(np.argmax(self.sq))
+            i, j = self._pair_rows(np.array([r]))[0].tolist()
+        else:
+            i, j = self._first_top_pair
+            r = self.codes[i] ^ self.codes[j]
+        return PairOverlap(i, j, float(self.sq[r]), bool(self.sq[r] <= self.bound + 1e-12))
+
+    @cached_property
+    def _first_top_pair(self) -> tuple[int, int]:
+        """The first pair in pair order whose codes' XOR has the largest sq among the pairs'.
+
+        The XORs that occur come from one autocorrelation: fwht(fwht(1_C)^2) is 2^n times
+        the count of ordered pairs per XOR.  Its partial sums are integers of at most the
+        squares' total, 2^n m <= 2^(2n), so it is exact for n <= 26.  The first pair is
+        then searched row by row, in blocks, and is found in the first block when row 0
+        has a tied partner, as every concept of the full class has.
+        """
+        member = np.zeros(len(self.sq))
+        member[self.codes] = 1.0
+        occurs = fwht(np.square(fwht(member))) > 0.0
+        occurs[0] = False  # XOR 0 pairs a concept with itself
+        tied = occurs & (self.sq == np.max(self.sq, where=occurs, initial=-np.inf))
+        rows = max(1, EXACT_BLOCK_CELLS // self.m)
+        for start in range(0, self.m, rows):
+            i = np.arange(start, min(start + rows, self.m))
+            hit = tied[self.codes[i, None] ^ self.codes] & (i[:, None] < np.arange(self.m))
+            if hit.any():
+                r, j = divmod(int(np.argmax(hit)), self.m)  # row-major: the first in pair order
+                return start + r, j
+        raise RuntimeError("unreachable: the largest sq is some pair's")
 
 
-def check_pairwise_overlaps(
-    profile: AmplitudeProfile, c: ConceptClass, eps: float
-) -> OverlapReport:
-    """Check (sum_i p_i (-1)^(x_i + y_i))^2 <= 4 eps (1-eps) for every concept pair.
+def _overlap_bound(eps: float) -> float:
+    if not 0.0 <= eps <= 0.5:
+        raise ContractViolation(f"eps must be in [0, 1/2], got {eps}")
+    return 4.0 * eps * (1.0 - eps)
 
-    This is the feasibility constraint a one-query learner's squared
-    amplitudes must satisfy when it identifies every concept with error at
-    most eps.  One Gram product over the profile's support gives every pair,
-    the same for any BLAS thread count but not for every BLAS kernel: the
-    kernel picks the product's summation order, so the last bits of an
-    overlap, and with them the binding pair among near ties, can move
-    (OpenBLAS's Prescott kernel does so on learn vandam n = 8, k = 4).
+
+def _gram_overlaps(profile: AmplitudeProfile, c: ConceptClass, eps: float) -> OverlapReport:
+    """Every pair's overlap from one float64 Gram product over the profile's support.
+
+    The profile weights c's positions, position 0 (which never differs) included.
     """
     if profile.positions != c.n + 1:
         raise ContractViolation(f"profile has {profile.positions} positions, expected {c.n + 1}")
-    if not 0.0 <= eps <= 0.5:
-        raise ContractViolation(f"eps must be in [0, 1/2], got {eps}")
+    bound = _overlap_bound(eps)
     p = profile.values
     supp = np.flatnonzero(p[1:] > 0.0)  # columns of c.bits; position 0 never differs
     signs = np.where(c.bits[:, supp], -1.0, 1.0)
     gram = (signs * p[1:][supp]) @ signs.T
     gram += p[0]  # in place: the same bits as p[0] + the product
     upper = np.arange(c.m)[:, None] < np.arange(c.m)  # row-major: the pairs in pair order
-    bound, sq = 4.0 * eps * (1.0 - eps), np.square(gram[upper])
-    return OverlapReport(bound, c.m, sq, sq <= bound + 1e-12)
+    return OverlapReport(bound, c.m, np.square(gram[upper]))
+
+
+def _spectrum_overlaps(psi: QueryState, c: ConceptClass, eps: float) -> OverlapReport:
+    """Every pair's overlap as ghat(x ^ y), ghat the Walsh-Hadamard transform of the mask mass g.
+
+    g(mu) is the squared-amplitude mass of psi's entries with odd mask mu, and
+    the post-oracle states of concepts x and y overlap in
+    sum_mu g(mu) (-1)^parity((x ^ y) & mu).  ghat sums, in slice order, the
+    transforms of g's exact slices (bounds._exact_slices with K = 2^n): each
+    transform adds 2^n integers below 2^53, so it is exact, overlaps equal by
+    symmetry tie bit for bit, and no BLAS kernel is involved.
+    """
+    bound = _overlap_bound(eps)
+    size = 1 << c.n
+    g = np.bincount(odd_masks(psi.index), weights=psi.probs, minlength=size)
+    ghat = np.zeros(size)
+    for part in fwht(np.concatenate(_exact_slices(g[None], size))):
+        ghat += part
+    return OverlapReport(bound, c.m, np.square(ghat), _codes(c))
+
+
+def _spectrum_is_cheaper(n: int, m: int, s: int) -> bool:
+    """Whether the spectrum path's n 2^n transform steps beat the Gram's m^2 s cells."""
+    spectrum = SPECTRUM_STEP_CELLS * n * (1 << n) + SPECTRUM_FIXED_CELLS
+    return n <= MAX_SPECTRUM_BITS and spectrum <= m * m * s
+
+
+def check_pairwise_overlaps(
+    psi: QueryState, c: ConceptClass, eps: float,
+    profile: AmplitudeProfile | None = None, tclass: ConceptClass | None = None,
+) -> OverlapReport:
+    """Check (sum_t p_t (-1)^(x_t + y_t))^2 <= 4 eps (1-eps) for every concept pair of c.
+
+    This is the feasibility constraint a one-query learner of the k-fold tensor
+    class must satisfy when it identifies every concept with error at most eps:
+    p is psi's amplitude profile and x_t a concept's tensor bit at position t.
+    The sum is also ghat(x ^ y), the Walsh-Hadamard transform of psi's mass per
+    odd mask, so the check has two paths, chosen by _spectrum_is_cheaper from
+    n, m and the profile's support size s (see SPECTRUM_STEP_CELLS):
+
+    - the spectrum path, for n <= 20 where about n 2^n transform steps cost
+      less than m^2 s Gram cells: one exact transform of the mask mass.
+      Overlaps equal by symmetry tie bit for bit, the binding pair is the
+      first in pair order among exact ties, and no BLAS product is involved,
+      so no BLAS kernel or thread count moves a bit.  Its report builds a pair
+      array only when violations() or the arrays are read.
+    - the Gram path: one float64 Gram product over c's tensor class on the
+      support, tclass when given (build_classical_plan passes the class its
+      cover reads, and psi's profile), else built here.  Its bits are the
+      same for any BLAS thread count but not for every BLAS kernel: the kernel
+      picks the product's summation order, so the last bits of an overlap,
+      and with them the binding pair among near ties, can move.
+    """
+    if psi.n != c.n:
+        raise ContractViolation(f"state has n={psi.n}, concept class has n={c.n}")
+    p = (amplitude_profile(psi) if profile is None else profile).values
+    support = np.flatnonzero(p[1:] > 0.0) + 1
+    if _spectrum_is_cheaper(c.n, c.m, len(support)):
+        return _spectrum_overlaps(psi, c, eps)
+    if tclass is None:
+        tclass = tensor_power_class(c, psi.k, support)
+    # dropping zeros keeps the profile's sum, so its check, bit for bit
+    reduced = AmplitudeProfile(np.concatenate([p[:1], p[support]]))
+    return _gram_overlaps(reduced, tclass, eps)
 
 
 def classical_query_bound(m: int, eps: float) -> float:
@@ -545,11 +663,14 @@ def build_classical_plan(learner, concepts: ConceptClass, eps: float) -> PlanRes
     The learner may be a full algorithm or a bare input state; only its state
     (and implied query count k) is consumed, and the caller is responsible
     for having verified that it learns the class with error at most eps.
-    Steps: check the pairwise overlap constraints on the tensor class, cover
-    every pair greedily by the tensor positions where the amplitude profile
-    has mass, and expand the chosen tuples into base query positions.  The
-    tensor class is built on those positions only: a position without mass
-    adds nothing to an overlap and is never a candidate.  A
+    Steps: build the tensor class on the positions where the amplitude profile
+    has mass (a position without mass adds nothing to an overlap and is never
+    a candidate), check the pairwise overlap constraints, cover every pair
+    greedily by those positions, and expand the chosen tuples into base query
+    positions.  The check takes the exact spectrum path or the Gram path over
+    the tensor class, whichever its cost model finds cheaper; only the Gram
+    path's last bits, and so a binding pair among near ties, can depend on
+    the BLAS kernel (see check_pairwise_overlaps).  A
     pair within the overlap bound is separated by a profile draw with
     probability at least delta = (1 - c)/2, c = 2 sqrt(eps(1-eps)), so the
     greedy cover takes at most floor(ln P / delta) + 1 <= 4 log2(m) / (1 - c)
@@ -579,12 +700,10 @@ def build_classical_plan(learner, concepts: ConceptClass, eps: float) -> PlanRes
             f"{MAX_TENSOR_BITS} bits or {MAX_OVERLAP_PAIRS} pairs"
         )
 
-    profile = amplitude_profile(psi).values
-    support = np.flatnonzero(profile[1:] > 0.0) + 1
+    profile = amplitude_profile(psi)
+    support = np.flatnonzero(profile.values[1:] > 0.0) + 1
     tclass = tensor_power_class(concepts, k, support)
-    # dropping zeros keeps the profile's sum, so its check, bit for bit
-    reduced = AmplitudeProfile(np.concatenate([profile[:1], profile[support]]))
-    report = check_pairwise_overlaps(reduced, tclass, eps)
+    report = check_pairwise_overlaps(psi, concepts, eps, profile, tclass)
     if not report.passed:
         worst = report.worst()
         raise BoundViolation(

@@ -19,7 +19,6 @@ from nonadapt import algorithms, cli, learning, qstate
 from nonadapt.cli import build_parser, main
 from nonadapt.learning import (
     ClassicalOracle,
-    amplitude_profile,
     check_pairwise_overlaps,
     classical_learn,
 )
@@ -229,7 +228,7 @@ class TestLearnCommand:
         assert "plan" not in audit
         assert audit["pairs_checked"] == 8 * 7 // 2
         concepts, alg = algorithms.build_hadamard_instance(3)
-        worst = check_pairwise_overlaps(amplitude_profile(alg.psi), concepts, 0.0).worst()
+        worst = check_pairwise_overlaps(alg.psi, concepts, 0.0).worst()
         assert audit["overlap_margins"] == [{
             "i": worst.i, "j": worst.j, "overlap_sq": worst.overlap_sq,
             "margin": audit["overlap_bound"] - worst.overlap_sq, "ok": True,

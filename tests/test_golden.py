@@ -182,16 +182,18 @@ def test_sweep_golden_under_blas_threads(threads):
 
 @pytest.mark.parametrize("core", ["Prescott", "Haswell"])
 def test_hadamard_golden_under_blas_kernels(core):
-    """parity and bv output must not depend on the BLAS kernel behind their float64 Gram.
+    """parity, bv and the learn case on the spectrum path must not depend on the BLAS kernel.
 
-    The Gram only gates orthonormality at 1e-9, so no kernel may move a printed bit.
+    parity and bv's float64 Gram only gates orthonormality at 1e-9, so no kernel
+    may move a printed bit; learn vandam n = 8, k = 4 takes its overlaps from an
+    exact transform, with no BLAS product behind its binding pair.
     """
     features = pytest.importorskip("numpy._core._multiarray_umath").__cpu_features__
     if core == "Haswell" and not (features.get("AVX2") and features.get("FMA3")):
         pytest.skip("OpenBLAS's Haswell kernels need AVX2 and FMA3")
-    cases = {name: CASES[name] for name in ("parity-n14", "bv-b4")}
+    cases = {name: CASES[name] for name in ("parity-n14", "bv-b4", "learn-vandam-n8-k4")}
     runs = fresh_runs(cases, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1")["runs"]
-    assert_runs_match_golden(runs, 2)
+    assert_runs_match_golden(runs, 3)
 
 
 if __name__ == "__main__":

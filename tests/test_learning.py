@@ -430,31 +430,33 @@ class TestAmplitudeProfile:
 class TestPairwiseOverlaps:
     def test_hadamard_class_passes_at_zero(self):
         concepts, alg = build_hadamard_instance(2)
-        report = check_pairwise_overlaps(amplitude_profile(alg.psi), concepts, eps=0.0)
+        report = check_pairwise_overlaps(alg.psi, concepts, eps=0.0)
         assert report.passed
         assert (report.overlap_sq <= 1e-12).all()
 
     def test_point_mass_on_reference_fails(self):
-        prof = AmplitudeProfile((1.0, 0.0, 0.0))
-        report = check_pairwise_overlaps(prof, concept_class(2, ("00", "11")), eps=0.25)
+        psi = QueryState(2, 1, {((0,), 0): 1.0})
+        report = check_pairwise_overlaps(psi, concept_class(2, ("00", "11")), eps=0.25)
         assert not report.passed
         assert report.violations()[0].overlap_sq == pytest.approx(1.0)
 
     def test_far_pair_with_loose_budget(self):
-        prof = AmplitudeProfile((0.0, 0.25, 0.25, 0.25, 0.25))
-        report = check_pairwise_overlaps(prof, concept_class(4, ("0000", "1111")), eps=0.3)
+        psi = QueryState(4, 1, {((i,), 0): 0.5 for i in range(1, 5)})
+        report = check_pairwise_overlaps(psi, concept_class(4, ("0000", "1111")), eps=0.3)
         # the signed sum is -1, so its square saturates 1 > 4 * 0.3 * 0.7
         assert not report.passed
         assert report.overlap_sq[0] == pytest.approx(1.0)
 
     def test_pair_count(self):
         concepts, alg = build_hadamard_instance(2)
-        report = check_pairwise_overlaps(amplitude_profile(alg.psi), concepts, eps=0.1)
+        report = check_pairwise_overlaps(alg.psi, concepts, eps=0.1)
         assert len(report.pairs) == concepts.m * (concepts.m - 1) // 2
 
     def test_profile_length_checked(self):
-        with pytest.raises(ContractViolation):
-            check_pairwise_overlaps(AmplitudeProfile.uniform(3), THREE, eps=0.1)
+        with pytest.raises(ContractViolation, match="profile has 3 positions, expected 4"):
+            learning._gram_overlaps(AmplitudeProfile.uniform(3), THREE, eps=0.1)
+        with pytest.raises(ContractViolation, match="state has n=2, concept class has n=3"):
+            check_pairwise_overlaps(build_subset_state(2, 1), THREE, eps=0.1)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_per_position_loop(self, seed):
@@ -468,7 +470,7 @@ class TestPairwiseOverlaps:
         profile = AmplitudeProfile(tuple((p / p.sum()).tolist()))
         want = reference_overlap_sq(profile, c)
         eps = (1.0 - math.sqrt(1.0 - float(np.median(want)))) / 2.0  # about half the pairs fail
-        report = check_pairwise_overlaps(profile, c, eps)
+        report = learning._gram_overlaps(profile, c, eps)
         assert report.pairs.tolist() == [[i, j] for i in range(m) for j in range(i + 1, m)]
         np.testing.assert_allclose(report.overlap_sq, want, rtol=0, atol=1e-12)
         assert report.ok.tolist() == (want <= report.bound + 1e-12).tolist()
@@ -484,7 +486,7 @@ class TestPairwiseOverlaps:
         n, m = 6, 24
         words = rng.choice(1 << n, size=m, replace=False)
         c = ConceptClass(n, (words[:, None] >> np.arange(n)) & 1)
-        report = check_pairwise_overlaps(AmplitudeProfile.uniform(n + 1), c, eps=0.2)
+        report = learning._gram_overlaps(AmplitudeProfile.uniform(n + 1), c, eps=0.2)
         sq = report.overlap_sq.tolist()
         r = sq.index(max(sq))
         assert sq.count(sq[r]) > 1
@@ -499,7 +501,7 @@ class TestPairwiseOverlaps:
         words = rng.choice(1 << n, size=m, replace=False)
         c = ConceptClass(n, (words[:, None] >> np.arange(n)) & 1)
         p = rng.uniform(size=n + 1)
-        report = check_pairwise_overlaps(AmplitudeProfile(p / p.sum()), c, eps=0.05 + 0.4 * rng.uniform())
+        report = learning._gram_overlaps(AmplitudeProfile(p / p.sum()), c, eps=0.05 + 0.4 * rng.uniform())
         i, j = np.triu_indices(m, 1)
         assert report.pairs.tolist() == np.stack([i, j], axis=1).tolist()
         r = int(np.argmax(report.overlap_sq))
@@ -513,10 +515,71 @@ class TestPairwiseOverlaps:
             )
 
     def test_one_concept_has_no_worst_pair(self):
-        report = check_pairwise_overlaps(AmplitudeProfile.uniform(3), concept_class(2, ("01",)), 0.1)
-        assert report.passed and report.violations() == () and report.pairs.shape == (0, 2)
-        with pytest.raises(ContractViolation, match=r"no concept pair was checked \(m = 1\)"):
-            report.worst()
+        one = concept_class(2, ("01",))
+        for report in (learning._gram_overlaps(AmplitudeProfile.uniform(3), one, 0.1),
+                       learning._spectrum_overlaps(build_subset_state(2, 1), one, 0.1)):
+            assert report.passed and report.violations() == () and report.pairs.shape == (0, 2)
+            with pytest.raises(ContractViolation, match=r"no concept pair was checked \(m = 1\)"):
+                report.worst()
+
+
+def seeded_state(rng, n, k, ancilla_dim, d):
+    """d random entries on random ancilla labels: a third repeat their first index, so
+    several tuples share an odd mask, and a sixth are all index 0, on mask 0."""
+    rows = rng.integers(0, n + 1, size=(d, k))
+    rows[: d // 3, -1] = rows[: d // 3, 0]
+    rows[d // 3 : d // 2] = 0
+    labels = rng.integers(0, ancilla_dim, size=d).tolist()
+    amps = (rng.normal(size=d) + 1j * rng.normal(size=d)).tolist()
+    entries = {(tuple(r), a): v for r, a, v in zip(rows.tolist(), labels, amps)}
+    return QueryState(n, k, entries, ancilla_dim).normalized()
+
+
+class TestSpectrumPath:
+    """The spectrum path against the Gram path, each helper called directly."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_matches_gram_on_seeded_states(self, seed):
+        rng = np.random.default_rng([seed, 61])
+        n, k = int(rng.integers(2, 11)), int(rng.integers(1, 5))
+        psi = seeded_state(rng, n, k, int(rng.integers(1, 4)), int(rng.integers(6, 8 * n)))
+        m = int(rng.integers(2, min(64, 1 << n) + 1))
+        words = rng.choice(1 << n, size=m, replace=False)
+        c = ConceptClass(n, (words[:, None] >> np.arange(n)) & 1)
+        full = tensor_power_class(c, k, all_positions(n, k))
+        median = float(np.median(learning._gram_overlaps(amplitude_profile(psi), full, 0.5).overlap_sq))
+        eps = (1.0 - math.sqrt(max(1.0 - median, 0.0))) / 2.0  # about half the pairs fail
+        gram = learning._gram_overlaps(amplitude_profile(psi), full, eps)
+        spec = learning._spectrum_overlaps(psi, c, eps)
+        assert np.abs(spec.overlap_sq - gram.overlap_sq).max() <= 1e-15
+        assert spec.passed == gram.passed
+        assert [(v.i, v.j) for v in spec.violations(16)] == [(v.i, v.j) for v in gram.violations(16)]
+        assert abs(spec.worst().overlap_sq - gram.worst().overlap_sq) <= 1e-15
+        r = int(np.argmax(spec.overlap_sq))  # the first maximum in pair order, from the pair array
+        assert (spec.worst().i, spec.worst().j) == tuple(spec.pairs[r].tolist())
+
+    @pytest.mark.parametrize("n, k", [(4, 2), (6, 3), (8, 4)])
+    def test_subset_learner_ties_exactly(self, n, k):
+        psi, c = build_subset_state(n, k), full_concept_class(n)
+        spec = learning._spectrum_overlaps(psi, c, 1 / 16)
+        assert len(set(spec.sq[1 << np.arange(n)].tolist())) == 1  # every weight-1 XOR
+        worst = spec.worst()
+        assert (worst.i, worst.j) == (0, 1)
+        tclass = tensor_power_class(c, k, all_positions(n, k))
+        gram = learning._gram_overlaps(amplitude_profile(psi), tclass, 1 / 16)
+        assert abs(worst.overlap_sq - gram.worst().overlap_sq) <= 1e-15
+        assert spec.passed == gram.passed
+
+    def test_path_choice(self):
+        # n = 8, k = 4 on the full class is the one bench case past the threshold
+        assert learning._spectrum_is_cheaper(8, 256, 162)
+        assert not learning._spectrum_is_cheaper(6, 64, 41)
+        assert not learning._spectrum_is_cheaper(15, 16, 15)
+        assert not learning._spectrum_is_cheaper(21, 1 << 12, 1 << 12)  # beyond 20 bits
+        report = check_pairwise_overlaps(build_subset_state(8, 4), full_concept_class(8), 1 / 16)
+        assert report.codes is not None and len(report.pairs) == 256 * 255 // 2
+        report = check_pairwise_overlaps(build_subset_state(6, 3), full_concept_class(6), 1 / 16)
+        assert report.codes is None
 
 
 def reference_greedy(c, candidates, ties):
@@ -914,9 +977,7 @@ class TestBuildClassicalPlan:
         psi, concepts = build_subset_state(6, 3), full_concept_class(6)
         with pytest.raises(BoundViolation) as err:
             build_classical_plan(psi, concepts, eps=0.0)
-        report = check_pairwise_overlaps(
-            amplitude_profile(psi), tensor_power_class(concepts, 3, all_positions(6, 3)), 0.0
-        )
+        report = check_pairwise_overlaps(psi, concepts, 0.0)
         worst = report.worst()
         assert len(report.violations()) == 2016
         assert err.value.pairs == report.violations()[: learning.MAX_REPORTED_VIOLATIONS]
@@ -954,7 +1015,7 @@ class TestBuildClassicalPlan:
     def test_support_that_cannot_separate_is_refused(self, monkeypatch):
         # the overlap check rules this out, so run it at eps = 1/2, where it cannot fail
         check = learning.check_pairwise_overlaps
-        monkeypatch.setattr(learning, "check_pairwise_overlaps", lambda p, c, eps: check(p, c, 0.5))
+        monkeypatch.setattr(learning, "check_pairwise_overlaps", lambda psi, c, eps, *rest: check(psi, c, 0.5, *rest))
         a = 1 / math.sqrt(2)
         psi = QueryState(2, 1, {((0,), 0): a, ((1,), 0): a})
         with pytest.raises(BoundViolation, match="profile support cannot separate"):
@@ -1002,8 +1063,7 @@ def test_sampled_plans_within_budget(seed):
     m = int(rng.integers(2, (1 << n) + 1))
     words = rng.choice(1 << n, size=m, replace=False)
     concepts = ConceptClass(n, (words[:, None] >> np.arange(n)) & 1)
-    tclass = tensor_power_class(concepts, k, all_positions(n, k))
-    worst = check_pairwise_overlaps(amplitude_profile(psi), tclass, 0.5).worst().overlap_sq
+    worst = check_pairwise_overlaps(psi, concepts, 0.5).worst().overlap_sq
     assume(worst < 1 - 1e-9)  # the support separates every pair
     eps = helstrom_error(math.sqrt(worst)) + 1e-9
     result = build_classical_plan(psi, concepts, eps)
@@ -1027,9 +1087,9 @@ def test_plan_on_the_support_matches_the_full_tensor_class(seed):
     words = rng.choice(1 << n, size=m, replace=False)
     concepts = ConceptClass(n, (words[:, None] >> np.arange(n)) & 1)
     profile, full = amplitude_profile(psi), tensor_power_class(concepts, k, all_positions(n, k))
-    worst = check_pairwise_overlaps(profile, full, 0.5).worst().overlap_sq
+    worst = learning._gram_overlaps(profile, full, 0.5).worst().overlap_sq
     eps = min(helstrom_error(math.sqrt(min(worst, 1.0))) + 1e-9, 0.25)
-    want = check_pairwise_overlaps(profile, full, eps)
+    want = learning._gram_overlaps(profile, full, eps)
     if not want.passed:
         with pytest.raises(BoundViolation) as err:
             build_classical_plan(psi, concepts, eps)

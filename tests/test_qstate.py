@@ -412,13 +412,24 @@ class TestMeasurementValidation:
         with pytest.raises(ValidationError):
             PovmMeasurement(n=1, k=1, basis=basis, elements=((0, e0), (1, e1)))
 
-    @pytest.mark.parametrize("first", ["skew", "nan"])
+    @pytest.mark.parametrize("first", ["skew", "nan", "not PSD"])
     def test_povm_reports_the_first_bad_element(self, first):
-        # a non-Hermitian element and a non-finite one: the first in element order is named
+        # non-Hermitian, non-finite and non-PSD elements: the first in element order is named,
+        # though the PSD check runs on the whole stack after the loop
         bad = {"skew": (np.array([[0.5, 0.3], [0.0, 0.5]]), "is not Hermitian"),
-               "nan": (np.diag([math.nan, 0.5]), "has a non-finite entry")}
+               "nan": (np.diag([math.nan, 0.5]), "has a non-finite entry"),
+               "not PSD": (np.diag([1.5, -0.5]), "is not PSD")}
         elements = tuple((name, bad[name][0]) for name in sorted(bad, key=lambda o: o != first))
         with pytest.raises(ValidationError, match=f"outcome '{first}' {bad[first][1]}"):
+            PovmMeasurement(n=1, k=1, basis=(((0,), 0), ((1,), 0)), elements=elements)
+
+    @pytest.mark.parametrize("imag", [0.0, 0.25])
+    def test_povm_names_the_first_non_psd_element(self, imag):
+        # real and complex stacks: the second and third elements fail, the second is named
+        e = np.array([[0.5, imag * 1j], [-imag * 1j, 0.5]])
+        neg = np.array([[1.5, imag * 1j], [-imag * 1j, -0.5]])
+        elements = (("a", e), ("b", neg), ("c", neg), ("d", np.eye(2) - e))
+        with pytest.raises(ValidationError, match="outcome 'b' is not PSD"):
             PovmMeasurement(n=1, k=1, basis=(((0,), 0), ((1,), 0)), elements=elements)
 
     def test_povm_stack_is_read_only_and_backs_the_elements(self):
