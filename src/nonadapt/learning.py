@@ -24,7 +24,7 @@ from .errors import (
     render_json,
 )
 from .qstate import (
-    IndexTuple, QueryState, check_input, decode_words, encode_bits, fwht, odd_mask, odd_masks,
+    IndexTuple, QueryState, check_input, decode_words, encode_bits, fwht, odd_mask,
     oracle_phase, ordered_sum, parity,
 )
 
@@ -35,15 +35,15 @@ MAX_TENSOR_BITS = 1 << 24
 MAX_OVERLAP_PAIRS = 1 << 17
 # violating pairs a BoundViolation carries, the first in pair order
 MAX_REPORTED_VIOLATIONS = 16
-# check_pairwise_overlaps takes the spectrum path, for n <= MAX_SPECTRUM_BITS, when
-# SPECTRUM_STEP_CELLS * n 2^n + SPECTRUM_FIXED_CELLS <= m^2 s.  With one BLAS thread on
-# a 2-vCPU Xeon, a Gram cell costs about 0.12 ns and a transform step 5-13 ns (n = 14
-# to 18: three or four slices and the autocorrelation's two transforms), about 64
-# cells; the spectrum path's fixed work takes about 100 us more than the Gram's, about
-# 2^20 cells.  Past n = 20 each 2^n transform is 8 MB and tens of ms.
+# check_pairwise_overlaps' two paths are exact and give the same bits, so no BLAS kernel
+# moves a learn bit and the cost model only picks the faster: the spectrum path, for n <=
+# MAX_SPECTRUM_BITS, when SPECTRUM_STEP_CELLS * n 2^n + SPECTRUM_FIXED_CELLS <= m^2 u.  With
+# one BLAS thread on a 2-vCPU Xeon, a Gram cell (per pair and mask, three slices) costs
+# about 0.15 ns and a transform step 2.6 ns (n = 15), about 16 cells; the spectrum path's
+# fixed work takes 30-60 us more, about 2^18 cells.  Past n = 20 a transform is 8 MB.
 MAX_SPECTRUM_BITS = 20
-SPECTRUM_STEP_CELLS = 64
-SPECTRUM_FIXED_CELLS = 1 << 20
+SPECTRUM_STEP_CELLS = 16
+SPECTRUM_FIXED_CELLS = 1 << 18
 # min_distinguishing_set's exact-search limit, in subset tests times concepts
 # (about 10 ns each on a 2-CPU Xeon, so under 0.2 s)
 MAX_EXACT_CELLS = 1 << 24
@@ -441,85 +441,74 @@ def _overlap_bound(eps: float) -> float:
     return 4.0 * eps * (1.0 - eps)
 
 
-def _gram_overlaps(profile: AmplitudeProfile, c: ConceptClass, eps: float) -> OverlapReport:
-    """Every pair's overlap from one float64 Gram product over the profile's support.
+def _mass_slices(psi: QueryState) -> tuple[np.ndarray, list[np.ndarray]]:
+    """psi's distinct odd masks and the nonzero exact slices of their mass g, in slice order.
 
-    The profile weights c's positions, position 0 (which never differs) included.
+    bounds._exact_slices with K = 2^n up to MAX_SPECTRUM_BITS, the transform's length,
+    and K = u, the mask count, above: a signed sum of a slice over the masks is an
+    integer below 2^53 in its unit, exact in any order.  All-zero slices add nothing.
     """
-    if profile.positions != c.n + 1:
-        raise ContractViolation(f"profile has {profile.positions} positions, expected {c.n + 1}")
-    bound = _overlap_bound(eps)
-    p = profile.values
-    supp = np.flatnonzero(p[1:] > 0.0)  # columns of c.bits; position 0 never differs
-    signs = np.where(c.bits[:, supp], -1.0, 1.0)
-    gram = (signs * p[1:][supp]) @ signs.T
-    gram += p[0]  # in place: the same bits as p[0] + the product
+    masks, g = psi.mask_mass
+    K = 1 << psi.n if psi.n <= MAX_SPECTRUM_BITS else len(g)
+    return masks, [part[0] for part in _exact_slices(g[None], K) if part.any()]
+
+
+def _gram_overlaps(psi: QueryState, c: ConceptClass, eps: float) -> OverlapReport:
+    """Every pair's overlap as sum_mu g(mu) s_i(mu) s_j(mu), s_i(mu) = (-1)^parity(x_i & mu).
+
+    One exact Gram product of the (m, u) signs per slice of g (see _mass_slices), added
+    in slice order from +0.0: _spectrum_overlaps' bits under any BLAS kernel, so the
+    cost model only picks the faster of the two.
+    """
+    masks, parts = _mass_slices(psi)
+    odd = (np.bitwise_count(_codes(c)[:, None] & masks) if masks.ndim == 1
+           else c.bits.astype(np.int64) @ masks.T) & 1  # 0/1 mask rows: an exact integer product
+    signs = np.where(odd, -1.0, 1.0)
+    gram = sum(((signs * part) @ signs.T for part in parts), np.zeros((c.m, c.m)))
     upper = np.arange(c.m)[:, None] < np.arange(c.m)  # row-major: the pairs in pair order
-    return OverlapReport(bound, c.m, np.square(gram[upper]))
+    return OverlapReport(_overlap_bound(eps), c.m, np.square(gram[upper]))
 
 
 def _spectrum_overlaps(psi: QueryState, c: ConceptClass, eps: float) -> OverlapReport:
     """Every pair's overlap as ghat(x ^ y), ghat the Walsh-Hadamard transform of the mask mass g.
 
-    g(mu) is the squared-amplitude mass of psi's entries with odd mask mu, and
-    the post-oracle states of concepts x and y overlap in
-    sum_mu g(mu) (-1)^parity((x ^ y) & mu).  ghat sums, in slice order, the
-    transforms of g's exact slices (bounds._exact_slices with K = 2^n): each
-    transform adds 2^n integers below 2^53, so it is exact, overlaps equal by
-    symmetry tie bit for bit, and no BLAS kernel is involved.
+    The states of concepts x and y overlap in sum_mu g(mu) (-1)^parity((x ^ y) & mu);
+    ghat adds, in slice order from +0.0, the exact transforms of g's slices (see
+    _mass_slices), so overlaps equal by symmetry tie bit for bit.
     """
-    bound = _overlap_bound(eps)
-    size = 1 << c.n
-    g = np.bincount(odd_masks(psi.index), weights=psi.probs, minlength=size)
-    ghat = np.zeros(size)
-    for part in fwht(np.concatenate(_exact_slices(g[None], size))):
-        ghat += part
-    return OverlapReport(bound, c.m, np.square(ghat), _codes(c))
+    masks, parts = _mass_slices(psi)
+    stack = np.zeros((len(parts), 1 << c.n))
+    stack[:, masks] = parts
+    ghat = sum(fwht(stack), np.zeros(1 << c.n))
+    return OverlapReport(_overlap_bound(eps), c.m, np.square(ghat), _codes(c))
 
 
-def _spectrum_is_cheaper(n: int, m: int, s: int) -> bool:
-    """Whether the spectrum path's n 2^n transform steps beat the Gram's m^2 s cells."""
+def _spectrum_is_cheaper(n: int, m: int, u: int) -> bool:
+    """Whether the spectrum path's n 2^n transform steps beat the Gram's m^2 u cells."""
     spectrum = SPECTRUM_STEP_CELLS * n * (1 << n) + SPECTRUM_FIXED_CELLS
-    return n <= MAX_SPECTRUM_BITS and spectrum <= m * m * s
+    return n <= MAX_SPECTRUM_BITS and spectrum <= m * m * u
 
 
-def check_pairwise_overlaps(
-    psi: QueryState, c: ConceptClass, eps: float,
-    profile: AmplitudeProfile | None = None, tclass: ConceptClass | None = None,
-) -> OverlapReport:
+def check_pairwise_overlaps(psi: QueryState, c: ConceptClass, eps: float) -> OverlapReport:
     """Check (sum_t p_t (-1)^(x_t + y_t))^2 <= 4 eps (1-eps) for every concept pair of c.
 
     This is the feasibility constraint a one-query learner of the k-fold tensor
     class must satisfy when it identifies every concept with error at most eps:
     p is psi's amplitude profile and x_t a concept's tensor bit at position t.
-    The sum is also ghat(x ^ y), the Walsh-Hadamard transform of psi's mass per
-    odd mask, so the check has two paths, chosen by _spectrum_is_cheaper from
-    n, m and the profile's support size s (see SPECTRUM_STEP_CELLS):
-
-    - the spectrum path, for n <= 20 where about n 2^n transform steps cost
-      less than m^2 s Gram cells: one exact transform of the mask mass.
-      Overlaps equal by symmetry tie bit for bit, the binding pair is the
-      first in pair order among exact ties, and no BLAS product is involved,
-      so no BLAS kernel or thread count moves a bit.  Its report builds a pair
-      array only when violations() or the arrays are read.
-    - the Gram path: one float64 Gram product over c's tensor class on the
-      support, tclass when given (build_classical_plan passes the class its
-      cover reads, and psi's profile), else built here.  Its bits are the
-      same for any BLAS thread count but not for every BLAS kernel: the kernel
-      picks the product's summation order, so the last bits of an overlap,
-      and with them the binding pair among near ties, can move.
+    The sum is also ghat(x ^ y), ghat the transform of g, psi's mass per odd
+    mask.  Both paths sum g's exact slices (see _mass_slices), the spectrum path
+    by transforms, building pair arrays only when read, and the Gram path by
+    products over the u masks.  They give the same bits, so no BLAS kernel or
+    thread count moves one, ties are exact, and _spectrum_is_cheaper only picks
+    the faster (see SPECTRUM_STEP_CELLS).
     """
     if psi.n != c.n:
         raise ContractViolation(f"state has n={psi.n}, concept class has n={c.n}")
-    p = (amplitude_profile(psi) if profile is None else profile).values
-    support = np.flatnonzero(p[1:] > 0.0) + 1
-    if _spectrum_is_cheaper(c.n, c.m, len(support)):
+    if not psi.is_normalized():
+        raise ContractViolation("state must be normalized")
+    if _spectrum_is_cheaper(c.n, c.m, len(psi.mask_mass[1])):
         return _spectrum_overlaps(psi, c, eps)
-    if tclass is None:
-        tclass = tensor_power_class(c, psi.k, support)
-    # dropping zeros keeps the profile's sum, so its check, bit for bit
-    reduced = AmplitudeProfile(np.concatenate([p[:1], p[support]]))
-    return _gram_overlaps(reduced, tclass, eps)
+    return _gram_overlaps(psi, c, eps)
 
 
 def classical_query_bound(m: int, eps: float) -> float:
@@ -663,18 +652,17 @@ def build_classical_plan(learner, concepts: ConceptClass, eps: float) -> PlanRes
     The learner may be a full algorithm or a bare input state; only its state
     (and implied query count k) is consumed, and the caller is responsible
     for having verified that it learns the class with error at most eps.
-    Steps: build the tensor class on the positions where the amplitude profile
-    has mass (a position without mass adds nothing to an overlap and is never
-    a candidate), check the pairwise overlap constraints, cover every pair
-    greedily by those positions, and expand the chosen tuples into base query
-    positions.  The check takes the exact spectrum path or the Gram path over
-    the tensor class, whichever its cost model finds cheaper; only the Gram
-    path's last bits, and so a binding pair among near ties, can depend on
-    the BLAS kernel (see check_pairwise_overlaps).  A
-    pair within the overlap bound is separated by a profile draw with
-    probability at least delta = (1 - c)/2, c = 2 sqrt(eps(1-eps)), so the
-    greedy cover takes at most floor(ln P / delta) + 1 <= 4 log2(m) / (1 - c)
-    tuples of at most k base queries each.  The plan is deterministic,
+    Steps: build the tensor class on the support, the positions of psi's
+    entries with nonzero probability (no other position adds to an overlap),
+    check the pairwise overlaps, cover every pair greedily by the support, and
+    expand the chosen tuples into base queries.  The check reads psi's mass per
+    odd mask, not the tensor class; its two paths are exact and give the same
+    bits, its cost model only picks the faster, and no BLAS kernel moves a bit
+    (see check_pairwise_overlaps).  A pair within the overlap bound is
+    separated by a profile draw with probability at least delta = (1 - c)/2,
+    c = 2 sqrt(eps(1-eps)), so the greedy cover takes at most
+    floor(ln P / delta) + 1 <= 4 log2(m) / (1 - c) tuples of at most k base
+    queries each.  The plan is deterministic,
     identifies every concept exactly, and stays within
     ceil(4 k log2(m) / (1 - 2 sqrt(eps(1-eps)))) base queries, checked at runtime.
     """
@@ -700,10 +688,10 @@ def build_classical_plan(learner, concepts: ConceptClass, eps: float) -> PlanRes
             f"{MAX_TENSOR_BITS} bits or {MAX_OVERLAP_PAIRS} pairs"
         )
 
-    profile = amplitude_profile(psi)
-    support = np.flatnonzero(profile.values[1:] > 0.0) + 1
+    positions = np.sort((psi.index @ (psi.n + 1) ** np.arange(k))[psi.probs > 0.0])
+    support = positions[positions > np.concatenate([[0], positions[:-1]])]  # distinct, not 0
     tclass = tensor_power_class(concepts, k, support)
-    report = check_pairwise_overlaps(psi, concepts, eps, profile, tclass)
+    report = check_pairwise_overlaps(psi, concepts, eps)
     if not report.passed:
         worst = report.worst()
         raise BoundViolation(

@@ -239,7 +239,7 @@ class QueryState:
     keys are exactly zero): ``keys`` (d, k + 1) int64, each row an index
     tuple and then its ancilla label, whose column views are ``index``
     (d, k) and ``ancilla`` (d,), and ``amps`` (d,) complex128.  ``probs``,
-    ``squared_norm()`` and ``odd_incidence`` are computed once;
+    ``squared_norm()``, ``odd_incidence`` and ``mask_mass`` are computed once;
     ``amplitudes``, the dict in stored order, only on request.
     ``entries()`` iterates in canonical order (lexicographic in the tuple,
     then the ancilla label) so reports and serialized files are
@@ -322,6 +322,18 @@ class QueryState:
     @cached_property
     def odd_incidence(self) -> tuple[np.ndarray, np.ndarray]:
         return odd_incidence(self.index)
+
+    @cached_property
+    def mask_mass(self) -> tuple[np.ndarray, np.ndarray]:
+        """The entries' distinct odd masks, sorted (int64 for n <= 62, else 0/1 rows of n), and
+        g, their probs summed per mask in entry order, as a bincount over all 2^n masks adds."""
+        if self.n <= 62:
+            masks, which = np.unique(odd_masks(self.index), return_inverse=True)
+        else:
+            rows = np.zeros((len(self.keys), self.n + 1), dtype=np.uint8)
+            rows[self.odd_incidence] = 1
+            masks, which = np.unique(rows[:, 1:], axis=0, return_inverse=True)
+        return masks, np.bincount(which.ravel(), weights=self.probs)
 
     @cached_property
     def amplitudes(self) -> dict[AmplitudeKey, complex]:

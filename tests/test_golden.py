@@ -19,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from nonadapt import learning
 from nonadapt.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -182,18 +183,31 @@ def test_sweep_golden_under_blas_threads(threads):
 
 @pytest.mark.parametrize("core", ["Prescott", "Haswell"])
 def test_hadamard_golden_under_blas_kernels(core):
-    """parity, bv and the learn case on the spectrum path must not depend on the BLAS kernel.
+    """parity, bv and every learn case must not depend on the BLAS kernel.
 
     parity and bv's float64 Gram only gates orthonormality at 1e-9, so no kernel
-    may move a printed bit; learn vandam n = 8, k = 4 takes its overlaps from an
-    exact transform, with no BLAS product behind its binding pair.
+    may move a printed bit; learn's overlaps on either path are sums of integers
+    below 2^53 in their unit, exact in any summation order.
     """
     features = pytest.importorskip("numpy._core._multiarray_umath").__cpu_features__
     if core == "Haswell" and not (features.get("AVX2") and features.get("FMA3")):
         pytest.skip("OpenBLAS's Haswell kernels need AVX2 and FMA3")
-    cases = {name: CASES[name] for name in ("parity-n14", "bv-b4", "learn-vandam-n8-k4")}
+    cases = {name: argv for name, argv in CASES.items()
+             if name.startswith("learn") or name in ("parity-n14", "bv-b3", "bv-b4")}
     runs = fresh_runs(cases, OPENBLAS_CORETYPE=core, OPENBLAS_NUM_THREADS="1")["runs"]
-    assert_runs_match_golden(runs, 3)
+    assert_runs_match_golden(runs, 9)
+
+
+@pytest.mark.parametrize("spectrum", [True, False])
+def test_overlap_path_leaves_stdout(monkeypatch, spectrum):
+    """Forcing either overlap path prints every learn case with n <= 20, and bv, unchanged."""
+    monkeypatch.setattr(learning, "_spectrum_is_cheaper", lambda n, m, u: spectrum)
+    names = [name for name in sorted(CASES) if name.startswith(("learn", "bv"))]
+    names.remove("learn-state-n100")  # n = 100: past the spectrum path's 20 bits
+    exit_codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    for name in names:
+        code, out = run_case(CASES[name])
+        assert (code, out) == (exit_codes[name], (GOLDEN / f"{name}.stdout").read_text()), name
 
 
 if __name__ == "__main__":

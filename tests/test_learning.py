@@ -62,6 +62,26 @@ def all_positions(n, k):
     return np.arange(1, (n + 1) ** k)
 
 
+def profile_state(p):
+    """The one-query state with amplitude sqrt(p_t) on tuple (t,), normalized: its masks are 0
+    and the single positions, and its profile is p / p.sum() up to rounding."""
+    entries = {((t,), 0): math.sqrt(v) for t, v in enumerate(p.tolist()) if v > 0}
+    return QueryState(len(p) - 1, 1, entries).normalized()
+
+
+def float_gram_overlap_sq(profile, tclass):
+    """The squared overlaps, in pair order, from one float64 Gram product over a tensor class.
+
+    The overlap check's Gram path before it summed exact slices of the mask mass: a
+    reference within rounding, whose last bits the BLAS kernel picks.
+    """
+    p = profile.values
+    supp = np.flatnonzero(p[1:] > 0.0)
+    signs = np.where(tclass.bits[:, supp], -1.0, 1.0)
+    gram = (signs * p[1:][supp]) @ signs.T + p[0]
+    return np.square(gram[np.triu_indices(tclass.m, 1)])
+
+
 THREE = concept_class(3, ("000", "011", "101"))
 
 
@@ -452,9 +472,12 @@ class TestPairwiseOverlaps:
         report = check_pairwise_overlaps(alg.psi, concepts, eps=0.1)
         assert len(report.pairs) == concepts.m * (concepts.m - 1) // 2
 
+    def test_unnormalized_state_refused(self):
+        psi = QueryState(2, 1, {((1,), 0): 0.5})
+        with pytest.raises(ContractViolation, match="state must be normalized"):
+            check_pairwise_overlaps(psi, concept_class(2, ("00", "01")), eps=0.1)
+
     def test_profile_length_checked(self):
-        with pytest.raises(ContractViolation, match="profile has 3 positions, expected 4"):
-            learning._gram_overlaps(AmplitudeProfile.uniform(3), THREE, eps=0.1)
         with pytest.raises(ContractViolation, match="state has n=2, concept class has n=3"):
             check_pairwise_overlaps(build_subset_state(2, 1), THREE, eps=0.1)
 
@@ -467,10 +490,10 @@ class TestPairwiseOverlaps:
         c = ConceptClass(n, (words[:, None] >> np.arange(n)) & 1)
         p = rng.uniform(size=n + 1) * (rng.uniform(size=n + 1) < 0.6)  # zero-mass positions
         p[0] = 0.0 if seed % 2 else p[0] + 0.1
-        profile = AmplitudeProfile(tuple((p / p.sum()).tolist()))
-        want = reference_overlap_sq(profile, c)
+        psi = profile_state(p)
+        want = reference_overlap_sq(amplitude_profile(psi), c)
         eps = (1.0 - math.sqrt(1.0 - float(np.median(want)))) / 2.0  # about half the pairs fail
-        report = learning._gram_overlaps(profile, c, eps)
+        report = learning._gram_overlaps(psi, c, eps)
         assert report.pairs.tolist() == [[i, j] for i in range(m) for j in range(i + 1, m)]
         np.testing.assert_allclose(report.overlap_sq, want, rtol=0, atol=1e-12)
         assert report.ok.tolist() == (want <= report.bound + 1e-12).tolist()
@@ -486,7 +509,7 @@ class TestPairwiseOverlaps:
         n, m = 6, 24
         words = rng.choice(1 << n, size=m, replace=False)
         c = ConceptClass(n, (words[:, None] >> np.arange(n)) & 1)
-        report = learning._gram_overlaps(AmplitudeProfile.uniform(n + 1), c, eps=0.2)
+        report = learning._gram_overlaps(profile_state(np.ones(n + 1)), c, eps=0.2)
         sq = report.overlap_sq.tolist()
         r = sq.index(max(sq))
         assert sq.count(sq[r]) > 1
@@ -501,7 +524,7 @@ class TestPairwiseOverlaps:
         words = rng.choice(1 << n, size=m, replace=False)
         c = ConceptClass(n, (words[:, None] >> np.arange(n)) & 1)
         p = rng.uniform(size=n + 1)
-        report = learning._gram_overlaps(AmplitudeProfile(p / p.sum()), c, eps=0.05 + 0.4 * rng.uniform())
+        report = learning._gram_overlaps(profile_state(p), c, eps=0.05 + 0.4 * rng.uniform())
         i, j = np.triu_indices(m, 1)
         assert report.pairs.tolist() == np.stack([i, j], axis=1).tolist()
         r = int(np.argmax(report.overlap_sq))
@@ -516,8 +539,9 @@ class TestPairwiseOverlaps:
 
     def test_one_concept_has_no_worst_pair(self):
         one = concept_class(2, ("01",))
-        for report in (learning._gram_overlaps(AmplitudeProfile.uniform(3), one, 0.1),
-                       learning._spectrum_overlaps(build_subset_state(2, 1), one, 0.1)):
+        psi = build_subset_state(2, 1)
+        for report in (learning._gram_overlaps(psi, one, 0.1),
+                       learning._spectrum_overlaps(psi, one, 0.1)):
             assert report.passed and report.violations() == () and report.pairs.shape == (0, 2)
             with pytest.raises(ContractViolation, match=r"no concept pair was checked \(m = 1\)"):
                 report.worst()
@@ -536,7 +560,7 @@ def seeded_state(rng, n, k, ancilla_dim, d):
 
 
 class TestSpectrumPath:
-    """The spectrum path against the Gram path, each helper called directly."""
+    """The spectrum path against the Gram path, each helper called directly: the same bits."""
 
     @pytest.mark.parametrize("seed", range(24))
     def test_matches_gram_on_seeded_states(self, seed):
@@ -546,17 +570,19 @@ class TestSpectrumPath:
         m = int(rng.integers(2, min(64, 1 << n) + 1))
         words = rng.choice(1 << n, size=m, replace=False)
         c = ConceptClass(n, (words[:, None] >> np.arange(n)) & 1)
-        full = tensor_power_class(c, k, all_positions(n, k))
-        median = float(np.median(learning._gram_overlaps(amplitude_profile(psi), full, 0.5).overlap_sq))
+        median = float(np.median(learning._spectrum_overlaps(psi, c, 0.5).overlap_sq))
         eps = (1.0 - math.sqrt(max(1.0 - median, 0.0))) / 2.0  # about half the pairs fail
-        gram = learning._gram_overlaps(amplitude_profile(psi), full, eps)
+        gram = learning._gram_overlaps(psi, c, eps)
         spec = learning._spectrum_overlaps(psi, c, eps)
-        assert np.abs(spec.overlap_sq - gram.overlap_sq).max() <= 1e-15
+        assert np.array_equal(spec.overlap_sq, gram.overlap_sq)
         assert spec.passed == gram.passed
-        assert [(v.i, v.j) for v in spec.violations(16)] == [(v.i, v.j) for v in gram.violations(16)]
-        assert abs(spec.worst().overlap_sq - gram.worst().overlap_sq) <= 1e-15
+        assert spec.violations() == gram.violations()
+        assert spec.worst() == gram.worst()
         r = int(np.argmax(spec.overlap_sq))  # the first maximum in pair order, from the pair array
         assert (spec.worst().i, spec.worst().j) == tuple(spec.pairs[r].tolist())
+        full = tensor_power_class(c, k, all_positions(n, k))
+        want = float_gram_overlap_sq(amplitude_profile(psi), full)
+        assert np.abs(spec.overlap_sq - want).max() <= 1e-15
 
     @pytest.mark.parametrize("n, k", [(4, 2), (6, 3), (8, 4)])
     def test_subset_learner_ties_exactly(self, n, k):
@@ -565,21 +591,40 @@ class TestSpectrumPath:
         assert len(set(spec.sq[1 << np.arange(n)].tolist())) == 1  # every weight-1 XOR
         worst = spec.worst()
         assert (worst.i, worst.j) == (0, 1)
+        assert learning._gram_overlaps(psi, c, 1 / 16).worst() == worst
         tclass = tensor_power_class(c, k, all_positions(n, k))
-        gram = learning._gram_overlaps(amplitude_profile(psi), tclass, 1 / 16)
-        assert abs(worst.overlap_sq - gram.worst().overlap_sq) <= 1e-15
-        assert spec.passed == gram.passed
+        want = float_gram_overlap_sq(amplitude_profile(psi), tclass)
+        assert abs(worst.overlap_sq - want.max()) <= 1e-15
 
     def test_path_choice(self):
         # n = 8, k = 4 on the full class is the one bench case past the threshold
-        assert learning._spectrum_is_cheaper(8, 256, 162)
-        assert not learning._spectrum_is_cheaper(6, 64, 41)
-        assert not learning._spectrum_is_cheaper(15, 16, 15)
+        assert learning._spectrum_is_cheaper(8, 256, 163)
+        assert not learning._spectrum_is_cheaper(6, 64, 42)
+        assert not learning._spectrum_is_cheaper(15, 16, 16)
         assert not learning._spectrum_is_cheaper(21, 1 << 12, 1 << 12)  # beyond 20 bits
         report = check_pairwise_overlaps(build_subset_state(8, 4), full_concept_class(8), 1 / 16)
         assert report.codes is not None and len(report.pairs) == 256 * 255 // 2
         report = check_pairwise_overlaps(build_subset_state(6, 3), full_concept_class(6), 1 / 16)
         assert report.codes is None
+
+    def test_wide_masks_group_as_their_codes(self):
+        # a seeded n = 40 state and class, and both padded with 30 unused variables to n = 70,
+        # where masks are 0/1 rows: the same masks and mass, so the same overlap bits
+        rng = np.random.default_rng(67)
+        psi = seeded_state(rng, 40, 3, 2, 120)
+        words = rng.integers(0, 2, size=(48, 70), dtype=np.uint8)
+        narrow, wide = ConceptClass(40, words[:, :40]), ConceptClass(70, words)
+        padded = QueryState.from_arrays(70, 3, psi.keys, psi.amps, psi.ancilla_dim)
+        rows, g = padded.mask_mass
+        assert rows.shape == (len(g), 70) and not rows[:, 40:].any()
+        order = np.argsort(rows[:, :40].astype(np.int64) @ (1 << np.arange(40)))
+        assert np.array_equal(rows[order, :40], (psi.mask_mass[0][:, None] >> np.arange(40)) & 1)
+        assert np.array_equal(g[order], psi.mask_mass[1])
+        for eps in (0.5, 0.2):
+            want = check_pairwise_overlaps(psi, narrow, eps)
+            got = check_pairwise_overlaps(padded, wide, eps)
+            assert got.overlap_sq.tobytes() == want.overlap_sq.tobytes()
+            assert got.violations() == want.violations() and got.worst() == want.worst()
 
 
 def reference_greedy(c, candidates, ties):
@@ -1079,17 +1124,17 @@ def test_sampled_plans_within_budget(seed):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_plan_on_the_support_matches_the_full_tensor_class(seed):
-    """The class on the profile's support gives the full class's overlaps and cover, bit for bit."""
+    """The plan's overlap report is the spectrum path's, bit for bit, and its cover on the
+    support is the full tensor class's."""
     rng = np.random.default_rng([seed, 59])
     n, k = int(rng.integers(2, 6)), int(rng.integers(1, 4))
     psi = random_state(rng, n, k, support_size=int(rng.integers(2, 4 * n + 1)))
     m = int(rng.integers(2, (1 << n) + 1))
     words = rng.choice(1 << n, size=m, replace=False)
     concepts = ConceptClass(n, (words[:, None] >> np.arange(n)) & 1)
-    profile, full = amplitude_profile(psi), tensor_power_class(concepts, k, all_positions(n, k))
-    worst = learning._gram_overlaps(profile, full, 0.5).worst().overlap_sq
+    worst = learning._spectrum_overlaps(psi, concepts, 0.5).worst().overlap_sq
     eps = min(helstrom_error(math.sqrt(min(worst, 1.0))) + 1e-9, 0.25)
-    want = learning._gram_overlaps(profile, full, eps)
+    want = learning._spectrum_overlaps(psi, concepts, eps)
     if not want.passed:
         with pytest.raises(BoundViolation) as err:
             build_classical_plan(psi, concepts, eps)
@@ -1098,7 +1143,8 @@ def test_plan_on_the_support_matches_the_full_tensor_class(seed):
     got = build_classical_plan(psi, concepts, eps)
     assert got.overlap_report.overlap_sq.tobytes() == want.overlap_sq.tobytes()
     assert np.array_equal(got.overlap_report.ok, want.ok)
-    support = np.flatnonzero(profile.values[1:] > 0) + 1
+    support = np.flatnonzero(amplitude_profile(psi).values[1:] > 0) + 1
+    full = tensor_power_class(concepts, k, all_positions(n, k))
     chosen = learning._greedy_over_support(full, support.tolist())
     tuples = [position_to_tuple(pos, n, k) for pos in chosen]
     assert got.plan.base_queries == tuple(sorted({i for t in tuples for i in t if i}))
