@@ -6,7 +6,10 @@ decodes.  A k-query quantum learner is turned into such a plan in three
 steps: view it as a one-query learner of the k-fold tensor class, cover
 every concept pair greedily by the tensor positions where the state's
 squared-amplitude profile has mass, then expand each chosen tuple into its
-distinct base indices.
+distinct base indices.  The cover reads the tensor class's columns on those
+positions or, where the overlap check takes its spectrum path, the class's
+pair counts per XOR and each position's odd mask, building no tensor class;
+both covers count the same exact integers and pick the same positions.
 """
 from __future__ import annotations
 
@@ -24,13 +27,16 @@ from .errors import (
     render_json,
 )
 from .qstate import (
-    IndexTuple, QueryState, check_input, decode_words, encode_bits, fwht, odd_mask,
+    IndexTuple, QueryState, check_input, decode_words, encode_bits, fwht, odd_mask, odd_masks,
     oracle_phase, ordered_sum, parity,
 )
 
 MAX_TENSOR_POSITIONS = 1 << 20
-# build_classical_plan's refusal limits: tensor-class entries, 1 byte each (the overlap
-# check's 8-byte signs are per concept and support position), and pairs checked and printed
+# build_classical_plan's refusal limits.  MAX_TENSOR_BITS bounds m ((n+1)^k - 1), the full
+# tensor class: the Gram path's support columns (1 byte each), the column cover's float32
+# copy and the check's (m, u) float64 signs, u <= the support, stay within 8 bytes a bit.
+# MAX_OVERLAP_PAIRS bounds the m(m-1)/2 pairs checked: the Gram and the per-pair arrays
+# that OverlapReport builds when read; learn prints only the binding pair
 MAX_TENSOR_BITS = 1 << 24
 MAX_OVERLAP_PAIRS = 1 << 17
 # violating pairs a BoundViolation carries, the first in pair order
@@ -411,19 +417,29 @@ class OverlapReport:
         return PairOverlap(i, j, float(self.sq[r]), bool(self.sq[r] <= self.bound + 1e-12))
 
     @cached_property
-    def _first_top_pair(self) -> tuple[int, int]:
-        """The first pair in pair order whose codes' XOR has the largest sq among the pairs'.
+    def pair_counts(self) -> np.ndarray:
+        """The pairs i < j per XOR of their codes (spectrum path only), as float64.
 
-        The XORs that occur come from one autocorrelation: fwht(fwht(1_C)^2) is 2^n times
-        the count of ordered pairs per XOR.  Its partial sums are integers of at most the
-        squares' total, 2^n m <= 2^(2n), so it is exact for n <= 26.  The first pair is
-        then searched row by row, in blocks, and is found in the first block when row 0
-        has a tied partner, as every concept of the full class has.
+        One autocorrelation: fwht(fwht(1_C)^2) is 2^n times the count of ordered pairs
+        per XOR, XOR 0 pairing each concept with itself.  Its partial sums are integers of
+        at most the squares' total, 2^n m <= 2^(2n), so it is exact for n <= 26, and so is
+        the division by 2^(n+1): every count is an exact integer.
         """
         member = np.zeros(len(self.sq))
         member[self.codes] = 1.0
-        occurs = fwht(np.square(fwht(member))) > 0.0
-        occurs[0] = False  # XOR 0 pairs a concept with itself
+        counts = fwht(np.square(fwht(member))) / (2 * len(self.sq))
+        counts[0] = 0.0
+        return counts
+
+    @cached_property
+    def _first_top_pair(self) -> tuple[int, int]:
+        """The first pair in pair order whose codes' XOR has the largest sq among the pairs'.
+
+        The XORs that occur are those with a pair count.  The first pair is then searched
+        row by row, in blocks, and is found in the first block when row 0 has a tied
+        partner, as every concept of the full class has.
+        """
+        occurs = self.pair_counts > 0.0
         tied = occurs & (self.sq == np.max(self.sq, where=occurs, initial=-np.inf))
         rows = max(1, EXACT_BLOCK_CELLS // self.m)
         for start in range(0, self.m, rows):
@@ -545,22 +561,31 @@ def sample_index_set(
     return SampleResult(draws, index_set, is_distinguishing(c, index_set))
 
 
-def _greedy_over_support(c: ConceptClass, candidates: Iterable[int]) -> tuple[int, ...] | None:
+def _greedy_over_support(
+    c: ConceptClass | OverlapReport, candidates: Iterable[int], masks: np.ndarray | None = None
+) -> tuple[int, ...] | None:
     """Greedy set cover of the concept pairs by candidate positions.
 
     Repeatedly takes the candidate separating the most still-colliding pairs,
     ties to the earliest candidate; None when the candidates cannot separate
-    every pair.  Colliding pairs are kept as groups of two or more concepts
-    that agree on every chosen position, so a position separates ones * zeros
-    pairs per group; each step splits every group on the chosen position and
-    counts the ones of the half reading 1, the other half's by subtraction.
-    If some distribution over the candidates separates every pair with
-    probability at least delta, the best candidate separates at least delta of
-    the pairs left (an average is at most the maximum), so the cover of
-    P = m(m-1)/2 pairs stops within floor(ln P / delta) + 1 positions
+    every pair.  If some distribution over the candidates separates every pair
+    with probability at least delta, the best candidate separates at least
+    delta of the pairs left (an average is at most the maximum), so the cover
+    of P = m(m-1)/2 pairs stops within floor(ln P / delta) + 1 positions
     (Lovasz 1975).
+
+    Given a class, the candidates are its 1-based columns (the column cover).
+    Colliding pairs are kept as groups of two or more concepts that agree on
+    every chosen position, so a position separates ones * zeros pairs per
+    group; each step splits every group on the chosen position and counts the
+    ones of the half reading 1, the other half's by subtraction.  Given a
+    spectrum-path report and each candidate's odd mask, a candidate's column
+    is parity(x & mask) on each concept x (the mask cover, see _mask_cover).
+    Both covers count the same pairs exactly, so they pick the same candidates.
     """
     candidates = list(candidates)
+    if masks is not None:
+        return _mask_cover(c.pair_counts, candidates, masks)
     cols = c.bits[:, _columns(c, candidates)]
     weights = cols.astype(np.float32)  # counts below 2^24 add exactly in any BLAS order
     rows = np.arange(c.m)  # the colliding concepts, group by group
@@ -586,6 +611,30 @@ def _greedy_over_support(c: ConceptClass, candidates: Iterable[int]) -> tuple[in
         rows = np.concatenate([rows[~bit], rows[bit]])[np.repeat(keep, sizes)]
         ones = np.concatenate([ones - ones1, ones1])[keep]
         sizes = sizes[keep]
+    return tuple(sorted(chosen))
+
+
+def _mask_cover(counts: np.ndarray, candidates: list[int], masks: np.ndarray) -> tuple[int, ...] | None:
+    """_greedy_over_support's picks from the colliding pairs per XOR, N = counts.
+
+    A candidate with odd mask nu separates the pairs whose XOR z has parity(z & nu) = 1:
+    (P - Nhat(nu)) / 2 of them, P the pairs left and Nhat = fwht(N), so Nhat(0) = P.
+    A pick mu zeroes N where parity(z & mu) = 1, N (1 + (-1)^parity(z & mu)) / 2, so
+    Nhat becomes (Nhat(nu) + Nhat(nu ^ mu)) / 2: one transform in all, then one
+    average per step.  N's entries are integers summing to P, 2P < 2^53 (P is at most
+    MAX_OVERLAP_PAIRS), so the transform and every average are exact, each Nhat is an
+    integer, and gains tie exactly as in the column cover.
+    """
+    spectrum = fwht(counts)
+    xors = np.arange(len(spectrum))
+    chosen: list[int] = []
+    while spectrum[0] > 0.0:  # pairs left
+        gain = spectrum[0] - spectrum[masks]  # twice the pairs each candidate separates
+        if not gain.any():
+            return None
+        best = int(np.argmax(gain))  # first maximum: ties to the earliest candidate
+        chosen.append(candidates[best])
+        spectrum = (spectrum + spectrum[xors ^ masks[best]]) / 2.0
     return tuple(sorted(chosen))
 
 
@@ -652,13 +701,16 @@ def build_classical_plan(learner, concepts: ConceptClass, eps: float) -> PlanRes
     The learner may be a full algorithm or a bare input state; only its state
     (and implied query count k) is consumed, and the caller is responsible
     for having verified that it learns the class with error at most eps.
-    Steps: build the tensor class on the support, the positions of psi's
-    entries with nonzero probability (no other position adds to an overlap),
-    check the pairwise overlaps, cover every pair greedily by the support, and
-    expand the chosen tuples into base queries.  The check reads psi's mass per
-    odd mask, not the tensor class; its two paths are exact and give the same
-    bits, its cost model only picks the faster, and no BLAS kernel moves a bit
-    (see check_pairwise_overlaps).  A pair within the overlap bound is
+    Steps: check the pairwise overlaps, cover every pair greedily by the
+    support, the positions of psi's entries with nonzero probability (no other
+    position adds to an overlap), and expand the chosen tuples into base
+    queries.  The check reads psi's mass per odd mask, not the tensor class;
+    its two paths are exact and give the same bits, its cost model only picks
+    the faster, and no BLAS kernel moves a bit (see check_pairwise_overlaps).
+    On the Gram path the cover reads the tensor class on the support; on the
+    spectrum path it reads the report's pair counts per XOR and the support's
+    odd masks, and no tensor class is built.  Both covers pick the same
+    positions (see _greedy_over_support).  A pair within the overlap bound is
     separated by a profile draw with probability at least delta = (1 - c)/2,
     c = 2 sqrt(eps(1-eps)), so the greedy cover takes at most
     floor(ln P / delta) + 1 <= 4 log2(m) / (1 - c) tuples of at most k base
@@ -690,7 +742,9 @@ def build_classical_plan(learner, concepts: ConceptClass, eps: float) -> PlanRes
 
     positions = np.sort((psi.index @ (psi.n + 1) ** np.arange(k))[psi.probs > 0.0])
     support = positions[positions > np.concatenate([[0], positions[:-1]])]  # distinct, not 0
-    tclass = tensor_power_class(concepts, k, support)
+    # the check's own path choice: the spectrum path's cover needs no tensor class
+    spectrum = _spectrum_is_cheaper(concepts.n, m, len(psi.mask_mass[1]))
+    tclass = None if spectrum else tensor_power_class(concepts, k, support)
     report = check_pairwise_overlaps(psi, concepts, eps)
     if not report.passed:
         worst = report.worst()
@@ -701,7 +755,12 @@ def build_classical_plan(learner, concepts: ConceptClass, eps: float) -> PlanRes
             pairs=report.violations(MAX_REPORTED_VIOLATIONS),
         )
 
-    selected = _greedy_over_support(tclass, range(1, len(support) + 1))
+    candidates = range(1, len(support) + 1)
+    if tclass is None:
+        digits = support[:, None] // (concepts.n + 1) ** np.arange(k) % (concepts.n + 1)
+        selected = _greedy_over_support(report, candidates, odd_masks(digits))
+    else:
+        selected = _greedy_over_support(tclass, candidates)
     if selected is None:
         raise BoundViolation(
             "profile support cannot separate all concept pairs; the claimed error rate is wrong"

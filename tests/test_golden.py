@@ -210,6 +210,13 @@ def test_overlap_path_leaves_stdout(monkeypatch, spectrum):
         assert (code, out) == (exit_codes[name], (GOLDEN / f"{name}.stdout").read_text()), name
 
 
+def test_spectrum_path_builds_no_tensor_class(monkeypatch):
+    """learn at n = 8, k = 4 takes the spectrum path, whose cover reads no tensor class."""
+    monkeypatch.setattr(learning, "tensor_power_class", None)  # any build attempt fails
+    name = "learn-vandam-n8-k4"
+    assert run_case(CASES[name]) == (0, (GOLDEN / f"{name}.stdout").read_text())
+
+
 if __name__ == "__main__":
     codes_path = GOLDEN / "exit_codes.json"
     old_codes = json.loads(codes_path.read_text()) if codes_path.exists() else {}

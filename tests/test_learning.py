@@ -607,6 +607,16 @@ class TestSpectrumPath:
         report = check_pairwise_overlaps(build_subset_state(6, 3), full_concept_class(6), 1 / 16)
         assert report.codes is None
 
+    @pytest.mark.parametrize("n, m", [(2, 4), (5, 7), (8, 256), (11, 300), (20, 512)])
+    def test_pair_counts_are_exact(self, n, m):
+        rng = np.random.default_rng([n, m, 71])
+        codes = rng.choice(1 << n, size=m, replace=False)
+        report = learning.OverlapReport(0.0, m, np.zeros(1 << n), codes)
+        upper = np.arange(m)[:, None] < np.arange(m)
+        want = np.bincount((codes[:, None] ^ codes)[upper], minlength=1 << n)
+        assert report.pair_counts.dtype == np.float64
+        assert np.array_equal(report.pair_counts, want)
+
     def test_wide_masks_group_as_their_codes(self):
         # a seeded n = 40 state and class, and both padded with 30 unused variables to n = 70,
         # where masks are 0/1 rows: the same masks and mass, so the same overlap bits
@@ -652,7 +662,17 @@ def reference_greedy(c, candidates, ties):
         label = 2 * label + cols[:, best]
 
 
+def mask_cover(c, positions, k):
+    """_greedy_over_support's mask cover of c's pairs by tensor positions: each position's
+    odd mask, one tuple at a time, and c's pair counts from a spectrum-path report."""
+    report = learning.OverlapReport(0.0, c.m, np.zeros(1 << c.n), learning._codes(c))
+    masks = np.array([odd_mask(position_to_tuple(p, c.n, k)) for p in positions], dtype=np.int64)
+    return learning._greedy_over_support(report, list(positions), masks)
+
+
 class TestGreedyCover:
+    """The column cover and the mask cover against the regrouping reference: the same picks."""
+
     @pytest.mark.parametrize("seed", range(16))
     def test_matches_regrouping_reference(self, seed):
         rng = np.random.default_rng([seed, 23])
@@ -669,6 +689,7 @@ class TestGreedyCover:
                 support = rng.choice(np.arange(1, t.n + 1), size=size, replace=bool(rng.integers(2)))
                 want = reference_greedy(t, support.tolist(), ties)
                 assert learning._greedy_over_support(t, support.tolist()) == want
+                assert mask_cover(c, support.tolist(), k) == want
                 results.append(want)
         assert None in results and any(results) and ties
 
@@ -678,11 +699,14 @@ class TestGreedyCover:
         ties = []
         want = reference_greedy(t, range(1, t.n + 1), ties)
         assert learning._greedy_over_support(t, range(1, t.n + 1)) == want == (1, 2, 3, 4, 5)
+        assert mask_cover(full_concept_class(5), range(1, t.n + 1), 2) == want
         assert ties == [0, 1, 2, 3, 4]
 
     def test_one_concept_and_no_candidates(self):
         assert learning._greedy_over_support(concept_class(2, ("01",)), []) == ()
         assert learning._greedy_over_support(concept_class(2, ("01", "10")), []) is None
+        assert mask_cover(concept_class(2, ("01",)), [], 1) == ()
+        assert mask_cover(concept_class(2, ("01", "10")), [], 1) is None
 
 
 def reference_overlap_sq(profile, c):
@@ -1065,6 +1089,11 @@ class TestBuildClassicalPlan:
         psi = QueryState(2, 1, {((0,), 0): a, ((1,), 0): a})
         with pytest.raises(BoundViolation, match="profile support cannot separate"):
             build_classical_plan(psi, concept_class(2, ("00", "01")), eps=0.0)
+        # the spectrum path forced: its mask cover refuses too, with no tensor class built
+        monkeypatch.setattr(learning, "_spectrum_is_cheaper", lambda n, m, u: True)
+        monkeypatch.setattr(learning, "tensor_power_class", None)
+        with pytest.raises(BoundViolation, match="profile support cannot separate"):
+            build_classical_plan(psi, concept_class(2, ("00", "01")), eps=0.0)
 
     def test_rejects_non_state_learner(self):
         with pytest.raises(ContractViolation):
@@ -1125,7 +1154,7 @@ def test_sampled_plans_within_budget(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_plan_on_the_support_matches_the_full_tensor_class(seed):
     """The plan's overlap report is the spectrum path's, bit for bit, and its cover on the
-    support is the full tensor class's."""
+    support is the full tensor class's, whichever overlap path the plan takes."""
     rng = np.random.default_rng([seed, 59])
     n, k = int(rng.integers(2, 6)), int(rng.integers(1, 4))
     psi = random_state(rng, n, k, support_size=int(rng.integers(2, 4 * n + 1)))
@@ -1148,6 +1177,11 @@ def test_plan_on_the_support_matches_the_full_tensor_class(seed):
     chosen = learning._greedy_over_support(full, support.tolist())
     tuples = [position_to_tuple(pos, n, k) for pos in chosen]
     assert got.plan.base_queries == tuple(sorted({i for t in tuples for i in t if i}))
+    with pytest.MonkeyPatch.context() as patch:  # the spectrum path's mask cover: the same plan
+        patch.setattr(learning, "_spectrum_is_cheaper", lambda n, m, u: True)
+        patch.setattr(learning, "tensor_power_class", None)
+        forced = build_classical_plan(psi, concepts, eps)
+    assert (forced.plan, forced.audit) == (got.plan, got.audit)
 
 
 JSON_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
